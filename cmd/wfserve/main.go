@@ -14,8 +14,8 @@
 //
 // With -dist the server becomes a fleet coordinator: wfworker nodes
 // register against /workers, and cache-miss campaigns are sharded across
-// them by unit range — with transparent fallback to local execution when no
-// workers are live. Results are byte-identical either way.
+// them by unit range. While no worker is live the coordinator executes the
+// missing ranges itself. Results are byte-identical either way.
 //
 // See DESIGN.md "Service layer" and "Distributed execution" for the API,
 // cache-key schema and shard protocol.
@@ -153,11 +153,11 @@ func main() {
 	// incarnation left unfinished. The content-addressed cache answers any
 	// that actually completed (crash after caching); the rest re-enter the
 	// queue as the trusted default tenant and resume from their journaled
-	// shard merges once workers re-register. This must run after the
-	// listener is up: the fleet can only re-register through it, and the
-	// coordinator holds each recovered campaign for a re-registration grace
-	// instead of falling back to a full local recompute on the empty worker
-	// table a freshly restarted process necessarily has.
+	// shard merges: only the missing ranges run. The coordinator executes
+	// them in-process while its worker table is empty, as it necessarily is
+	// right after a restart, and the fleet takes over the rest once it
+	// re-registers. This runs after the listener is up, because the fleet
+	// can only re-register through it.
 	if coord != nil {
 		for _, rc := range coord.Recovered() {
 			j, err := svc.Submit(rc.Req)
@@ -197,7 +197,7 @@ func main() {
 	// routing here. The listener stays open while in-flight campaigns
 	// drain — fleet workers must keep leasing and reporting shards (and
 	// ?wait=1 clients keep their connections) for those campaigns to finish
-	// instead of stalling into lease expiry and a local re-run. Only once
+	// instead of stalling into lease expiry and in-process re-execution. Only once
 	// the service is drained does the listener shut down.
 	svc.BeginDrain()
 	if coord != nil {

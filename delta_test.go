@@ -93,27 +93,19 @@ func TestDeltaShardedSweepBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := full.SweepUnits(bers)
-	cfg.DeltaExec = nil // shard workers run the delta default
-	var counts []int
-	for _, r := range [][2]int{{0, total / 3}, {total / 3, total / 2}, {total / 2, total}} {
-		remote, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := remote.SweepUnitCounts(context.Background(), bers, r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts = append(counts, part...)
-	}
-	got, err := full.SweepFromCounts(bers, counts)
+	plan, err := full.Plan(bers, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	remoteCfg := cfg
+	remoteCfg.DeltaExec = nil // shard workers run the delta default
+	got := shardedResult(t, plan, func() *Plan { return planFor(t, remoteCfg, bers, false) },
+		func(_, total int) [][2]int {
+			return [][2]int{{0, total / 3}, {total / 3, total / 2}, {total / 2, total}}
+		})
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("point %d: delta-sharded %+v != full local %+v", i, got[i], want[i])
+		if got.Points[i] != want[i] {
+			t.Errorf("point %d: delta-sharded %+v != full local %+v", i, got.Points[i], want[i])
 		}
 	}
 }

@@ -122,26 +122,16 @@ func TestScenarioShardedSweepBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := sys.SweepUnits(bers)
-	var counts []int
-	for lo := 0; lo < total; lo++ {
-		remote, err := New(cfg) // fresh system per shard, as a worker would
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := remote.SweepUnitCounts(context.Background(), bers, lo, lo+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts = append(counts, part...)
-	}
-	got, err := sys.SweepFromCounts(bers, counts)
+	plan, err := sys.Plan(bers, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One unit per shard, each on a fresh system as a worker would.
+	got := shardedResult(t, plan, func() *Plan { return planFor(t, cfg, bers, false) },
+		func(_, total int) [][2]int { return evenSplits(total, total) })
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("point %d: sharded %+v != local %+v", i, got[i], want[i])
+		if got.Points[i] != want[i] {
+			t.Errorf("point %d: sharded %+v != local %+v", i, got.Points[i], want[i])
 		}
 	}
 }

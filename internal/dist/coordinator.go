@@ -29,8 +29,10 @@ type CoordinatorConfig struct {
 	// construction on the worker.
 	ShardUnits int
 	// MaxAttempts bounds explicit shard failures (a worker reporting an
-	// error) before the whole run fails (default 3). Lease expiries do not
-	// count: a dead worker is the fleet's fault, not the shard's.
+	// error or invalid counts) before the coordinator stops leasing the
+	// shard's phase to the fleet and executes its pending shards in-process
+	// (default 3). Lease expiries do not count: a dead worker is the fleet's
+	// fault, not the shard's.
 	MaxAttempts int
 	// JournalPath, when non-empty, makes the control plane durable: the
 	// campaign registry and every merged shard are appended to this file, and
@@ -41,13 +43,6 @@ type CoordinatorConfig struct {
 	// JournalBudget is the record count past which the journal is compacted
 	// to a snapshot of live state (default 4096).
 	JournalBudget int
-	// RecoveryGrace bounds how long a journal-recovered campaign's Run waits
-	// for workers to re-register after a coordinator restart before giving
-	// up with ErrNoWorkers (default: LeaseTTL). Recovery resubmission races
-	// the fleet's re-register/heartbeat cycle; without the grace an empty
-	// worker table at that instant would discard the journaled shard merges
-	// in favor of a full local recompute. Fresh campaigns never wait.
-	RecoveryGrace time.Duration
 	// StragglerFactor flags a worker as a straggler once its per-unit shard
 	// execution EWMA exceeds this multiple of the fleet's median (default 3;
 	// requires at least two live measured workers). Flagged workers stop
@@ -68,9 +63,10 @@ type CoordinatorConfig struct {
 }
 
 // Coordinator is the fleet side of distributed campaign execution: worker
-// registry (register / heartbeat / lease expiry), shard queue, and the
-// index-ordered merge that keeps distributed results byte-identical to
-// local ones. It implements service.Distributor.
+// registry (register / heartbeat / lease expiry), shard queue, an in-process
+// executor for when the fleet cannot take the work, and the index-ordered
+// merge that keeps distributed results byte-identical to local ones. It
+// implements service.Distributor.
 type Coordinator struct {
 	cfg CoordinatorConfig
 	// epoch namespaces shard IDs across restarts: a worker that computed a
@@ -135,6 +131,7 @@ type shard struct {
 
 // campaignRun collects one phase's shard results.
 type campaignRun struct {
+	plan      *winofault.Plan
 	counts    []int
 	remaining int // shards not yet merged
 	doneUnits int
@@ -142,7 +139,16 @@ type campaignRun struct {
 	finished  bool
 	err       error
 	done      chan struct{}
-	progress  func(done, total int)
+	// local marks a phase one of whose shards exhausted MaxAttempts: the
+	// in-process executor takes all its pending shards, live fleet or not,
+	// and remote workers are no longer leased them.
+	local bool
+	// progress observes phase progress. Remote merges and in-process units
+	// report concurrently, so pmu serializes the calls and reported keeps
+	// them monotonic; -1 until the starting point is published.
+	progress func(done, total int)
+	pmu      sync.Mutex
+	reported int
 	// o and span carry the campaign's observability handles into result(),
 	// which runs on handler goroutines: merged shards become child spans of
 	// the phase span and worker exec times feed the ShardExec histogram.
@@ -165,9 +171,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	if cfg.JournalBudget < 1 {
 		cfg.JournalBudget = 4096
-	}
-	if cfg.RecoveryGrace <= 0 {
-		cfg.RecoveryGrace = cfg.LeaseTTL
 	}
 	if cfg.StragglerFactor <= 1 {
 		cfg.StragglerFactor = 3
@@ -401,133 +404,65 @@ func (c *Coordinator) Fleet() service.FleetStatus {
 	return fs
 }
 
-// Run executes one campaign across the fleet (service.Distributor): shard
-// the sweep batch, merge counts, reduce; then the same for the
-// layer-sensitivity batch when requested. The returned bytes are
-// byte-identical to the local runner's for the same request — the marshaled
-// result of the same index-ordered integer reduction.
+// Run executes one campaign (service.Distributor): for each phase of the
+// campaign's plan, shard its unit space, let the fleet lease the shards —
+// or, while no remote worker is live, execute them in-process — merge the
+// counts, and reduce. The returned bytes are byte-identical to the service's
+// in-process run of the same request: the marshaled result of the same
+// index-ordered integer reduction.
 func (c *Coordinator) Run(ctx context.Context, key string, req winofault.CampaignRequest, progress func(batch, done, total int)) ([]byte, error) {
 	o := obs.From(ctx)
 	c.mu.Lock()
-	// Durability begins here: register the campaign before any execution
-	// decision, so even a run that immediately falls back to local (no live
-	// workers) survives a crash and is resumed at the next startup.
-	cs, ok := c.registry[key]
-	if !ok {
+	// Durability begins here: register the campaign before any execution,
+	// so a crash at any point resumes it at the next startup.
+	if _, ok := c.registry[key]; !ok {
 		reqCopy := req
 		// The record carries this incarnation's epoch so a recovered
 		// campaign's trace can link the prior incarnation's trace (shard
 		// span epochs) across the restart.
-		cs = &campaignState{req: reqCopy, phases: map[int][]shardRange{}, epoch: c.epoch}
-		c.registry[key] = cs
+		c.registry[key] = &campaignState{req: reqCopy, phases: map[int][]shardRange{}, epoch: c.epoch}
 		c.jrnl.append(journalRecord{T: recCampaign, Key: key, Req: &reqCopy, Epoch: c.epoch})
 		c.compactIfNeededLocked()
 	}
-	recovered := cs.recovered
-	live := c.liveWorkersLocked(time.Now())
 	c.mu.Unlock()
-	if live == 0 {
-		// A journal-recovered campaign is resubmitted right after a restart,
-		// when the previous fleet has heard nothing yet: give workers their
-		// re-register window instead of instantly wasting the journaled
-		// progress on a full local recompute. Fresh campaigns keep the
-		// immediate local fallback.
-		if !recovered || !c.awaitWorkers(ctx, key) {
-			return nil, service.ErrNoWorkers
+
+	// The coordinator's own plan gives the unit totals, validates merged
+	// counts, reduces them, and executes shards whenever the fleet can't.
+	plan, err := winofault.NewPlan(req)
+	if err != nil {
+		return nil, err
+	}
+	var res winofault.CampaignResult
+	for i, phase := range plan.Phases() {
+		ph := o.Trace.Start("phase", obs.A("phase", phase.Name), obs.A("path", "dist"))
+		counts, err := c.runPhase(ctx, o, ph, key, req, plan, i, phase.Units, func(done, total int) { progress(i, done, total) })
+		if err == nil {
+			mStart := time.Now()
+			err = plan.Reduce(&res, i, counts)
+			ph.Record("merge", mStart, time.Since(mStart))
 		}
-	}
-
-	// The coordinator builds the system too — for unit totals, the golden
-	// predictions the reduction divides by, and the final reduce. It never
-	// executes campaign units itself.
-	cfg, err := req.SystemConfig()
-	if err != nil {
-		return nil, err
-	}
-	sys, err := winofault.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.SetProtection(req.Protection); err != nil {
-		return nil, err
-	}
-
-	ph := o.Trace.Start("phase", obs.A("phase", "sweep"), obs.A("path", "dist"))
-	counts, err := c.runPhase(ctx, o, ph, key, req, PhaseSweep, sys.SweepUnits(req.BERs), func(done, total int) { progress(0, done, total) })
-	if err != nil {
-		ph.SetAttr("err", err.Error())
-		ph.End()
-		return nil, err
-	}
-	mStart := time.Now()
-	pts, err := sys.SweepFromCounts(req.BERs, counts)
-	ph.Record("merge", mStart, time.Since(mStart))
-	ph.End()
-	if err != nil {
-		return nil, err
-	}
-	res := winofault.CampaignResult{Points: pts}
-	if req.Layers {
-		mid := req.BERs[len(req.BERs)/2]
-		ph := o.Trace.Start("phase", obs.A("phase", "layers"), obs.A("path", "dist"))
-		counts, err := c.runPhase(ctx, o, ph, key, req, PhaseLayers, sys.LayerUnits(mid), func(done, total int) { progress(1, done, total) })
 		if err != nil {
 			ph.SetAttr("err", err.Error())
 			ph.End()
 			return nil, err
 		}
-		mStart := time.Now()
-		base, layers, err := sys.LayersFromCounts(mid, counts)
-		ph.Record("merge", mStart, time.Since(mStart))
 		ph.End()
-		if err != nil {
-			return nil, err
-		}
-		res.Baseline = base
-		res.Layers = layers
 	}
 	return json.Marshal(res)
-}
-
-// awaitWorkers blocks until a live worker registers, the recovery grace
-// lapses, or ctx/Close interrupts, reporting whether the fleet came back.
-// Only journal-recovered campaigns wait (see CoordinatorConfig.RecoveryGrace).
-func (c *Coordinator) awaitWorkers(ctx context.Context, key string) bool {
-	c.cfg.Logger.Info("dist: campaign recovered from journal; waiting for workers to re-register",
-		"campaign", short(key), "grace", c.cfg.RecoveryGrace)
-	deadline := time.NewTimer(c.cfg.RecoveryGrace)
-	defer deadline.Stop()
-	tick := time.NewTicker(50 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return false
-		case <-c.stop:
-			return false
-		case <-deadline.C:
-			return false
-		case <-tick.C:
-			c.mu.Lock()
-			live := c.liveWorkersLocked(time.Now())
-			c.mu.Unlock()
-			if live > 0 {
-				return true
-			}
-		}
-	}
 }
 
 // runPhase shards one phase's unit index space [0, total) into contiguous
 // ranges, dispatches them, and blocks until every shard's counts are merged
 // (in index order, by construction of the counts slice) or the phase fails.
-func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key string, req winofault.CampaignRequest, phase, total int, progress func(done, total int)) ([]int, error) {
+func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key string, req winofault.CampaignRequest, plan *winofault.Plan, phase, total int, progress func(done, total int)) ([]int, error) {
 	ph.SetAttr("units", total)
 	run := &campaignRun{
+		plan:     plan,
 		counts:   make([]int, total),
 		total:    total,
 		done:     make(chan struct{}),
 		progress: progress,
+		reported: -1,
 		o:        o,
 		span:     ph,
 	}
@@ -550,9 +485,9 @@ func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key
 		}
 		kept := cs.phases[phase][:0]
 		for _, r := range cs.phases[phase] {
-			if r.lo < 0 || r.hi > total || len(r.counts) != r.hi-r.lo {
-				c.cfg.Logger.Warn("dist: dropping journaled range outside unit space",
-					"campaign", short(key), "phase", phase, "lo", r.lo, "hi", r.hi, "units", total)
+			if err := plan.CheckCounts(phase, r.lo, r.hi, r.counts); err != nil {
+				c.cfg.Logger.Warn("dist: dropping invalid journaled range",
+					"campaign", short(key), "phase", phase, "lo", r.lo, "hi", r.hi, "units", total, "err", err)
 				continue
 			}
 			kept = append(kept, r)
@@ -568,8 +503,7 @@ func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key
 	}
 	run.doneUnits = prefilled
 	if prefilled == total {
-		// The whole phase was merged before the crash: no fleet needed, the
-		// live-worker check below would only get in the way.
+		// The whole phase was merged before the crash: nothing to execute.
 		c.mu.Unlock()
 		ph.Record("journal-recovery", recStart, time.Since(recStart),
 			recoveryAttrs(prefilled, c.epoch, prevEpoch)...)
@@ -577,17 +511,16 @@ func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key
 			"campaign", short(key), "phase", phase, "units", total)
 		return run.counts, nil
 	}
-	now := time.Now()
-	live := c.liveWorkersLocked(now)
-	if live == 0 {
-		c.mu.Unlock()
-		return nil, service.ErrNoWorkers
-	}
+	live := c.liveWorkersLocked(time.Now())
 	size := c.cfg.ShardUnits
 	if size <= 0 {
 		// About two shards per live worker: re-leases stay cheap and a slow
-		// node can't serialize the tail.
-		size = (total - prefilled + 2*live - 1) / (2 * live)
+		// node can't serialize the tail. With no live worker the coordinator
+		// executes the phase itself, so each remaining gap is one range.
+		size = total
+		if live > 0 {
+			size = (total - prefilled + 2*live - 1) / (2 * live)
+		}
 	}
 	if size < 1 {
 		size = 1
@@ -630,14 +563,23 @@ func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key
 		c.cfg.Logger.Info("dist: phase sharded",
 			"campaign", short(key), "phase", phase, "units", total, "shards", shards, "workers", live)
 	}
-	if progress != nil {
-		// Publish the starting point (non-zero after a journal resume) so
-		// subscribers see recovered progress before the first merge lands.
-		progress(prefilled, total)
-	}
+	// Publish the starting point (non-zero after a journal resume) so
+	// subscribers see recovered progress before the first merge lands.
+	run.publish(prefilled)
 
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		c.executeInProcess(ctx, run)
+	}()
+	defer func() { <-exited }()
 	select {
 	case <-run.done:
+		if run.err == nil {
+			// Merges report after releasing c.mu; the phase's final count
+			// must still land before the next phase reports.
+			run.publish(total)
+		}
 		return run.counts, run.err
 	case <-ctx.Done():
 		c.mu.Lock()
@@ -645,6 +587,89 @@ func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key
 		c.mu.Unlock()
 		return nil, ctx.Err()
 	}
+}
+
+// publish reports phase progress, never backwards.
+func (run *campaignRun) publish(done int) {
+	if run.progress == nil {
+		return
+	}
+	run.pmu.Lock()
+	defer run.pmu.Unlock()
+	if done <= run.reported {
+		return
+	}
+	run.reported = done
+	run.progress(done, run.total)
+}
+
+// inProcessWorker is the worker attr of shards the coordinator executed
+// itself; registered workers' IDs ("w-N") never collide with it.
+const inProcessWorker = "coordinator"
+
+// executeInProcess is the coordinator's in-process executor for one phase
+// run. It takes the run's pending shards while no remote worker is live — at
+// Run start on an empty fleet, after the fleet dies, right after a journal
+// restart — or once the phase went local after a shard exhausted
+// MaxAttempts. Each shard runs on the coordinator's own plan and merges and
+// journals through the same path as a remote result, so the executor only
+// ever fills the ranges still missing. It returns when the run finishes, its
+// context is canceled or the coordinator closes.
+func (c *Coordinator) executeInProcess(ctx context.Context, run *campaignRun) {
+	tick := time.NewTicker(c.cfg.Poll)
+	defer tick.Stop()
+	for ctx.Err() == nil {
+		if sh, base := c.takeInProcess(run); sh != nil {
+			start := time.Now()
+			counts, err := run.plan.Counts(ctx, sh.task.Phase, sh.task.Lo, sh.task.Hi, func(done, _ int) {
+				run.publish(base + done)
+			})
+			exec := time.Since(start)
+			merged := -1 // below any published count: publish ignores it
+			c.mu.Lock()
+			switch {
+			case run.finished:
+			case err != nil:
+				// Canceled, or an error a re-run would only repeat.
+				c.finishRunLocked(run, err)
+			default:
+				merged = c.mergeLocked(sh, counts, inProcessWorker, nil, exec, time.Now())
+			}
+			c.mu.Unlock()
+			run.publish(merged)
+			continue
+		}
+		select {
+		case <-run.done:
+			return
+		case <-ctx.Done():
+			return
+		case <-c.stop:
+			return
+		case <-tick.C:
+		}
+	}
+}
+
+// takeInProcess claims the run's oldest pending shard for the in-process
+// executor, or returns nil while the fleet should take it (or nothing is
+// pending). base is the run's merged unit count at the claim, the offset of
+// the shard's in-process progress.
+func (c *Coordinator) takeInProcess(run *campaignRun) (sh *shard, base int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := time.Now()
+	if run.finished || (!run.local && c.liveWorkersLocked(now) > 0) {
+		return nil, 0
+	}
+	for i, p := range c.pending {
+		if p.run == run {
+			c.pending = append(c.pending[:i], c.pending[i+1:]...)
+			p.leaseAt = now
+			return p, run.doneUnits
+		}
+	}
+	return nil, 0
 }
 
 // recoveryAttrs builds the journal-recovery span's attributes. prevEpoch,
@@ -742,8 +767,9 @@ func (c *Coordinator) heartbeat(workerID string, snap *MetricsSnapshot) bool {
 	return true
 }
 
-// lease hands the oldest pending shard to a worker, or nil when the queue is
-// empty. Leasing (like any contact) refreshes the worker's liveness. A
+// lease hands the oldest pending shard to a worker, or nil when none is
+// leasable (shards of a phase gone local stay with the in-process executor).
+// Leasing (like any contact) refreshes the worker's liveness. A
 // flagged straggler is deprioritized: while a healthy worker is live it gets
 // no work (the healthy fleet drains the queue instead), until its probation
 // lapses and it earns one probe shard to re-measure itself.
@@ -756,7 +782,14 @@ func (c *Coordinator) lease(workerID string) (*ShardTask, error) {
 	}
 	now := time.Now()
 	c.touchLocked(w, now)
-	if len(c.pending) == 0 {
+	next := -1
+	for i, sh := range c.pending {
+		if !sh.run.local {
+			next = i
+			break
+		}
+	}
+	if next < 0 {
 		return nil, nil
 	}
 	if w.straggler && c.healthyLiveLocked(w, now) {
@@ -767,8 +800,8 @@ func (c *Coordinator) lease(workerID string) (*ShardTask, error) {
 		// re-measures the worker; a recovered node un-flags itself.
 		w.flaggedAt = now
 	}
-	sh := c.pending[0]
-	c.pending = c.pending[1:]
+	sh := c.pending[next]
+	c.pending = append(c.pending[:next], c.pending[next+1:]...)
 	sh.worker = workerID
 	sh.deadline = now.Add(c.cfg.LeaseTTL)
 	sh.leaseAt = now
@@ -806,37 +839,53 @@ func (c *Coordinator) result(workerID string, res ShardResult) {
 	delete(c.leased, res.Task)
 	run := sh.run
 
-	if res.Error != "" || len(res.Counts) != sh.task.Hi-sh.task.Lo {
-		msg := res.Error
-		if msg == "" {
-			msg = fmt.Sprintf("shard %s returned %d counts for %d units", res.Task, len(res.Counts), sh.task.Hi-sh.task.Lo)
+	// The counts crossed the network: a worker that is buggy or hostile
+	// must not merge a count that would reduce to an accuracy outside [0, 1].
+	msg := res.Error
+	if msg == "" {
+		if err := run.plan.CheckCounts(sh.task.Phase, sh.task.Lo, sh.task.Hi, res.Counts); err != nil {
+			msg = err.Error()
 		}
+	}
+	if msg != "" {
 		sh.attempts++
 		c.cfg.Logger.Warn("dist: shard failed",
 			"shard", res.Task, "worker", workerID, "attempt", sh.attempts, "max", c.cfg.MaxAttempts, "err", msg)
-		if sh.attempts >= c.cfg.MaxAttempts {
-			c.finishRunLocked(run, fmt.Errorf("dist: shard %s failed after %d attempts: %s", res.Task, sh.attempts, msg))
-		} else {
-			sh.worker = ""
-			c.pending = append(c.pending, sh)
+		if sh.attempts >= c.cfg.MaxAttempts && !run.local {
+			run.local = true
+			c.cfg.Logger.Warn("dist: shard failed on every attempt; executing its phase in-process",
+				"shard", res.Task, "attempts", sh.attempts, "err", msg)
 		}
+		sh.worker = ""
+		c.pending = append(c.pending, sh)
 		c.mu.Unlock()
 		return
 	}
+	merged := c.mergeLocked(sh, res.Counts, workerID, w, time.Duration(res.ExecNanos), now)
+	c.mu.Unlock()
+	run.publish(merged)
+}
 
-	copy(run.counts[sh.task.Lo:sh.task.Hi], res.Counts)
+// mergeLocked folds a validated shard's counts into its run, journals the
+// range and records the merge in the trace, for remote (w non-nil) and
+// in-process shards alike, and returns the run's merged unit count for the
+// caller to publish once c.mu is released. The span is recorded before a
+// last merge resolves the run, so Run's caller never sees a phase without
+// all its shard spans. Called with c.mu held.
+func (c *Coordinator) mergeLocked(sh *shard, counts []int, workerID string, w *workerState, exec time.Duration, now time.Time) int {
+	run := sh.run
+	copy(run.counts[sh.task.Lo:sh.task.Hi], counts)
 	// Journal the merged range so a restarted coordinator pre-fills it
-	// instead of re-running it. The counts are copied: res.Counts aliases a
+	// instead of re-running it. The counts are copied: remote counts alias a
 	// decode buffer owned by the handler.
 	if cs := c.registry[sh.task.Key]; cs != nil {
-		merged := make([]int, len(res.Counts))
-		copy(merged, res.Counts)
+		merged := make([]int, len(counts))
+		copy(merged, counts)
 		cs.phases[sh.task.Phase] = append(cs.phases[sh.task.Phase], shardRange{lo: sh.task.Lo, hi: sh.task.Hi, counts: merged})
 		c.jrnl.append(journalRecord{T: recShard, Key: sh.task.Key, Phase: sh.task.Phase, Lo: sh.task.Lo, Hi: sh.task.Hi, Counts: merged})
 		c.compactIfNeededLocked()
 	}
 	units := sh.task.Hi - sh.task.Lo
-	exec := time.Duration(res.ExecNanos)
 	straggler := false
 	if w != nil {
 		w.shards++
@@ -856,39 +905,32 @@ func (c *Coordinator) result(workerID string, res ShardResult) {
 		}
 		straggler = w.straggler
 	}
-	run.remaining--
-	run.doneUnits += units
-	doneUnits, total := run.doneUnits, run.total
-	progress := run.progress
-	if run.remaining == 0 {
-		c.finishRunLocked(run, nil)
-	}
-	leaseAt, attempt := sh.leaseAt, sh.attempts+1
-	c.mu.Unlock()
 	// Stitch the shard into the campaign timeline: the span covers
-	// lease-to-merge on the coordinator's clock, with the worker's own
-	// execution time attached as a duration (immune to clock skew). Shard IDs
-	// are epoch-stamped, so traces distinguish pre- and post-restart work.
+	// lease-to-merge on the coordinator's clock, with the execution time
+	// attached as a duration (immune to clock skew between machines). Shard
+	// IDs are epoch-stamped, so traces distinguish pre- and post-restart work.
 	attrs := []obs.Attr{
-		obs.A("shard", res.Task), obs.A("worker", workerID), obs.A("epoch", c.epoch),
+		obs.A("shard", sh.task.ID), obs.A("worker", workerID), obs.A("epoch", c.epoch),
 		obs.A("lo", sh.task.Lo), obs.A("hi", sh.task.Hi),
-		obs.A("exec", exec), obs.A("attempt", attempt),
+		obs.A("exec", exec), obs.A("attempt", sh.attempts+1),
 	}
 	if straggler {
 		attrs = append(attrs, obs.A("straggler", true))
 	}
-	run.span.Record("shard", leaseAt, now.Sub(leaseAt), attrs...)
+	run.span.Record("shard", sh.leaseAt, now.Sub(sh.leaseAt), attrs...)
 	if run.o.Metrics != nil && exec > 0 {
 		run.o.Metrics.ShardExec.Observe(exec.Seconds())
 	}
-	if progress != nil {
-		progress(doneUnits, total)
+	run.remaining--
+	run.doneUnits += units
+	if run.remaining == 0 {
+		c.finishRunLocked(run, nil)
 	}
+	return run.doneUnits
 }
 
-// janitor periodically re-queues expired leases, fails stranded runs when
-// the whole fleet is gone (the service then falls back to local execution),
-// and prunes long-dead workers.
+// janitor periodically re-queues expired leases (the in-process executor
+// takes them once no remote worker is live) and prunes long-dead workers.
 func (c *Coordinator) janitor() {
 	tick := time.NewTicker(c.cfg.LeaseTTL / 4)
 	defer tick.Stop()
@@ -911,17 +953,6 @@ func (c *Coordinator) expire(now time.Time) {
 			delete(c.leased, id)
 			sh.worker = ""
 			c.pending = append(c.pending, sh)
-		}
-	}
-	if c.liveWorkersLocked(now) == 0 {
-		// No fleet left: strand nothing. Fail the runs behind the pending
-		// shards so their campaigns fall back to local execution.
-		runs := map[*campaignRun]bool{}
-		for _, sh := range c.pending {
-			runs[sh.run] = true
-		}
-		for run := range runs {
-			c.finishRunLocked(run, service.ErrNoWorkers)
 		}
 	}
 	for id, w := range c.workers {

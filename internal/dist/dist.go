@@ -25,14 +25,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Campaign phases a shard task can belong to. A campaign request yields one
-// sweep batch and, when Layers is set, one layer-sensitivity batch; the two
-// have independent unit index spaces, so tasks name theirs explicitly.
+// Campaign phases a shard task can belong to: indices into the campaign's
+// winofault.Plan phases. A campaign request yields one sweep batch and, when
+// Layers is set, one layer-sensitivity batch; the two have independent unit
+// index spaces, so tasks name theirs explicitly.
 const (
-	// PhaseSweep is the BER sweep batch (unit space of SweepUnits).
+	// PhaseSweep is the BER sweep batch.
 	PhaseSweep = 0
-	// PhaseLayers is the layer-sensitivity batch at the sweep's middle BER
-	// (unit space of LayerUnits).
+	// PhaseLayers is the layer-sensitivity batch at the sweep's middle BER.
 	PhaseLayers = 1
 )
 

@@ -8,12 +8,14 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	winofault "repro"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -329,76 +331,275 @@ func TestReLeaseAfterWorkerDeath(t *testing.T) {
 	}
 }
 
-// TestNoWorkersRegistered: with an empty fleet, Run reports ErrNoWorkers
-// immediately — the service's cue to execute locally.
+// tracedCtx attaches a fresh campaign trace to ctx, so a test can read back
+// which shards ran where.
+func tracedCtx(ctx context.Context, key string) (context.Context, *obs.Trace) {
+	tr := obs.NewRecorder(0).Begin(key)
+	return obs.With(ctx, obs.Obs{Trace: tr}), tr
+}
+
+// spansNamed lists the trace's spans with the given name, at any depth.
+func spansNamed(tr *obs.Trace, name string) []obs.SpanSnapshot {
+	var out []obs.SpanSnapshot
+	var walk func([]obs.SpanSnapshot)
+	walk = func(spans []obs.SpanSnapshot) {
+		for _, sp := range spans {
+			if sp.Name == name {
+				out = append(out, sp)
+			}
+			walk(sp.Children)
+		}
+	}
+	walk(tr.Snapshot().Spans)
+	return out
+}
+
+// unitsByWorker sums the unit ranges of shard spans by their worker attr.
+func unitsByWorker(t *testing.T, spans []obs.SpanSnapshot) map[string]int {
+	t.Helper()
+	out := map[string]int{}
+	for _, sp := range spans {
+		lo, err1 := strconv.Atoi(sp.Attrs["lo"])
+		hi, err2 := strconv.Atoi(sp.Attrs["hi"])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("shard span with bad range attrs: %v", sp.Attrs)
+		}
+		out[sp.Attrs["worker"]] += hi - lo
+	}
+	return out
+}
+
+// planUnits is the campaign's total unit count across its phases.
+func planUnits(t *testing.T, req winofault.CampaignRequest) int {
+	t.Helper()
+	plan, err := winofault.NewPlan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, ph := range plan.Phases() {
+		n += ph.Units
+	}
+	return n
+}
+
+// TestNoWorkersRegistered: with an empty fleet the coordinator executes the
+// campaign itself and returns the local path's bytes. Under automatic shard
+// sizing each phase is one in-process range, so no shard is ever leased.
 func TestNoWorkersRegistered(t *testing.T) {
 	c, _ := fleet(t, CoordinatorConfig{LeaseTTL: time.Second}, 0)
 	req := tinyReq()
+	want := localBytes(t, req)
 	key, _ := service.Key(req)
-	if _, err := c.Run(context.Background(), key, req, func(int, int, int) {}); !errors.Is(err, service.ErrNoWorkers) {
-		t.Fatalf("Run with no workers returned %v, want ErrNoWorkers", err)
+	ctx, tr := tracedCtx(context.Background(), key)
+	got, err := c.Run(ctx, key, req, func(int, int, int) {})
+	if err != nil {
+		t.Fatalf("Run with no workers: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("in-process bytes differ from local:\n%s\n%s", got, want)
+	}
+	spans := spansNamed(tr, "shard")
+	if len(spans) != 2 {
+		t.Errorf("%d shard spans, want one range per phase", len(spans))
+	}
+	if by := unitsByWorker(t, spans); len(by) != 1 || by[inProcessWorker] != planUnits(t, req) {
+		t.Errorf("units by worker %v, want all %d in-process", by, planUnits(t, req))
+	}
+	if len(c.leased) != 0 || len(c.pending) != 0 {
+		t.Errorf("%d leased, %d pending shards left behind", len(c.leased), len(c.pending))
 	}
 }
 
-// TestFleetDiesMidCampaign: when every worker goes silent with shards
-// outstanding, the run must fail with ErrNoWorkers (triggering local
-// fallback) instead of hanging forever.
+// progressLog is a Distributor that records the progress and the trace of
+// the campaigns the coordinator runs for the service.
+type progressLog struct {
+	*Coordinator
+	mu      sync.Mutex
+	reports [][3]int // batch, done, total
+	trace   *obs.Trace
+}
+
+func (p *progressLog) Run(ctx context.Context, key string, req winofault.CampaignRequest, progress func(batch, done, total int)) ([]byte, error) {
+	p.mu.Lock()
+	p.trace = obs.From(ctx).Trace
+	p.mu.Unlock()
+	return p.Coordinator.Run(ctx, key, req, func(batch, done, total int) {
+		p.mu.Lock()
+		p.reports = append(p.reports, [3]int{batch, done, total})
+		p.mu.Unlock()
+		progress(batch, done, total)
+	})
+}
+
+// TestFleetDiesMidCampaign: when the last worker goes silent after merging
+// k units, the coordinator finishes the campaign in-process, executing
+// exactly the total-k units still missing. Progress never goes backwards and
+// the tenant is billed each unit once.
 func TestFleetDiesMidCampaign(t *testing.T) {
 	req := tinyReq()
-	req.Layers = false
-	cfg := CoordinatorConfig{LeaseTTL: 200 * time.Millisecond, Poll: 10 * time.Millisecond, ShardUnits: 1}
+	want := localBytes(t, req)
+	key, _ := service.Key(req)
+	cfg := CoordinatorConfig{LeaseTTL: time.Second, Poll: 10 * time.Millisecond, ShardUnits: 1}
 	c, url := fleet(t, cfg, 0)
 	dead := newRawWorker(t, url, "last-of-its-kind")
+	exec := &fleetWorker{cfg: WorkerConfig{Workers: 1, Logger: quiet()}}
+	if _, err := exec.plan(key, req); err != nil { // build outside the lease window
+		t.Fatal(err)
+	}
+	d := &progressLog{Coordinator: c}
+	s, err := service.New(service.Config{Jobs: 1, QueueDepth: 4, Logger: quiet(), Distributor: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	j, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	key, _ := service.Key(req)
-	out := make(chan error, 1)
-	go func() {
-		_, err := c.Run(context.Background(), key, req, func(int, int, int) {})
-		out <- err
-	}()
-	dead.leaseOne(5 * time.Second) // holds a shard, then goes silent forever
+	// The worker merges one shard, leases another, and dies holding it.
+	task := dead.leaseOne(5 * time.Second)
+	res := exec.execute(context.Background(), *task)
+	if res.Error != "" {
+		t.Fatalf("shard execution failed: %s", res.Error)
+	}
+	dead.report(t, res)
+	k := task.Hi - task.Lo
+	dead.leaseOne(5 * time.Second)
 
-	select {
-	case err := <-out:
-		if !errors.Is(err, service.ErrNoWorkers) {
-			t.Fatalf("stranded run returned %v, want ErrNoWorkers", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, err := j.Wait(ctx)
+	if err != nil {
+		t.Fatalf("campaign failed after the fleet died: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("bytes differ from local:\n%s\n%s", got, want)
+	}
+	total := planUnits(t, req)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	by := unitsByWorker(t, spansNamed(d.trace, "shard"))
+	if by[inProcessWorker] != total-k || by[dead.id] != k {
+		t.Errorf("units by worker %v, want %d from %s and %d in-process", by, k, dead.id, total-k)
+	}
+	last := [3]int{0, -1, 0}
+	for _, r := range d.reports {
+		if r[0] < last[0] || (r[0] == last[0] && r[1] < last[1]) {
+			t.Errorf("progress went backwards: %v after %v", r, last)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("stranded run did not fail")
+		last = r
+	}
+	var served int64
+	for _, ts := range s.Stats().Tenants {
+		served += ts.ServedUnits
+	}
+	if served != int64(total) {
+		t.Errorf("served units %d, want %d", served, total)
 	}
 }
 
-// TestShardErrorRetriesThenFails: explicit shard errors are retried up to
-// MaxAttempts, then fail the run with the shard's error.
-func TestShardErrorRetriesThenFails(t *testing.T) {
+// TestCanceledRunNeverExecutesInProcess: a canceled campaign must not be
+// resurrected by the in-process executor, even with no fleet to wait for.
+func TestCanceledRunNeverExecutesInProcess(t *testing.T) {
+	c, _ := fleet(t, CoordinatorConfig{LeaseTTL: time.Second, Poll: 10 * time.Millisecond}, 0)
+	req := tinyReq()
+	key, _ := service.Key(req)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx, tr := tracedCtx(ctx, key)
+	if _, err := c.Run(ctx, key, req, func(int, int, int) {}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run returned %v", err)
+	}
+	if spans := spansNamed(tr, "shard"); len(spans) != 0 {
+		t.Errorf("canceled run executed %d shards", len(spans))
+	}
+}
+
+// TestShardErrorRetriesThenRunsInProcess: explicit shard errors are retried
+// up to MaxAttempts; then the coordinator stops leasing the phase to the
+// fleet and executes it itself, with the local path's bytes.
+func TestShardErrorRetriesThenRunsInProcess(t *testing.T) {
 	req := tinyReq()
 	req.Layers = false
+	want := localBytes(t, req)
 	cfg := CoordinatorConfig{LeaseTTL: 5 * time.Second, Poll: 10 * time.Millisecond, ShardUnits: 4, MaxAttempts: 2}
 	c, url := fleet(t, cfg, 0)
 	rw := newRawWorker(t, url, "saboteur")
 
 	key, _ := service.Key(req)
-	out := make(chan error, 1)
+	ctx, tr := tracedCtx(context.Background(), key)
+	type runOut struct {
+		data []byte
+		err  error
+	}
+	out := make(chan runOut, 1)
 	go func() {
-		_, err := c.Run(context.Background(), key, req, func(int, int, int) {})
-		out <- err
+		data, err := c.Run(ctx, key, req, func(int, int, int) {})
+		out <- runOut{data, err}
 	}()
 	for i := 0; i < 2; i++ {
 		task := rw.leaseOne(5 * time.Second)
-		body, _ := json.Marshal(ShardResult{Task: task.ID, Error: "synthetic shard failure"})
-		resp, err := http.Post(url+"/workers/"+rw.id+"/result", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		rw.report(t, ShardResult{Task: task.ID, Error: "synthetic shard failure"})
 	}
 	select {
-	case err := <-out:
-		if err == nil || !strings.Contains(err.Error(), "synthetic shard failure") {
-			t.Fatalf("run returned %v, want the shard failure", err)
+	case r := <-out:
+		if r.err != nil {
+			t.Fatalf("run failed: %v", r.err)
+		}
+		if !bytes.Equal(r.data, want) {
+			t.Errorf("bytes differ from local:\n%s\n%s", r.data, want)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("failing shards did not fail the run")
+		t.Fatal("failing shards did not move in-process")
+	}
+	spans := spansNamed(tr, "shard")
+	if len(spans) != 1 || spans[0].Attrs["worker"] != inProcessWorker || spans[0].Attrs["attempt"] != "3" {
+		t.Errorf("shard spans %v, want one in-process merge on attempt 3", spans)
+	}
+}
+
+// TestInvalidCountsRejected: counts outside [0, Samples] from a buggy or
+// hostile worker are shard failures, never merged — the campaign still
+// reduces to the local path's bytes.
+func TestInvalidCountsRejected(t *testing.T) {
+	req := tinyReq()
+	req.Layers = false
+	want := localBytes(t, req)
+	cfg := CoordinatorConfig{LeaseTTL: time.Second, Poll: 10 * time.Millisecond, ShardUnits: 1}
+	c, url := fleet(t, cfg, 0)
+	rw := newRawWorker(t, url, "forger")
+
+	key, _ := service.Key(req)
+	ctx, tr := tracedCtx(context.Background(), key)
+	type runOut struct {
+		data []byte
+		err  error
+	}
+	out := make(chan runOut, 1)
+	go func() {
+		data, err := c.Run(ctx, key, req, func(int, int, int) {})
+		out <- runOut{data, err}
+	}()
+	for _, bad := range []int{-1, req.Samples + 1} {
+		task := rw.leaseOne(5 * time.Second)
+		rw.report(t, ShardResult{Task: task.ID, Counts: []int{bad}})
+	}
+	// The forger goes silent; the coordinator executes what is left.
+	select {
+	case r := <-out:
+		if r.err != nil {
+			t.Fatalf("run failed: %v", r.err)
+		}
+		if !bytes.Equal(r.data, want) {
+			t.Errorf("bytes differ from local:\n%s\n%s", r.data, want)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not complete after rejected counts")
+	}
+	if by := unitsByWorker(t, spansNamed(tr, "shard")); by[rw.id] != 0 {
+		t.Errorf("units by worker %v: the forger's counts were merged", by)
 	}
 }
 

@@ -75,8 +75,7 @@ type campaignState struct {
 	// prior incarnation's, for recovered entries).
 	epoch string
 	// recovered marks entries replayed from a previous incarnation's journal:
-	// their Run waits the recovery grace for workers to re-register instead
-	// of falling back to local execution on an empty worker table.
+	// their journal-recovery spans link that incarnation's epoch.
 	recovered bool
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -298,70 +297,102 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 	}
 }
 
-// TestRecoveredRunAwaitsReregistration: a restarted coordinator's worker
-// table is necessarily empty when recovery resubmits journaled campaigns, so
-// a recovered Run must wait out the re-registration grace instead of
-// instantly failing into a full local recompute — while a fresh campaign on
-// the same coordinator keeps the immediate ErrNoWorkers fallback.
-func TestRecoveredRunAwaitsReregistration(t *testing.T) {
+// syncBuffer is a goroutine-safe log sink.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
+}
+
+// TestRecoveredRunResumesInProcess: a restarted coordinator's worker table
+// is necessarily empty when recovery resubmits journaled campaigns, so it
+// executes the campaign's gaps itself — only the gaps: journaled merges are
+// pre-filled, except a corrupted range, which is dropped.
+func TestRecoveredRunResumesInProcess(t *testing.T) {
 	req := tinyReq()
+	want := localBytes(t, req)
 	key, err := service.Key(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := journalPath(t)
 	noProgress := func(batch, done, total int) {}
+	var logs syncBuffer
 	cfg := CoordinatorConfig{
 		LeaseTTL: 5 * time.Second, Poll: 10 * time.Millisecond,
-		JournalPath: path, RecoveryGrace: 5 * time.Second, Logger: quiet(),
+		ShardUnits: 1, JournalPath: path, Logger: slog.New(slog.NewTextHandler(&logs, nil)),
 	}
 
-	// Incarnation A journals the campaign, then "crashes" before running it.
-	// Fresh campaigns never wait: with no fleet this fails immediately.
+	// Incarnation A: one raw worker merges exactly one sweep unit; a
+	// corrupted record for the other unit lands in the journal; A crashes.
 	c1, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	if _, err := c1.Run(context.Background(), key, req, noProgress); !errors.Is(err, service.ErrNoWorkers) {
-		t.Fatalf("fresh run with no fleet returned %v, want ErrNoWorkers", err)
+	ts1 := httptest.NewServer(c1.Handler())
+	rw := newRawWorker(t, ts1.URL, "doomed")
+	ctx1, crash := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() {
+		_, err := c1.Run(ctx1, key, req, noProgress)
+		runDone <- err
+	}()
+	task := rw.leaseOne(5 * time.Second)
+	exec := &fleetWorker{cfg: WorkerConfig{Workers: 1, Logger: quiet()}}
+	res := exec.execute(context.Background(), *task)
+	if res.Error != "" {
+		t.Fatalf("shard execution failed: %s", res.Error)
 	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("fresh run waited %s for workers; only recovered campaigns should", waited)
+	rw.report(t, res)
+	other := 1 - task.Lo
+	c1.mu.Lock()
+	c1.jrnl.append(journalRecord{T: recShard, Key: key, Phase: PhaseSweep, Lo: other, Hi: other + 1, Counts: []int{req.Samples + 1}})
+	c1.mu.Unlock()
+	crash()
+	if err := <-runDone; err == nil {
+		t.Fatal("run survived the simulated crash")
 	}
+	ts1.Close()
 	c1.Close()
 
-	// Incarnation B recovers the campaign. Run starts on an empty worker
-	// table; a worker registers shortly after, inside the grace, and the run
-	// must ride it to completion with bytes identical to a local execution.
+	// Incarnation B recovers the campaign and, with no fleet, runs it.
 	c2, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c2.Close()
 	if rec := c2.Recovered(); len(rec) != 1 || rec[0].Key != key {
 		t.Fatalf("recovered %+v, want campaign %.12s", rec, key)
 	}
-	ts := httptest.NewServer(c2.Handler())
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(200 * time.Millisecond) // re-registration lag
-		RunWorker(ctx, WorkerConfig{Server: ts.URL, Name: "late", Workers: 1, Logger: quiet()})
-	}()
-	t.Cleanup(func() {
-		cancel()
-		wg.Wait()
-		ts.Close()
-		c2.Close()
-	})
-	got, err := c2.Run(context.Background(), key, req, noProgress)
+	ctx, tr := tracedCtx(context.Background(), key)
+	got, err := c2.Run(ctx, key, req, noProgress)
 	if err != nil {
-		t.Fatalf("recovered run did not wait for the late worker: %v", err)
+		t.Fatalf("recovered run: %v", err)
 	}
-	if want := localBytes(t, req); !bytes.Equal(got, want) {
+	if !bytes.Equal(got, want) {
 		t.Errorf("recovered bytes differ from local:\n%s\n%s", got, want)
+	}
+	if by := unitsByWorker(t, spansNamed(tr, "shard")); len(by) != 1 || by[inProcessWorker] != planUnits(t, req)-1 {
+		t.Errorf("units by worker %v, want all but the one journaled unit in-process", by)
+	}
+	if recovered := spansNamed(tr, "journal-recovery"); len(recovered) != 1 || recovered[0].Attrs["units"] != "1" {
+		t.Errorf("journal-recovery spans %v, want one covering 1 unit", recovered)
+	}
+	for _, line := range []string{"units recovered from journal", "dropping invalid journaled range"} {
+		if !strings.Contains(logs.String(), line) {
+			t.Errorf("log lacks %q:\n%s", line, logs.String())
+		}
 	}
 }
 

@@ -83,19 +83,24 @@ type fleetWorker struct {
 	poll  time.Duration // idle poll interval
 	fails int           // consecutive connection/5xx failures, for backoff
 
-	// Built systems cached by campaign content address: a campaign's shards
-	// arrive back to back (often both phases), and rebuilding the network
-	// per shard would dwarf small unit ranges. A few slots (not one) so the
-	// interleaved shard streams of a multi-job coordinator don't thrash it.
-	// Touched only by the single lease/execute goroutine.
-	sysCache map[string]*winofault.System
-	sysOrder []string // LRU, most recent last
+	// Campaign plans (and the systems under them) cached by campaign content
+	// address, least recently used first: a campaign's shards arrive back to
+	// back (often both phases), and rebuilding the network per shard would
+	// dwarf small unit ranges. A few slots (not one) so the interleaved shard
+	// streams of a multi-job coordinator don't thrash it. Touched only by the
+	// single lease/execute goroutine.
+	plans []cachedPlan
 }
 
-// sysCacheSize bounds cached systems per worker; coordinators run few
+type cachedPlan struct {
+	key  string
+	plan *winofault.Plan
+}
+
+// planCacheSize bounds cached plans per worker; coordinators run few
 // campaigns concurrently (wfserve -jobs, default 1), so a handful covers
 // realistic interleavings.
-const sysCacheSize = 4
+const planCacheSize = 4
 
 // backoff grows with consecutive failures, capped at 2s.
 func (w *fleetWorker) backoff() time.Duration {
@@ -285,7 +290,7 @@ func (w *fleetWorker) report(ctx context.Context, res ShardResult) {
 }
 
 // execute runs one shard: re-canonicalize the campaign spec, rebuild (or
-// reuse) the system, compute the unit range's agreement counts.
+// reuse) its plan, compute the unit range's agreement counts.
 func (w *fleetWorker) execute(ctx context.Context, task ShardTask) ShardResult {
 	res := ShardResult{Task: task.ID}
 	// Re-canonicalization is the trust boundary: the worker derives the
@@ -300,67 +305,33 @@ func (w *fleetWorker) execute(ctx context.Context, task ShardTask) ShardResult {
 		res.Error = fmt.Sprintf("campaign key mismatch: coordinator says %.12s, spec canonicalizes to %.12s", task.Key, key)
 		return res
 	}
-	sys, err := w.system(key, task.Req)
-	if err != nil {
-		res.Error = err.Error()
-		return res
-	}
-	var counts []int
-	switch task.Phase {
-	case PhaseSweep:
-		counts, err = sys.SweepUnitCounts(ctx, task.Req.BERs, task.Lo, task.Hi)
-	case PhaseLayers:
-		mid := task.Req.BERs[len(task.Req.BERs)/2]
-		counts, err = sys.LayerUnitCounts(ctx, mid, task.Lo, task.Hi)
-	default:
-		err = fmt.Errorf("unknown campaign phase %d", task.Phase)
+	plan, err := w.plan(key, task.Req)
+	if err == nil {
+		res.Counts, err = plan.Counts(ctx, task.Phase, task.Lo, task.Hi, nil)
 	}
 	if err != nil {
 		res.Error = err.Error()
-		return res
 	}
-	res.Counts = counts
 	return res
 }
 
-// system returns the cached system for key, or builds one (evicting the
-// least recently used entry beyond sysCacheSize).
-func (w *fleetWorker) system(key string, req winofault.CampaignRequest) (*winofault.System, error) {
-	if sys, ok := w.sysCache[key]; ok {
-		w.touchSys(key)
-		return sys, nil
-	}
-	cfg, err := req.SystemConfig()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Workers = w.cfg.Workers // scheduling only; never part of the key
-	sys, err := winofault.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.SetProtection(req.Protection); err != nil {
-		return nil, err
-	}
-	if w.sysCache == nil {
-		w.sysCache = map[string]*winofault.System{}
-	}
-	w.sysCache[key] = sys
-	w.touchSys(key)
-	for len(w.sysOrder) > sysCacheSize {
-		delete(w.sysCache, w.sysOrder[0])
-		w.sysOrder = w.sysOrder[1:]
-	}
-	return sys, nil
-}
-
-// touchSys moves key to the most-recent end of the LRU order.
-func (w *fleetWorker) touchSys(key string) {
-	for i, k := range w.sysOrder {
-		if k == key {
-			w.sysOrder = append(w.sysOrder[:i], w.sysOrder[i+1:]...)
-			break
+// plan returns the cached plan for key, or builds one (evicting the least
+// recently used entry beyond planCacheSize).
+func (w *fleetWorker) plan(key string, req winofault.CampaignRequest) (*winofault.Plan, error) {
+	for i, e := range w.plans {
+		if e.key == key {
+			w.plans = append(append(w.plans[:i:i], w.plans[i+1:]...), e)
+			return e.plan, nil
 		}
 	}
-	w.sysOrder = append(w.sysOrder, key)
+	req.Workers = w.cfg.Workers // scheduling only; never part of the key
+	p, err := winofault.NewPlan(req)
+	if err != nil {
+		return nil, err
+	}
+	w.plans = append(w.plans, cachedPlan{key, p})
+	if len(w.plans) > planCacheSize {
+		w.plans = w.plans[1:]
+	}
+	return p, nil
 }

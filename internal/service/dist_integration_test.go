@@ -12,50 +12,29 @@ import (
 	winofault "repro"
 )
 
-// stubDistributor scripts Distributor behavior for fallback tests.
+// stubDistributor is a Distributor returning canned bytes and fleet stats.
 type stubDistributor struct {
 	data    []byte
-	err     error
-	report  func(progress func(int, int, int)) // optional progress script
 	workers []WorkerStat
 	runs    int
 }
 
 func (d *stubDistributor) Run(ctx context.Context, key string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 	d.runs++
-	if d.report != nil {
-		d.report(progress)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
 	return d.data, nil
 }
 
 func (d *stubDistributor) Workers() []WorkerStat { return d.workers }
 
-// distService builds a service whose distributed path is the stub and whose
-// local path records whether it ran.
-func distService(t *testing.T, d *stubDistributor, localRan *int) *Service {
-	t.Helper()
+// TestDistributedResultSkipsLocal: with a Distributor configured, its result
+// is the job's result; the service never runs the campaign itself.
+func TestDistributedResultSkipsLocal(t *testing.T) {
+	d := &stubDistributor{data: []byte(`{"points":[]}`)}
 	s, err := New(quiet(Config{Jobs: 1, QueueDepth: 8, Distributor: d}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.local = func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
-		*localRan++
-		return []byte(`{"points":[{"ber":0,"accuracy":1}]}`), nil
-	}
 	t.Cleanup(func() { s.Close(context.Background()) })
-	return s
-}
-
-// TestDistributedResultSkipsLocal: a successful fleet run is the job's
-// result; the local engine never spins up.
-func TestDistributedResultSkipsLocal(t *testing.T) {
-	localRan := 0
-	d := &stubDistributor{data: []byte(`{"points":[]}`)}
-	s := distService(t, d, &localRan)
 	j, err := s.Submit(sweepReq(1))
 	if err != nil {
 		t.Fatal(err)
@@ -67,146 +46,8 @@ func TestDistributedResultSkipsLocal(t *testing.T) {
 	if string(data) != `{"points":[]}` {
 		t.Errorf("job served %q, want the distributed result", data)
 	}
-	if d.runs != 1 || localRan != 0 {
-		t.Errorf("dist ran %d times, local %d times; want 1 and 0", d.runs, localRan)
-	}
-}
-
-// TestNoWorkersFallsBackToLocal: ErrNoWorkers silently reroutes to the
-// in-process engine — distribution is an optimization, not a dependency.
-func TestNoWorkersFallsBackToLocal(t *testing.T) {
-	localRan := 0
-	s := distService(t, &stubDistributor{err: ErrNoWorkers}, &localRan)
-	j, err := s.Submit(sweepReq(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if localRan != 1 {
-		t.Errorf("local ran %d times, want 1", localRan)
-	}
-}
-
-// TestDistFailureFallsBackToLocal: any fleet failure (worker crashes, shard
-// retry exhaustion) falls back to local execution — the campaign still
-// completes with identical bytes.
-func TestDistFailureFallsBackToLocal(t *testing.T) {
-	localRan := 0
-	s := distService(t, &stubDistributor{err: errors.New("fleet evaporated")}, &localRan)
-	j, err := s.Submit(sweepReq(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if localRan != 1 {
-		t.Errorf("local ran %d times, want 1", localRan)
-	}
-}
-
-// TestFallbackProgressNotSuppressed: a distributor that already published
-// late-batch progress must not freeze the local fallback's reports — the
-// re-run gets fresh batch numbers past Job.progress's monotonic guard.
-func TestFallbackProgressNotSuppressed(t *testing.T) {
-	d := &stubDistributor{
-		err: errors.New("fleet evaporated mid-layers"),
-		report: func(progress func(int, int, int)) {
-			progress(1, 5, 5) // distributed run reached the layer phase
-		},
-	}
-	s, err := New(quiet(Config{Jobs: 1, QueueDepth: 8, Distributor: d}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	localProgressed := make(chan struct{})
-	s.local = func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
-		progress(0, 1, 3) // the local re-run starts over at its sweep batch
-		close(localProgressed)
-		return []byte(`{}`), nil
-	}
-	t.Cleanup(func() { s.Close(context.Background()) })
-	j, err := s.Submit(sweepReq(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	<-localProgressed
-	// The final pre-completion snapshot must reflect the local run's 1/3,
-	// not the fleet's stale 5/5.
-	if st := j.Status(); st.Done != 1 || st.Total != 3 {
-		t.Errorf("fallback progress suppressed: %d/%d, want 1/3", st.Done, st.Total)
-	}
-}
-
-// TestFallbackDoesNotDoubleCountServedUnits: a dist→local fallback restarts
-// the campaign's unit space and the rerun re-reports every unit, so the
-// abandoned distributed attempt's partial progress must be dropped from
-// served-units accounting, not banked on top of the rerun's full total.
-func TestFallbackDoesNotDoubleCountServedUnits(t *testing.T) {
-	d := &stubDistributor{
-		err: errors.New("fleet evaporated mid-sweep"),
-		report: func(progress func(int, int, int)) {
-			progress(0, 4, 10) // the fleet merged 4 of 10 sweep units, then died
-		},
-	}
-	s, err := New(quiet(Config{Jobs: 1, QueueDepth: 8, Distributor: d}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.local = func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
-		progress(0, 10, 10) // full sweep rerun
-		progress(1, 3, 3)   // layer phase
-		return []byte(`{}`), nil
-	}
-	t.Cleanup(func() { s.Close(context.Background()) })
-	j, err := s.Submit(sweepReq(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := j.servedUnits(); got != 13 {
-		t.Errorf("servedUnits = %d, want 13 (the rerun's 10+3 only, not the fleet's banked 4)", got)
-	}
-}
-
-// TestCanceledDistDoesNotFallBack: when the campaign itself was canceled,
-// falling back to local would resurrect canceled work.
-func TestCanceledDistDoesNotFallBack(t *testing.T) {
-	localRan := 0
-	d := &stubDistributor{}
-	s, err := New(quiet(Config{Jobs: 1, QueueDepth: 8, Distributor: d}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	canceled := make(chan struct{})
-	d.err = context.Canceled
-	s.run = func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
-		<-canceled // the DELETE below lands before the distributor "runs"
-		return s.runCampaign(ctx, req, progress)
-	}
-	s.local = func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
-		localRan++
-		return []byte(`{}`), nil
-	}
-	t.Cleanup(func() { s.Close(context.Background()) })
-	j, err := s.Submit(sweepReq(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Cancel(j.Key)
-	close(canceled)
-	if _, err := j.Wait(context.Background()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled job resolved with %v", err)
-	}
-	if localRan != 0 {
-		t.Errorf("canceled campaign fell back to local execution")
+	if d.runs != 1 {
+		t.Errorf("distributor ran %d times, want 1", d.runs)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,7 +24,7 @@ type fleetStub struct {
 }
 
 func (d *fleetStub) Run(ctx context.Context, key string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
-	return nil, ErrNoWorkers
+	return nil, errors.New("fleetStub runs no campaigns")
 }
 func (d *fleetStub) Workers() []WorkerStat { return nil }
 func (d *fleetStub) Fleet() FleetStatus    { return d.status }
@@ -57,7 +58,7 @@ func stubFleetStatus() FleetStatus {
 // JSON and as the fixed-width table, stragglers marked.
 func TestFleetEndpointJSONAndText(t *testing.T) {
 	s := newStubService(t, Config{Jobs: 1, QueueDepth: 4, Distributor: &fleetStub{status: stubFleetStatus()}},
-		func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+		func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 			return []byte(`{"points":[]}`), nil
 		})
 	ts := httptest.NewServer(s.Handler())
@@ -121,7 +122,7 @@ func TestFleetEndpointKeyedServer(t *testing.T) {
 		"key-a": {Name: "alice", Weight: 1},
 	}}
 	s := newStubService(t, Config{Jobs: 1, QueueDepth: 4, Tenants: tenants, Distributor: &fleetStub{status: stubFleetStatus()}},
-		func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+		func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 			return []byte(`{"points":[]}`), nil
 		})
 	ts := httptest.NewServer(s.Handler())
@@ -157,7 +158,7 @@ func TestFleetMetricsFederatedExposition(t *testing.T) {
 	status := stubFleetStatus()
 	hostile := status.Workers[0].Name
 	s := newStubService(t, Config{Jobs: 1, QueueDepth: 4, Distributor: &fleetStub{status: status}},
-		func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+		func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 			return []byte(`{"points":[]}`), nil
 		})
 	ts := httptest.NewServer(s.Handler())
@@ -276,7 +277,7 @@ func TestTraceServedFromDiskAfterRestart(t *testing.T) {
 // TestTraceStoreMissWithoutDirIs404: with no -trace-dir configured, a ring
 // miss stays a 404 exactly as before the store existed.
 func TestTraceStoreMissWithoutDirIs404(t *testing.T) {
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 4}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 4}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		return []byte(`{"points":[]}`), nil
 	})
 	ts := httptest.NewServer(s.Handler())

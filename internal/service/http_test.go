@@ -180,7 +180,7 @@ func TestLayerSensitivityOverHTTP(t *testing.T) {
 // terminal done event carrying the result.
 func TestEventsStreamProgress(t *testing.T) {
 	gate := make(chan struct{})
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		<-gate
 		for u := 1; u <= 3; u++ {
 			progress(0, u, 3)
@@ -233,7 +233,7 @@ func TestHTTPValidation(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	started := make(chan struct{}, 4)
-	s.run = func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s.run = func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		started <- struct{}{}
 		<-gate
 		return []byte(`{}`), nil

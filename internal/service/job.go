@@ -215,16 +215,6 @@ func (j *Job) setRunning() {
 	j.mu.Unlock()
 }
 
-// batchesPerAttempt is the batch-numbering stride between execution attempts
-// of one campaign: attempt n reports its phases under batches
-// [n*batchesPerAttempt, (n+1)*batchesPerAttempt). runCampaign's dist→local
-// fallback starts attempt 1 by remapping local batches up a stride, and
-// progress uses the same stride to tell "next phase of this attempt" (bank
-// its completed units) from "restarted unit space" (drop them — the rerun
-// re-reports every unit, so banking the abandoned attempt's partial count
-// would double-bill the tenant's served-units total).
-const batchesPerAttempt = 2
-
 func (j *Job) progress(batch, done, total int) {
 	j.mu.Lock()
 	// Scheduler workers report concurrently, so done values can arrive out
@@ -237,14 +227,9 @@ func (j *Job) progress(batch, done, total int) {
 		return
 	}
 	if batch > j.batch {
-		if batch/batchesPerAttempt > j.batch/batchesPerAttempt {
-			// A new attempt restarts the campaign's unit space from zero.
-			j.units = 0
-		} else {
-			// The next phase of the same attempt: bank the finished phase's
-			// completed units for served-units accounting.
-			j.units += j.done
-		}
+		// The next phase: bank the finished phase's completed units for
+		// served-units accounting.
+		j.units += j.done
 	}
 	j.batch, j.done, j.total = batch, done, total
 	j.broadcastLocked(j.statusLocked())

@@ -50,10 +50,10 @@ type Config struct {
 	// API open — every submission runs as the built-in default tenant.
 	Tenants *TenantTable
 	// Distributor, when set, executes cache-miss campaigns across a remote
-	// worker fleet (see internal/dist). Distribution is an optimization,
-	// never a requirement: any distributed failure other than the campaign's
-	// own cancellation falls back to local execution, which produces
-	// bit-identical bytes by the scheduler's determinism guarantee.
+	// worker fleet (see internal/dist). It owns every execution decision for
+	// the campaigns it runs: internal/dist executes shards in-process whenever
+	// no remote worker is live, with bit-identical bytes by the scheduler's
+	// determinism guarantee.
 	Distributor Distributor
 }
 
@@ -63,11 +63,9 @@ type Config struct {
 // merging per-unit agreement counts in index order) — the content-addressed
 // cache stores whichever path ran first.
 type Distributor interface {
-	// Run executes the campaign remotely. key is the campaign's content
-	// address (already validated by Submit); workers re-derive it from req
-	// to verify both sides agree on the campaign's identity. Returning
-	// ErrNoWorkers means no fleet is available and the caller should run
-	// locally.
+	// Run executes the campaign. key is the campaign's content address
+	// (already validated by Submit); workers re-derive it from req to verify
+	// both sides agree on the campaign's identity.
 	Run(ctx context.Context, key string, req winofault.CampaignRequest, progress func(batch, done, total int)) ([]byte, error)
 	// Workers reports the fleet for /metrics: every registered worker with
 	// its liveness and completed shard count.
@@ -104,9 +102,6 @@ var (
 	// ErrUnauthorized reports an unknown or missing API key on a service
 	// running with a key table (HTTP 401).
 	ErrUnauthorized = errors.New("service: invalid or missing API key")
-	// ErrNoWorkers reports that a Distributor has no live workers; the
-	// service transparently falls back to local execution.
-	ErrNoWorkers = errors.New("service: no live workers registered")
 )
 
 // defaultTenant is the principal for open deployments and trusted in-process
@@ -155,15 +150,12 @@ type Service struct {
 	sched *scheduler
 	wg    sync.WaitGroup
 
-	// run executes one campaign; tests substitute it to observe coalescing
-	// and cancellation without paying for real forward passes. The progress
-	// callback tags each report with a batch sequence number (0 = sweep,
-	// 1 = layer sensitivity) so phases with equal unit totals stay distinct.
-	run func(ctx context.Context, req winofault.CampaignRequest, progress func(batch, done, total int)) ([]byte, error)
-	// local is the in-process execution path runCampaign falls back to when
-	// distribution is off or fails; tests substitute it to observe fallback
-	// decisions without real forward passes.
-	local func(ctx context.Context, req winofault.CampaignRequest, progress func(batch, done, total int)) ([]byte, error)
+	// run executes one campaign under its content address; tests substitute
+	// it to observe coalescing and cancellation without paying for real
+	// forward passes. The progress callback tags each report with the plan's
+	// phase index (0 = sweep, 1 = layer sensitivity) so phases with equal
+	// unit totals stay distinct.
+	run func(ctx context.Context, key string, req winofault.CampaignRequest, progress func(batch, done, total int)) ([]byte, error)
 }
 
 // New builds and starts a service; stop it with Close.
@@ -205,7 +197,6 @@ func New(cfg Config) (*Service, error) {
 		sched:      newScheduler(cfg.QueueDepth),
 	}
 	s.run = s.runCampaign
-	s.local = s.runLocal
 	for i := 0; i < cfg.Jobs; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -500,92 +491,40 @@ func (s *Service) runGuarded(j *Job) (data []byte, err error) {
 			data, err = nil, fmt.Errorf("service: campaign panicked: %v", r)
 		}
 	}()
-	return s.run(j.ctx, j.req, j.progress)
+	return s.run(j.ctx, j.Key, j.req, j.progress)
 }
 
-// runCampaign executes one real campaign: across the worker fleet when a
-// Distributor with live workers is configured, locally otherwise. The two
-// paths produce byte-identical results (merged shard counts reduce in unit
-// index order, exactly as the local scheduler does), so falling back is
-// always safe — a fleet failure costs wall-clock time, never correctness.
-func (s *Service) runCampaign(ctx context.Context, req winofault.CampaignRequest, progress func(batch, done, total int)) ([]byte, error) {
-	if d := s.cfg.Distributor; d != nil {
-		// Key cannot fail here: Submit already canonicalized this request.
-		key, err := Key(req)
-		if err != nil {
-			return nil, err
-		}
-		data, derr := d.Run(ctx, key, req, progress)
-		if derr == nil {
-			return data, nil
-		}
-		if ctx.Err() != nil {
-			return nil, derr
-		}
-		if !errors.Is(derr, ErrNoWorkers) {
-			s.cfg.Logger.Warn("service: distributed campaign failed; falling back to local execution",
-				"campaign", shortKey(key), "err", derr)
-		}
-		// Mark the transition in the timeline: everything after this span is
-		// the local attempt re-running the campaign from unit zero.
-		obs.From(ctx).Trace.Record("dist-fallback", time.Now(), 0, obs.A("err", derr.Error()))
-		// The distributed attempt may already have published batch 0/1
-		// progress; Job.progress is batch-monotonic, so the local re-run
-		// reports under the next attempt's batch numbers or its early
-		// progress would be suppressed (frozen SSE/status) until it overtook
-		// the fleet's. The stride also tells served-units accounting to drop
-		// the abandoned attempt's partial units instead of double-billing.
-		inner := progress
-		progress = func(batch, done, total int) { inner(batch+batchesPerAttempt, done, total) }
-	}
-	return s.local(ctx, req, progress)
-}
-
-// runLocal executes one campaign in-process through the winofault facade.
-func (s *Service) runLocal(ctx context.Context, req winofault.CampaignRequest, progress func(batch, done, total int)) ([]byte, error) {
+// runCampaign executes one real campaign: through the Distributor when one is
+// configured, otherwise in-process, each plan phase as a single unit range
+// [0, n). Both paths drive the same campaign plan, so their bytes are
+// identical.
+func (s *Service) runCampaign(ctx context.Context, key string, req winofault.CampaignRequest, progress func(batch, done, total int)) ([]byte, error) {
 	// The request's own worker ask is honored only up to the service's
-	// per-job budget; the budget is the default.
+	// per-job budget (the budget is the default) on either path: a
+	// coordinator with no live fleet executes the campaign in-process too.
 	req.Workers = clampWorkers(req.Workers, s.cfg.Workers)
-	cfg, err := req.SystemConfig()
-	if err != nil {
-		return nil, err
+	if d := s.cfg.Distributor; d != nil {
+		return d.Run(ctx, key, req, progress)
 	}
-	sys, err := winofault.New(cfg)
+	plan, err := winofault.NewPlan(req)
 	if err != nil {
-		return nil, err
-	}
-	if err := sys.SetProtection(req.Protection); err != nil {
 		return nil, err
 	}
 	o := obs.From(ctx)
-	sys.OnProgress(func(done, total int) { progress(0, done, total) })
-	ph := o.Trace.Start("phase",
-		obs.A("phase", "sweep"), obs.A("path", "local"), obs.A("units", sys.SweepUnits(req.BERs)))
-	pts, err := sys.SweepCtx(ctx, req.BERs)
-	if err != nil {
-		ph.SetAttr("err", err.Error())
-		ph.End()
-		return nil, err
-	}
-	ph.End()
-	res := winofault.CampaignResult{Points: pts}
-	if req.Layers {
-		// The layer-sensitivity phase is a new unit batch; tagging it with
-		// the next sequence number keeps its progress visible even when its
-		// unit total happens to equal the sweep's.
-		sys.OnProgress(func(done, total int) { progress(1, done, total) })
-		mid := req.BERs[len(req.BERs)/2]
+	var res winofault.CampaignResult
+	for i, phase := range plan.Phases() {
 		ph := o.Trace.Start("phase",
-			obs.A("phase", "layers"), obs.A("path", "local"), obs.A("units", sys.LayerUnits(mid)))
-		base, layers, err := sys.LayerSensitivitiesCtx(ctx, mid)
+			obs.A("phase", phase.Name), obs.A("path", "local"), obs.A("units", phase.Units))
+		counts, err := plan.Counts(ctx, i, 0, phase.Units, func(done, total int) { progress(i, done, total) })
+		if err == nil {
+			err = plan.Reduce(&res, i, counts)
+		}
 		if err != nil {
 			ph.SetAttr("err", err.Error())
 			ph.End()
 			return nil, err
 		}
 		ph.End()
-		res.Baseline = base
-		res.Layers = layers
 	}
 	return json.Marshal(res)
 }

@@ -23,7 +23,7 @@ func quiet(cfg Config) Config {
 // newStubService builds a service whose campaign runner is replaced by fn,
 // so queue/coalescing/cancellation behavior is testable without forward
 // passes.
-func newStubService(t *testing.T, cfg Config, fn func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error)) *Service {
+func newStubService(t *testing.T, cfg Config, fn func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error)) *Service {
 	t.Helper()
 	s, err := New(quiet(cfg))
 	if err != nil {
@@ -48,7 +48,7 @@ func sweepReq(seed uint64) winofault.CampaignRequest {
 func TestCoalescingIdenticalSubmits(t *testing.T) {
 	var runs atomic.Int64
 	gate := make(chan struct{})
-	s := newStubService(t, Config{Jobs: 2, QueueDepth: 8}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 2, QueueDepth: 8}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		runs.Add(1)
 		<-gate
 		return []byte(`{"points":[]}`), nil
@@ -91,7 +91,7 @@ func TestCoalescingIdenticalSubmits(t *testing.T) {
 // share an execution.
 func TestDistinctRequestsDoNotCoalesce(t *testing.T) {
 	var runs atomic.Int64
-	s := newStubService(t, Config{Jobs: 2, QueueDepth: 8}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 2, QueueDepth: 8}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		runs.Add(1)
 		return []byte(`{}`), nil
 	})
@@ -113,7 +113,7 @@ func TestDistinctRequestsDoNotCoalesce(t *testing.T) {
 // with Cached=true and zero additional executions.
 func TestCacheHitSkipsExecution(t *testing.T) {
 	var runs atomic.Int64
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		runs.Add(1)
 		return []byte(`{"points":[{"BER":1e-9,"Accuracy":0.5}]}`), nil
 	})
@@ -153,7 +153,7 @@ func TestCancellationLeavesCacheClean(t *testing.T) {
 	started := make(chan struct{})
 	var first atomic.Bool
 	first.Store(true)
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8, CacheDir: dir}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8, CacheDir: dir}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		if !first.CompareAndSwap(true, false) {
 			return []byte(`{}`), nil // the resubmission at the end of the test
 		}
@@ -197,7 +197,7 @@ func TestCancellationLeavesCacheClean(t *testing.T) {
 // returns a result, the service must refuse to cache or serve it.
 func TestUncooperativeRunNeverCached(t *testing.T) {
 	started := make(chan struct{})
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		close(started)
 		<-ctx.Done()
 		return []byte(`{"points":[]}`), nil // ignores the cancellation
@@ -223,7 +223,7 @@ func TestUncooperativeRunNeverCached(t *testing.T) {
 func TestQueueBounded(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 1}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 1}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		started <- struct{}{}
 		<-gate
 		return []byte(`{}`), nil
@@ -255,7 +255,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	var runs atomic.Int64
-	s.run = func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s.run = func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		time.Sleep(20 * time.Millisecond)
 		runs.Add(1)
 		return []byte(`{}`), nil
@@ -292,7 +292,7 @@ func TestCloseCancelsOnExpiredContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.run = func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s.run = func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -317,7 +317,7 @@ func TestCloseCancelsOnExpiredContext(t *testing.T) {
 // goroutine) able to run subsequent campaigns — one malformed request must
 // never take down the process.
 func TestRunnerPanicFailsJobNotProcess(t *testing.T) {
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		if req.Seed == 666 {
 			panic("need at least 2 classes and 1 image")
 		}

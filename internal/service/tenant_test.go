@@ -73,7 +73,7 @@ func TestFairShareNoStarvation(t *testing.T) {
 	var mu sync.Mutex
 	var order []uint64
 	s := newStubService(t, Config{Jobs: 1, QueueDepth: 16, Tenants: table},
-		func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+		func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 			if req.Seed == 999 {
 				<-gate // holds the single worker while the backlog builds
 			} else {
@@ -148,7 +148,7 @@ func TestPriorityWithinTenant(t *testing.T) {
 	var mu sync.Mutex
 	var order []uint64
 	s := newStubService(t, Config{Jobs: 1, QueueDepth: 16, Tenants: table},
-		func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+		func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 			if req.Seed == 999 {
 				<-gate
 			} else {
@@ -199,7 +199,7 @@ func TestTenantQuota429(t *testing.T) {
 	}
 	gate := make(chan struct{})
 	s := newStubService(t, Config{Jobs: 1, QueueDepth: 16, Tenants: table},
-		func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+		func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 			if req.Seed == 999 {
 				<-gate
 			}
@@ -289,7 +289,7 @@ func TestCampaignRoutesScopedToTenant(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	s := newStubService(t, Config{Jobs: 1, QueueDepth: 16, Tenants: table},
-		func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+		func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 			<-gate
 			return []byte(`{"points":[]}`), nil
 		})

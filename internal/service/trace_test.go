@@ -130,7 +130,7 @@ func TestTraceEndpointLocalCampaign(t *testing.T) {
 // (no job, no queue) still gets a probe-only trace, so /trace explains the
 // fast path instead of 404ing.
 func TestTraceCacheHitSynthetic(t *testing.T) {
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		return []byte(`{"points":[]}`), nil
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -180,7 +180,7 @@ func TestTraceCoalescedSharesRunnerTimeline(t *testing.T) {
 		"key-a": {Name: "alice", Weight: 1},
 		"key-b": {Name: "bob", Weight: 1},
 	}}
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8, Tenants: tenants}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8, Tenants: tenants}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		<-gate
 		return []byte(`{"points":[]}`), nil
 	})
@@ -226,7 +226,7 @@ func TestTraceCrossTenant404(t *testing.T) {
 		"key-a": {Name: "alice", Weight: 1},
 		"key-b": {Name: "bob", Weight: 1},
 	}}
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8, Tenants: tenants}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8, Tenants: tenants}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		return []byte(`{"points":[]}`), nil
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -259,7 +259,7 @@ func TestMetricsExpositionValid(t *testing.T) {
 	tenants := &TenantTable{byKey: map[string]*Tenant{
 		"key-w": {Name: weird, Weight: 2, Quota: 4},
 	}}
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8, Tenants: tenants}, func(ctx context.Context, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8, Tenants: tenants}, func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 		progress(0, 1, 1)
 		return []byte(`{"points":[]}`), nil
 	})

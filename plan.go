@@ -1,0 +1,157 @@
+package winofault
+
+import (
+	"context"
+	"fmt"
+
+	"repro/internal/faultsim"
+)
+
+// Plan is the execution plan of one campaign, shared by every path that runs
+// it: the service's in-process run, the fleet coordinator and its shard
+// workers. A campaign is a sequence of phases — the BER sweep, then, when
+// layer sensitivity is requested, the layer batch at the sweep's middle BER
+// (BERs[len/2], the wfsim -layers convention). Each phase flattens to a
+// (campaign, round) unit index space that is a pure function of the request
+// (see internal/faultsim), so any split of it into ranges, computed by any
+// process with any worker count, reduces to the same bytes as one in-process
+// run over [0, n).
+type Plan struct {
+	sys     *System
+	phases  []Phase
+	batches [][]faultsim.Campaign // per phase
+	mid     float64               // the layers phase's BER
+}
+
+// Phase is one unit batch of a Plan.
+type Phase struct {
+	// Name is "sweep" or "layers".
+	Name string
+	// Units is the size of the phase's unit index space: the domain of
+	// Counts ranges and the required length of a Reduce counts slice.
+	Units int
+}
+
+// NewPlan builds the system a campaign request describes, protection plan
+// included, and returns the request's execution plan.
+func NewPlan(req CampaignRequest) (*Plan, error) {
+	cfg, err := req.SystemConfig()
+	if err != nil {
+		return nil, err
+	}
+	sys, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.SetProtection(req.Protection); err != nil {
+		return nil, err
+	}
+	return sys.Plan(req.BERs, req.Layers)
+}
+
+// Plan returns the execution plan of a sweep over bers on this system, plus
+// the layer-sensitivity phase at the middle BER when layers is set.
+func (s *System) Plan(bers []float64, layers bool) (*Plan, error) {
+	if err := s.scenarioBERs(s.opts.HW, bers...); err != nil {
+		return nil, err
+	}
+	p := &Plan{sys: s}
+	p.add("sweep", faultsim.SweepCampaigns(bers, s.opts))
+	if layers {
+		if len(bers) == 0 {
+			return nil, fmt.Errorf("winofault: layer sensitivity needs at least one BER")
+		}
+		p.mid = bers[len(bers)/2]
+		p.add("layers", s.runner.LayerCampaigns(p.mid, s.opts))
+	}
+	return p, nil
+}
+
+func (p *Plan) add(name string, cs []faultsim.Campaign) {
+	p.phases = append(p.phases, Phase{Name: name, Units: faultsim.Units(cs, p.sys.cfg.Rounds)})
+	p.batches = append(p.batches, cs)
+}
+
+// Phases lists the plan's phases in execution order; phase indices in the
+// other methods refer to this order.
+func (p *Plan) Phases() []Phase { return append([]Phase(nil), p.phases...) }
+
+// Counts executes units [lo, hi) of phase i and returns their
+// golden-agreement counts in unit order. Counts for a range are
+// bit-identical no matter which process computes them or with how many
+// workers. progress, when non-nil, observes (done, hi-lo) after every
+// finished unit and may be called concurrently. Ranges arrive over the wire,
+// so bad arguments are errors rather than panics; when ctx is canceled the
+// partial counts are discarded and ctx.Err() is returned.
+func (p *Plan) Counts(ctx context.Context, i, lo, hi int, progress func(done, total int)) ([]int, error) {
+	if err := p.checkRange(i, lo, hi); err != nil {
+		return nil, err
+	}
+	cs := p.batches[i]
+	if progress != nil && len(cs) > 0 {
+		// The scheduler reports batch progress to the first campaign that
+		// asks for it.
+		cs = append([]faultsim.Campaign(nil), cs...)
+		cs[0].Opts.Progress = progress
+	}
+	counts := p.sys.runner.UnitCounts(ctx, cs, p.sys.cfg.Rounds, lo, hi)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return counts, nil
+}
+
+// CheckCounts validates counts computed elsewhere for units [lo, hi) of
+// phase i: the range lies inside the phase, there is one count per unit, and
+// every count is a possible golden-agreement count in [0, Samples]. A count
+// outside that interval would reduce to an accuracy outside [0, 1].
+func (p *Plan) CheckCounts(i, lo, hi int, counts []int) error {
+	if err := p.checkRange(i, lo, hi); err != nil {
+		return err
+	}
+	if len(counts) != hi-lo {
+		return fmt.Errorf("winofault: %d unit counts for %d units", len(counts), hi-lo)
+	}
+	for k, n := range counts {
+		if n < 0 || n > p.sys.cfg.Samples {
+			return fmt.Errorf("winofault: unit %d count %d outside [0, %d]", lo+k, n, p.sys.cfg.Samples)
+		}
+	}
+	return nil
+}
+
+// checkRange validates a phase index and a unit range inside it.
+func (p *Plan) checkRange(i, lo, hi int) error {
+	if i < 0 || i >= len(p.phases) {
+		return fmt.Errorf("winofault: unknown campaign phase %d", i)
+	}
+	if units := p.phases[i].Units; lo < 0 || hi < lo || hi > units {
+		return fmt.Errorf("winofault: unit range [%d, %d) outside [0, %d)", lo, hi, units)
+	}
+	return nil
+}
+
+// Reduce folds phase i's full, unit-ordered counts — typically merged from
+// ranges — into res: the sweep phase sets Points, the layers phase Baseline
+// and Layers. The reduction is the same index-ordered integer sum the
+// in-process path runs, so the marshaled res is byte-identical to it.
+func (p *Plan) Reduce(res *CampaignResult, i int, counts []int) error {
+	if err := p.checkRange(i, 0, 0); err != nil {
+		return err
+	}
+	if err := p.CheckCounts(i, 0, p.phases[i].Units, counts); err != nil {
+		return err
+	}
+	s := p.sys
+	if p.phases[i].Name == "layers" {
+		base, per := s.runner.LayerSensitivityFromCounts(p.mid, s.opts, s.cfg.Rounds, counts)
+		res.Baseline, res.Layers = base, s.layerTable(base, per)
+		return nil
+	}
+	accs := s.runner.Reduce(p.batches[i], s.cfg.Rounds, counts)
+	res.Points = make([]Point, len(accs))
+	for k, c := range p.batches[i] {
+		res.Points[k] = Point{BER: c.BER, Accuracy: accs[k]}
+	}
+	return nil
+}

@@ -2,8 +2,54 @@ package winofault
 
 import (
 	"context"
+	"reflect"
 	"testing"
 )
+
+// planFor builds the campaign plan of (bers, layers) on a fresh system.
+func planFor(t *testing.T, cfg Config, bers []float64, layers bool) *Plan {
+	t.Helper()
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sys.Plan(bers, layers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// evenSplits cuts [0, units) into the given number of contiguous ranges.
+func evenSplits(units, shards int) [][2]int {
+	out := make([][2]int, shards)
+	for sh := range out {
+		out[sh] = [2]int{sh * units / shards, (sh + 1) * units / shards}
+	}
+	return out
+}
+
+// shardedResult reduces plan's campaign from counts computed range by range,
+// each range on a fresh plan from remote — shard workers never share state.
+// split lists phase i's ranges given its unit total.
+func shardedResult(t *testing.T, plan *Plan, remote func() *Plan, split func(i, units int) [][2]int) CampaignResult {
+	t.Helper()
+	var res CampaignResult
+	for i, ph := range plan.Phases() {
+		var counts []int
+		for _, r := range split(i, ph.Units) {
+			part, err := remote().Counts(context.Background(), i, r[0], r[1], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts = append(counts, part...)
+		}
+		if err := plan.Reduce(&res, i, counts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return res
+}
 
 // TestShardedSweepBitIdentical: splitting a sweep's unit index space into
 // contiguous shards, computing each shard's counts independently (as remote
@@ -11,109 +57,109 @@ import (
 // bit-for-bit — the invariant the distributed campaign path rests on.
 func TestShardedSweepBitIdentical(t *testing.T) {
 	bers := []float64{0, 1e-9, 1e-8}
-	sys, err := New(testConfig(Winograd))
+	cfg := testConfig(Winograd)
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.SweepCtx(context.Background(), bers)
+	pts, err := sys.SweepCtx(context.Background(), bers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := sys.SweepUnits(bers)
-	if total == 0 {
-		t.Fatal("sweep has no units")
+	want := CampaignResult{Points: pts}
+	plan, err := sys.Plan(bers, false)
+	if err != nil {
+		t.Fatal(err)
 	}
+	total := plan.Phases()[0].Units
+	if total == 0 || total != sys.SweepUnits(bers) {
+		t.Fatalf("sweep phase has %d units, SweepUnits says %d", total, sys.SweepUnits(bers))
+	}
+	remote := func() *Plan { return planFor(t, cfg, bers, false) }
 	for _, shards := range []int{1, 2, total} {
-		var counts []int
-		for sh := 0; sh < shards; sh++ {
-			lo, hi := sh*total/shards, (sh+1)*total/shards
-			// A fresh System per shard: shard workers never share state.
-			remote, err := New(testConfig(Winograd))
-			if err != nil {
-				t.Fatal(err)
-			}
-			part, err := remote.SweepUnitCounts(context.Background(), bers, lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts = append(counts, part...)
-		}
-		got, err := sys.SweepFromCounts(bers, counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%d shards: point %d = %+v, want %+v", shards, i, got[i], want[i])
-			}
+		got := shardedResult(t, plan, remote, func(_, units int) [][2]int { return evenSplits(units, shards) })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d shards: %+v, want %+v", shards, got, want)
 		}
 	}
 }
 
 // TestShardedLayersBitIdentical extends the invariant to the
-// layer-sensitivity batch.
+// layer-sensitivity phase, which runs at the sweep's middle BER.
 func TestShardedLayersBitIdentical(t *testing.T) {
 	const ber = 3e-9
-	sys, err := New(testConfig(Direct))
+	cfg := testConfig(Direct)
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBase, wantLayers, err := sys.LayerSensitivitiesCtx(context.Background(), ber)
+	pts, err := sys.SweepCtx(context.Background(), []float64{ber})
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := sys.LayerUnits(ber)
-	var counts []int
-	for _, r := range [][2]int{{0, total / 2}, {total / 2, total}} {
-		remote, err := New(testConfig(Direct))
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := remote.LayerUnitCounts(context.Background(), ber, r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts = append(counts, part...)
-	}
-	base, layers, err := sys.LayersFromCounts(ber, counts)
+	base, layers, err := sys.LayerSensitivitiesCtx(context.Background(), ber)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base != wantBase {
-		t.Errorf("baseline %v, want %v", base, wantBase)
+	want := CampaignResult{Points: pts, Baseline: base, Layers: layers}
+	plan, err := sys.Plan([]float64{ber}, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(layers) != len(wantLayers) {
-		t.Fatalf("layer count %d, want %d", len(layers), len(wantLayers))
+	if ph := plan.Phases(); len(ph) != 2 || ph[1].Name != "layers" || ph[1].Units != sys.LayerUnits(ber) {
+		t.Fatalf("plan phases %+v, want sweep then %d layer units", ph, sys.LayerUnits(ber))
 	}
-	for i := range wantLayers {
-		if layers[i] != wantLayers[i] {
-			t.Errorf("layer %d: %+v, want %+v", i, layers[i], wantLayers[i])
+	remote := func() *Plan { return planFor(t, cfg, []float64{ber}, true) }
+	got := shardedResult(t, plan, remote, func(i, units int) [][2]int {
+		if i == 0 {
+			return evenSplits(units, 1)
 		}
+		return evenSplits(units, 2)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sharded layers %+v, want %+v", got, want)
 	}
 }
 
-// TestShardRangeAndCountErrors: wire-facing range/length mistakes are
-// errors, never panics.
+// TestShardRangeAndCountErrors: wire-facing phase, range, length and count
+// value mistakes are errors, never panics.
 func TestShardRangeAndCountErrors(t *testing.T) {
-	bers := []float64{1e-9}
-	sys, err := New(testConfig(Direct))
+	cfg := testConfig(Direct)
+	plan := planFor(t, cfg, []float64{1e-9}, true)
+	ctx := context.Background()
+	total := plan.Phases()[0].Units
+	if _, err := plan.Counts(ctx, 0, 0, total+1, nil); err == nil {
+		t.Error("oversized range did not error")
+	}
+	if _, err := plan.Counts(ctx, 0, -1, 0, nil); err == nil {
+		t.Error("negative range did not error")
+	}
+	if _, err := plan.Counts(ctx, 1, 5, 2, nil); err == nil {
+		t.Error("inverted layer range did not error")
+	}
+	if _, err := plan.Counts(ctx, 2, 0, 0, nil); err == nil {
+		t.Error("unknown phase did not error")
+	}
+	var res CampaignResult
+	if err := plan.Reduce(&res, 0, make([]int, total+2)); err == nil {
+		t.Error("mismatched counts length did not error")
+	}
+	if err := plan.Reduce(&res, 1, nil); err == nil {
+		t.Error("empty layer counts did not error")
+	}
+	for _, bad := range []int{-1, cfg.Samples + 1} {
+		if err := plan.CheckCounts(0, 0, 1, []int{bad}); err == nil {
+			t.Errorf("count %d outside [0, %d] did not error", bad, cfg.Samples)
+		}
+	}
+	if err := plan.CheckCounts(0, 0, 1, []int{cfg.Samples}); err != nil {
+		t.Errorf("count %d (every sample agrees) rejected: %v", cfg.Samples, err)
+	}
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := sys.SweepUnits(bers)
-	if _, err := sys.SweepUnitCounts(context.Background(), bers, 0, total+1); err == nil {
-		t.Error("oversized range did not error")
-	}
-	if _, err := sys.SweepUnitCounts(context.Background(), bers, -1, 0); err == nil {
-		t.Error("negative range did not error")
-	}
-	if _, err := sys.SweepFromCounts(bers, make([]int, total+2)); err == nil {
-		t.Error("mismatched counts length did not error")
-	}
-	if _, _, err := sys.LayersFromCounts(1e-9, nil); err == nil {
-		t.Error("empty layer counts did not error")
-	}
-	if _, err := sys.LayerUnitCounts(context.Background(), 1e-9, 5, 2); err == nil {
-		t.Error("inverted layer range did not error")
+	if _, err := sys.Plan(nil, true); err == nil {
+		t.Error("layer phase without a BER did not error")
 	}
 }

@@ -404,10 +404,15 @@ func (s *System) Sweep(bers []float64) []Point {
 // scheduler stops claiming (BER point, round) units, the partial points are
 // discarded and ctx.Err() is returned.
 func (s *System) SweepCtx(ctx context.Context, bers []float64) ([]Point, error) {
-	if err := s.scenarioBERs(s.opts.HW, bers...); err != nil {
+	return s.sweep(ctx, s.opts, bers)
+}
+
+// sweep runs a BER sweep under opts (the system's, or a scenario override).
+func (s *System) sweep(ctx context.Context, opts faultsim.Options, bers []float64) ([]Point, error) {
+	if err := s.scenarioBERs(opts.HW, bers...); err != nil {
 		return nil, err
 	}
-	pts := s.runner.Sweep(ctx, bers, s.opts, s.cfg.Rounds)
+	pts := s.runner.Sweep(ctx, bers, opts, s.cfg.Rounds)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -435,111 +440,20 @@ func (s *System) SweepHWCtx(ctx context.Context, sc Scenario, bers []float64) ([
 	if err != nil {
 		return nil, err
 	}
-	if err := s.scenarioBERs(inj, bers...); err != nil {
-		return nil, err
-	}
 	opts := s.opts
 	opts.HW = inj
-	pts := s.runner.Sweep(ctx, bers, opts, s.cfg.Rounds)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]Point, len(pts))
-	for i, p := range pts {
-		out[i] = Point{BER: p.BER, Accuracy: p.Accuracy}
-	}
-	return out, nil
+	return s.sweep(ctx, opts, bers)
 }
 
-// Distributed shard execution. A campaign batch flattens to a (campaign,
-// round) unit index space that is a pure function of the request (see
-// internal/faultsim); the six methods below expose that space so a
-// coordinator can split it into contiguous ranges, have remote workers
-// compute per-unit agreement counts, and reduce the merged counts in index
-// order — bit-identically to a local SweepCtx / LayerSensitivitiesCtx run.
-
-// SweepUnits reports the size of the flattened unit index space of a BER
-// sweep: the domain of SweepUnitCounts ranges and the required length of a
-// SweepFromCounts counts slice.
+// SweepUnits reports the size of the flattened (campaign, round) unit index
+// space of a BER sweep — the Units of a Plan's sweep phase.
 func (s *System) SweepUnits(bers []float64) int {
 	return faultsim.Units(faultsim.SweepCampaigns(bers, s.opts), s.cfg.Rounds)
-}
-
-// SweepUnitCounts executes units [lo, hi) of the sweep's unit index space
-// and returns their golden-agreement counts in unit order. Counts for a
-// range are bit-identical no matter which process computes them or with how
-// many workers.
-func (s *System) SweepUnitCounts(ctx context.Context, bers []float64, lo, hi int) ([]int, error) {
-	if err := s.scenarioBERs(s.opts.HW, bers...); err != nil {
-		return nil, err
-	}
-	cs := faultsim.SweepCampaigns(bers, s.opts)
-	if err := checkUnitRange(lo, hi, faultsim.Units(cs, s.cfg.Rounds)); err != nil {
-		return nil, err
-	}
-	counts := s.runner.UnitCounts(ctx, cs, s.cfg.Rounds, lo, hi)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return counts, nil
-}
-
-// SweepFromCounts reduces a full set of per-unit agreement counts — merged
-// from shards in unit-index order — into sweep points bit-identical to
-// SweepCtx over the same BERs.
-func (s *System) SweepFromCounts(bers []float64, counts []int) ([]Point, error) {
-	cs := faultsim.SweepCampaigns(bers, s.opts)
-	if want := faultsim.Units(cs, s.cfg.Rounds); len(counts) != want {
-		return nil, fmt.Errorf("winofault: %d unit counts for %d units", len(counts), want)
-	}
-	accs := s.runner.Reduce(cs, s.cfg.Rounds, counts)
-	out := make([]Point, len(bers))
-	for i, ber := range bers {
-		out[i] = Point{BER: ber, Accuracy: accs[i]}
-	}
-	return out, nil
 }
 
 // LayerUnits is SweepUnits for the layer-sensitivity batch at one BER.
 func (s *System) LayerUnits(ber float64) int {
 	return faultsim.Units(s.runner.LayerCampaigns(ber, s.opts), s.cfg.Rounds)
-}
-
-// LayerUnitCounts is SweepUnitCounts for the layer-sensitivity batch.
-func (s *System) LayerUnitCounts(ctx context.Context, ber float64, lo, hi int) ([]int, error) {
-	if err := s.scenarioBERs(s.opts.HW, ber); err != nil {
-		return nil, err
-	}
-	cs := s.runner.LayerCampaigns(ber, s.opts)
-	if err := checkUnitRange(lo, hi, faultsim.Units(cs, s.cfg.Rounds)); err != nil {
-		return nil, err
-	}
-	counts := s.runner.UnitCounts(ctx, cs, s.cfg.Rounds, lo, hi)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return counts, nil
-}
-
-// LayersFromCounts reduces merged layer-sensitivity unit counts into the
-// same (baseline, per-layer) result LayerSensitivitiesCtx computes,
-// bit-identically.
-func (s *System) LayersFromCounts(ber float64, counts []int) (baseline float64, layers []LayerSensitivity, err error) {
-	cs := s.runner.LayerCampaigns(ber, s.opts)
-	if want := faultsim.Units(cs, s.cfg.Rounds); len(counts) != want {
-		return 0, nil, fmt.Errorf("winofault: %d unit counts for %d units", len(counts), want)
-	}
-	base, per := s.runner.LayerSensitivityFromCounts(ber, s.opts, s.cfg.Rounds, counts)
-	return base, s.layerTable(base, per), nil
-}
-
-// checkUnitRange validates a shard range against a unit space size. Ranges
-// arrive over the wire, so they are errors rather than panics.
-func checkUnitRange(lo, hi, total int) error {
-	if lo < 0 || hi < lo || hi > total {
-		return fmt.Errorf("winofault: unit range [%d, %d) outside [0, %d)", lo, hi, total)
-	}
-	return nil
 }
 
 // OnProgress registers fn to observe campaign progress: after every finished
@@ -628,7 +542,7 @@ func (s *System) LayerSensitivitiesCtx(ctx context.Context, ber float64) (baseli
 }
 
 // layerTable maps per-node accuracies to the named LayerSensitivity rows in
-// network order (shared by the local and the counts-reduction paths).
+// network order (shared by LayerSensitivitiesCtx and Plan.Reduce).
 func (s *System) layerTable(base float64, per map[int]float64) []LayerSensitivity {
 	var layers []LayerSensitivity
 	for _, li := range s.runner.Net.ConvNodes() {
