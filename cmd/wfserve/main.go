@@ -166,7 +166,7 @@ func main() {
 				// journal; queue pressure just means recovery is best-effort
 				// this boot — the journal entry survives for the next one.
 				logger.Warn("wfserve: recovery: campaign not resubmitted",
-					"campaign", shortKey(rc.Key), "err", err)
+					"campaign", service.ShortKey(rc.Key), "err", err)
 				if !errors.Is(err, service.ErrQueueFull) && !errors.Is(err, service.ErrClosed) {
 					coord.CampaignDone(rc.Key)
 				}
@@ -174,11 +174,11 @@ func main() {
 			}
 			if st := j.Status(); st.Cached {
 				logger.Info("wfserve: recovery: campaign already cached; retiring journal entry",
-					"campaign", shortKey(rc.Key))
+					"campaign", service.ShortKey(rc.Key))
 				coord.CampaignDone(rc.Key)
 				continue
 			}
-			logger.Info("wfserve: resuming journaled campaign", "campaign", shortKey(rc.Key))
+			logger.Info("wfserve: resuming journaled campaign", "campaign", service.ShortKey(rc.Key))
 		}
 	}
 
@@ -223,12 +223,4 @@ func main() {
 		os.Exit(code)
 	}
 	logger.Info("wfserve: drained cleanly")
-}
-
-// shortKey truncates a campaign content address for log attrs.
-func shortKey(k string) string {
-	if len(k) > 12 {
-		return k[:12]
-	}
-	return k
 }

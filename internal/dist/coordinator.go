@@ -487,7 +487,7 @@ func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key
 		for _, r := range cs.phases[phase] {
 			if err := plan.CheckCounts(phase, r.lo, r.hi, r.counts); err != nil {
 				c.cfg.Logger.Warn("dist: dropping invalid journaled range",
-					"campaign", short(key), "phase", phase, "lo", r.lo, "hi", r.hi, "units", total, "err", err)
+					"campaign", service.ShortKey(key), "phase", phase, "lo", r.lo, "hi", r.hi, "units", total, "err", err)
 				continue
 			}
 			kept = append(kept, r)
@@ -508,7 +508,7 @@ func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key
 		ph.Record("journal-recovery", recStart, time.Since(recStart),
 			recoveryAttrs(prefilled, c.epoch, prevEpoch)...)
 		c.cfg.Logger.Info("dist: all units recovered from journal",
-			"campaign", short(key), "phase", phase, "units", total)
+			"campaign", service.ShortKey(key), "phase", phase, "units", total)
 		return run.counts, nil
 	}
 	live := c.liveWorkersLocked(time.Now())
@@ -557,11 +557,11 @@ func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key
 		ph.Record("journal-recovery", recStart, time.Since(recStart),
 			recoveryAttrs(prefilled, c.epoch, prevEpoch)...)
 		c.cfg.Logger.Info("dist: resuming: units recovered from journal",
-			"campaign", short(key), "phase", phase, "recovered", prefilled, "total", total,
+			"campaign", service.ShortKey(key), "phase", phase, "recovered", prefilled, "total", total,
 			"remaining", total-prefilled, "shards", shards)
 	} else {
 		c.cfg.Logger.Info("dist: phase sharded",
-			"campaign", short(key), "phase", phase, "units", total, "shards", shards, "workers", live)
+			"campaign", service.ShortKey(key), "phase", phase, "units", total, "shards", shards, "workers", live)
 	}
 	// Publish the starting point (non-zero after a journal resume) so
 	// subscribers see recovered progress before the first merge lands.

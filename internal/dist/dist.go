@@ -108,12 +108,3 @@ type ShardResult struct {
 	// an absolute timestamp would not.
 	ExecNanos int64 `json:"execNanos,omitempty"`
 }
-
-// short truncates a campaign key for logs and span attrs, matching the
-// %.12s prefix shard IDs embed.
-func short(key string) string {
-	if len(key) > 12 {
-		return key[:12]
-	}
-	return key
-}

@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
+
+	"repro/internal/service"
 )
 
 // Errors surfaced to workers as HTTP statuses.
@@ -48,40 +49,23 @@ func (c *Coordinator) Handler() http.Handler {
 	// are full campaign executors, so an open fleet port would bypass the
 	// tenant API entirely.
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !c.cfg.Auth(requestAPIKey(r)) {
-			distError(w, http.StatusUnauthorized, errUnauthorized)
+		if !c.cfg.Auth(service.RequestAPIKey(r)) {
+			service.WriteError(w, http.StatusUnauthorized, errUnauthorized)
 			return
 		}
 		mux.ServeHTTP(w, r)
 	})
 }
 
-// requestAPIKey extracts the caller's API key: "Authorization: Bearer <key>"
-// or the "X-API-Key" header.
-func requestAPIKey(r *http.Request) string {
-	if h := r.Header.Get("Authorization"); h != "" {
-		if k, ok := strings.CutPrefix(h, "Bearer "); ok {
-			return strings.TrimSpace(k)
-		}
-	}
-	return r.Header.Get("X-API-Key")
-}
-
-func distError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		distError(w, http.StatusBadRequest, fmt.Errorf("bad register body: %w", err))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad register body: %w", err))
 		return
 	}
 	resp, err := c.register(req.Name)
 	if err != nil {
-		distError(w, http.StatusServiceUnavailable, err)
+		service.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -103,7 +87,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		hb.Metrics = nil
 	}
 	if !c.heartbeat(r.PathValue("id"), hb.Metrics) {
-		distError(w, http.StatusNotFound, errUnknownWorker)
+		service.WriteError(w, http.StatusNotFound, errUnknownWorker)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -112,7 +96,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	task, err := c.lease(r.PathValue("id"))
 	if err != nil {
-		distError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	if task == nil {
@@ -126,7 +110,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var res ShardResult
 	if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
-		distError(w, http.StatusBadRequest, fmt.Errorf("bad result body: %w", err))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad result body: %w", err))
 		return
 	}
 	// Stale and duplicate results are dropped inside; the ack is

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	winofault "repro"
+	"repro/internal/service"
 )
 
 // The control-plane journal makes the coordinator restartable: every
@@ -156,7 +157,7 @@ func replayRecord(registry map[string]*campaignState, rec journalRecord, lg *slo
 	switch rec.T {
 	case recCampaign:
 		if rec.Req == nil {
-			lg.Warn("dist: journal: campaign record has no request; dropping", "campaign", short(rec.Key))
+			lg.Warn("dist: journal: campaign record has no request; dropping", "campaign", service.ShortKey(rec.Key))
 			return
 		}
 		if _, ok := registry[rec.Key]; !ok {
@@ -166,7 +167,7 @@ func replayRecord(registry map[string]*campaignState, rec journalRecord, lg *slo
 		cs, ok := registry[rec.Key]
 		if !ok || rec.Hi <= rec.Lo || len(rec.Counts) != rec.Hi-rec.Lo {
 			lg.Warn("dist: journal: dropping malformed shard record",
-				"campaign", short(rec.Key), "phase", rec.Phase, "lo", rec.Lo, "hi", rec.Hi, "counts", len(rec.Counts))
+				"campaign", service.ShortKey(rec.Key), "phase", rec.Phase, "lo", rec.Lo, "hi", rec.Hi, "counts", len(rec.Counts))
 			return
 		}
 		cs.phases[rec.Phase] = append(cs.phases[rec.Phase], shardRange{lo: rec.Lo, hi: rec.Hi, counts: rec.Counts})

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	winofault "repro"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -304,6 +305,14 @@ func TestJournalEpochRoundTrip(t *testing.T) {
 // timings, receives no further leases while the fast worker is live, and the
 // campaign bytes stay identical to local execution throughout.
 func TestStragglerEndToEnd(t *testing.T) {
+	req := tinyReq()
+	req.Layers = false
+	// The slow node's delay scales with what a shard costs on this host, so
+	// the test holds under -race too, where shards run several times slower.
+	// 10x keeps the slow worker's per-unit time far above the 3x flag
+	// threshold even when contention also slows the fast worker's shards.
+	delay := 10 * shardTime(t, req)
+	t.Logf("shard delay %v", delay)
 	c, err := NewCoordinator(CoordinatorConfig{
 		LeaseTTL:   5 * time.Second,
 		Poll:       10 * time.Millisecond,
@@ -324,13 +333,10 @@ func TestStragglerEndToEnd(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		RunWorker(ctx, WorkerConfig{Server: ts.URL, Name: "slow", Workers: 1, Logger: quiet(), Metrics: NewWorkerMetrics(),
-			ExecDelay: 400 * time.Millisecond})
+			ExecDelay: delay})
 	}()
 	t.Cleanup(func() { cancel(); wg.Wait(); ts.Close(); c.Close() })
 	waitForWorkers(t, c, 2)
-
-	req := tinyReq()
-	req.Layers = false
 
 	// Run campaigns (distinct seeds, so nothing coalesces or prefills) until
 	// the slow worker has merged a shard and been flagged.
@@ -376,6 +382,24 @@ func TestStragglerEndToEnd(t *testing.T) {
 	if after := workerShards(c, slowID); after != before {
 		t.Fatalf("flagged straggler still leased shards: %d -> %d", before, after)
 	}
+}
+
+// shardTime measures a worker's first single-unit shard of req on this host:
+// the plan build plus one unit, on one faultsim worker. Each distinct
+// campaign costs every worker that build again, so this is what a fast
+// worker's per-unit samples read in TestStragglerEndToEnd.
+func shardTime(t *testing.T, req winofault.CampaignRequest) time.Duration {
+	t.Helper()
+	req.Workers = 1
+	start := time.Now()
+	plan, err := winofault.NewPlan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Counts(context.Background(), PhaseSweep, 0, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	return time.Since(start)
 }
 
 // workerShards reads one worker's merged-shard count from the fleet view.

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -221,160 +218,5 @@ func TestRecorderAllInflightExceedsCapTransiently(t *testing.T) {
 	r.Begin("eee5").Finish()
 	if n := r.Len(); n != 2 {
 		t.Fatalf("ring did not shrink back to cap: len %d, want 2", n)
-	}
-}
-
-// traceFixture builds a finished trace with a realistic span tree.
-func traceFixture(key string) *Trace {
-	tr := &Trace{key: key, epoch: time.Now()}
-	ph := tr.Start("phase", A("phase", "sweep"), A("path", "dist"))
-	ph.Record("shard", time.Now(), 3*time.Millisecond, A("worker", "w-1"), A("lo", 0), A("hi", 4))
-	ph.Record("merge", time.Now(), time.Millisecond)
-	ph.End()
-	tr.Finish()
-	return tr
-}
-
-// TestTraceStoreRoundTripByteIdentical: a spilled trace read back from disk
-// renders byte-identically to the in-memory snapshot — the property the
-// chaos-recovery CI tier asserts across a real wfserve restart.
-func TestTraceStoreRoundTripByteIdentical(t *testing.T) {
-	st, err := NewTraceStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := "0123456789abcdef0123456789abcdef"
-	snap := traceFixture(key).Snapshot()
-	if err := st.Put(snap); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Has(key) {
-		t.Fatal("Has misses a stored trace")
-	}
-	got, ok := st.Get(key)
-	if !ok {
-		t.Fatal("Get misses a stored trace")
-	}
-	var want, have bytes.Buffer
-	if err := snap.WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.WriteJSON(&have); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), have.Bytes()) {
-		t.Fatalf("disk round-trip changed the rendered trace:\nmem:  %s\ndisk: %s", want.String(), have.String())
-	}
-	if !got.Complete || len(got.Spans) != 1 || len(got.Spans[0].Children) != 2 {
-		t.Fatalf("span tree mangled: %+v", got.Spans)
-	}
-}
-
-// TestTraceStoreRejectsHostileKeys: keys are file names; anything that is not
-// a lowercase-hex content address is refused before touching the filesystem.
-func TestTraceStoreRejectsHostileKeys(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewTraceStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{
-		"", "../../etc/passwd", "ABCDEF", "abc/def", "abc.def",
-		strings.Repeat("a", 129), "abc\x00def", "..",
-	} {
-		if err := st.Put(TraceSnapshot{Campaign: key}); err == nil {
-			t.Errorf("Put accepted hostile key %q", key)
-		}
-		if _, ok := st.Get(key); ok {
-			t.Errorf("Get resolved hostile key %q", key)
-		}
-		if st.Has(key) {
-			t.Errorf("Has resolved hostile key %q", key)
-		}
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("hostile keys left droppings: %v", entries)
-	}
-}
-
-// TestTraceStorePrunes: the store holds at most max traces, evicting the
-// oldest-modified files.
-func TestTraceStorePrunes(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewTraceStore(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]string, 6)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("%032d", i)
-		if err := st.Put(traceFixture(keys[i]).Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		// Separate modtimes explicitly: filesystem timestamp granularity must
-		// not make eviction order ambiguous.
-		mod := time.Now().Add(time.Duration(i-len(keys)) * time.Minute)
-		if err := os.Chtimes(filepath.Join(dir, keys[i]+".trace"), mod, mod); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One more Put triggers the prune over the aged set.
-	last := "f000000000000000000000000000000f"
-	if err := st.Put(traceFixture(last).Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if n := st.Len(); n != 3 {
-		t.Fatalf("store holds %d traces, want 3", n)
-	}
-	if !st.Has(last) {
-		t.Fatal("newest trace pruned")
-	}
-	if st.Has(keys[0]) || st.Has(keys[1]) {
-		t.Fatal("oldest traces survived the prune")
-	}
-}
-
-// TestTraceStoreIgnoresCorruptFiles: a torn or tampered trace file misses
-// rather than serving garbage, and a mismatched embedded key is rejected.
-func TestTraceStoreIgnoresCorruptFiles(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewTraceStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := "00000000000000000000000000000001"
-	if err := os.WriteFile(filepath.Join(dir, torn+".trace"), []byte(`{"campaign":"000`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Get(torn); ok {
-		t.Fatal("torn trace file served")
-	}
-	// A file whose embedded campaign key disagrees with its name is refused:
-	// the name is the lookup key, the body must corroborate it.
-	swapped := "00000000000000000000000000000002"
-	if err := os.WriteFile(filepath.Join(dir, swapped+".trace"), []byte(`{"campaign":"00000000000000000000000000000003","start":"2026-01-01T00:00:00Z","complete":true,"spans":null}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Get(swapped); ok {
-		t.Fatal("trace with mismatched embedded key served")
-	}
-}
-
-// TestTraceStoreNilSafe: a nil store ignores writes and misses lookups, so
-// call sites never branch on whether -trace-dir was configured.
-func TestTraceStoreNilSafe(t *testing.T) {
-	var st *TraceStore
-	if err := st.Put(TraceSnapshot{Campaign: "abc123"}); err != nil {
-		t.Fatalf("nil store Put errored: %v", err)
-	}
-	if _, ok := st.Get("abc123"); ok {
-		t.Fatal("nil store Get hit")
-	}
-	if st.Has("abc123") || st.Len() != 0 || st.Dir() != "" {
-		t.Fatal("nil store not inert")
 	}
 }

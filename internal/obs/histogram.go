@@ -225,29 +225,7 @@ func formatSample(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64)
 func (h *Histogram) Write(w io.Writer, name, help string, labels ...Attr) {
 	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	h.writeSamples(w, name, labels...)
-}
-
-// writeSamples emits the sample lines only (no header) so HistogramVec can
-// share one # HELP/# TYPE across label sets.
-func (h *Histogram) writeSamples(w io.Writer, name string, labels ...Attr) {
-	prefix := labelPrefix(labels)
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n", name, prefix, formatLe(b), cum)
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, prefix, cum)
-	sum := math.Float64frombits(h.sum.Load())
-	if len(labels) == 0 {
-		fmt.Fprintf(w, "%s_sum %s\n", name, formatSample(sum))
-		fmt.Fprintf(w, "%s_count %d\n", name, cum)
-		return
-	}
-	set := labelSet(labels)
-	fmt.Fprintf(w, "%s_sum{%s} %s\n", name, set, formatSample(sum))
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, set, cum)
+	h.Snapshot().WriteSamples(w, name, labels...)
 }
 
 // labelPrefix renders `k1="v1",k2="v2",` (with trailing comma) for use
@@ -320,7 +298,7 @@ func (v *HistogramVec) Write(w io.Writer, name, help string) {
 	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	for i, k := range keys {
-		hs[i].writeSamples(w, name, Attr{K: v.label, V: k})
+		hs[i].Snapshot().WriteSamples(w, name, Attr{K: v.label, V: k})
 	}
 }
 

@@ -3,20 +3,22 @@ package service
 import (
 	"container/list"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/blob"
 )
 
 // Cache is the content-addressed result store: an in-memory LRU over the
-// marshaled result bytes, optionally backed by a persistence directory with
-// one file per key. The cached bytes are served verbatim, which is what
-// makes repeated identical requests byte-identical.
+// marshaled result bytes, optionally backed by a blob directory with one
+// verified <key>.json file per key. The cached bytes are served verbatim,
+// which is what makes repeated identical requests byte-identical.
 //
 // Eviction only trims memory; the on-disk copy survives and is promoted
 // back into the LRU on the next Get, so a restarted or memory-pressured
-// server still answers warm requests in O(1) campaign work.
+// server still answers warm requests in O(1) campaign work. A damaged disk
+// copy fails verification and reads as a miss, so the campaign is recomputed
+// and the file rewritten.
 type Cache struct {
 	// hits/misses count Get outcomes (memory and disk tiers together) for
 	// /metrics. Internal re-checks (getMemory) are not counted: one logical
@@ -27,8 +29,8 @@ type Cache struct {
 	max     int
 	ll      *list.List // front = most recently used
 	entries map[string]*list.Element
-	bytes   int64  // resident bytes of the in-memory tier (sum of data lens)
-	dir     string // "" = memory only
+	bytes   int64       // resident bytes of the in-memory tier (sum of data lens)
+	disk    *blob.Store // nil = memory only
 }
 
 type cacheEntry struct {
@@ -43,35 +45,28 @@ func NewCache(max int, dir string) (*Cache, error) {
 	if max < 1 {
 		max = 1
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: cache dir: %w", err)
-		}
+	disk, err := blob.Open(dir, ".json", 0)
+	if err != nil {
+		return nil, fmt.Errorf("service: cache dir: %w", err)
 	}
-	return &Cache{max: max, ll: list.New(), entries: map[string]*list.Element{}, dir: dir}, nil
+	return &Cache{max: max, ll: list.New(), entries: map[string]*list.Element{}, disk: disk}, nil
 }
-
-func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+".json") }
 
 // Get returns the cached bytes for key, falling back to the persistence
 // directory on a memory miss (and promoting the loaded entry).
 func (c *Cache) Get(key string) ([]byte, bool) {
-	if data, ok := c.getMemory(key); ok {
+	data, ok := c.getMemory(key)
+	if !ok {
+		if data, ok = c.disk.Get(key); ok {
+			c.insert(key, data)
+		}
+	}
+	if ok {
 		c.hits.Add(1)
-		return data, true
-	}
-	if c.dir == "" {
+	} else {
 		c.misses.Add(1)
-		return nil, false
 	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.insert(key, data)
-	c.hits.Add(1)
-	return data, true
+	return data, ok
 }
 
 // Hits reports how many Get probes found their key (memory or disk).
@@ -93,32 +88,12 @@ func (c *Cache) getMemory(key string) ([]byte, bool) {
 }
 
 // Put stores the bytes for key in memory and, when persistence is enabled,
-// atomically on disk (temp file + rename, so readers never see a torn
-// entry). The disk write error, if any, is returned after the memory insert
-// — a persistence failure degrades durability, not correctness.
+// durably on disk. The disk write error, if any, is returned after the
+// memory insert — a persistence failure degrades durability, not
+// correctness.
 func (c *Cache) Put(key string, data []byte) error {
 	c.insert(key, data)
-	if c.dir == "" {
-		return nil
-	}
-	tmp, err := os.CreateTemp(c.dir, "put-*")
-	if err != nil {
-		return fmt.Errorf("service: persist %s: %w", key, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: persist %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: persist %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: persist %s: %w", key, err)
-	}
-	return nil
+	return c.disk.Put(key, data)
 }
 
 func (c *Cache) insert(key string, data []byte) {

@@ -169,14 +169,14 @@ func writeFleetMetrics(w io.Writer, fs FleetStatus) {
 // (no -dist) the route answers 404.
 func (s *Service) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Tenants != nil {
-		if _, ok := s.cfg.Tenants.Lookup(requestAPIKey(r)); !ok {
-			httpError(w, http.StatusUnauthorized, ErrUnauthorized)
+		if _, ok := s.cfg.Tenants.Lookup(RequestAPIKey(r)); !ok {
+			WriteError(w, http.StatusUnauthorized, ErrUnauthorized)
 			return
 		}
 	}
 	fr := s.fleet()
 	if fr == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no fleet: this server runs without a distributor"))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no fleet: this server runs without a distributor"))
 		return
 	}
 	fs := fr.Fleet()

@@ -164,10 +164,10 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	var snap obs.TraceSnapshot
 	if tr := s.trace.Lookup(j.Key); tr != nil {
 		snap = tr.Snapshot()
-	} else if stored, ok := s.traceStore.Get(j.Key); ok {
+	} else if stored, ok := s.storedTrace(j.Key); ok {
 		snap = stored
 	} else {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no trace recorded for campaign %q", j.Key))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no trace recorded for campaign %q", j.Key))
 		return
 	}
 	if r.URL.Query().Get("format") == "text" {
@@ -181,7 +181,7 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // requestAPIKey extracts the caller's API key: "Authorization: Bearer <key>"
 // or the "X-API-Key" header. Empty when neither is present.
-func requestAPIKey(r *http.Request) string {
+func RequestAPIKey(r *http.Request) string {
 	if h := r.Header.Get("Authorization"); h != "" {
 		if k, ok := strings.CutPrefix(h, "Bearer "); ok {
 			return strings.TrimSpace(k)
@@ -197,7 +197,9 @@ func boolGauge(b bool) int {
 	return 0
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
+// WriteError writes the JSON error body {"error": ...} with the given status,
+// the error shape of both the campaign API and the fleet API.
+func WriteError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
@@ -214,26 +216,26 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	j, err := s.SubmitFor(req, requestAPIKey(r))
+	j, err := s.SubmitFor(req, RequestAPIKey(r))
 	switch {
 	case errors.Is(err, ErrUnauthorized):
-		httpError(w, http.StatusUnauthorized, err)
+		WriteError(w, http.StatusUnauthorized, err)
 		return
 	case errors.Is(err, ErrQuotaExceeded):
 		// The tenant's own campaigns must finish before capacity frees up;
 		// hint a longer retry than the global queue-full backpressure.
 		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		httpError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	wait := r.URL.Query().Get("wait")
@@ -247,7 +249,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, err := j.Wait(r.Context()); err != nil && r.Context().Err() != nil {
-		httpError(w, http.StatusRequestTimeout, fmt.Errorf("wait aborted: %w", err))
+		WriteError(w, http.StatusRequestTimeout, fmt.Errorf("wait aborted: %w", err))
 		return
 	}
 	writeStatus(w, http.StatusOK, j.StatusWithResult())
@@ -260,16 +262,16 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Service) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	tenant := DefaultTenant
 	if s.cfg.Tenants != nil {
-		t, ok := s.cfg.Tenants.Lookup(requestAPIKey(r))
+		t, ok := s.cfg.Tenants.Lookup(RequestAPIKey(r))
 		if !ok {
-			httpError(w, http.StatusUnauthorized, ErrUnauthorized)
+			WriteError(w, http.StatusUnauthorized, ErrUnauthorized)
 			return nil, false
 		}
 		tenant = t.Name
 	}
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok || !j.visibleTo(tenant) {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown campaign %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown campaign %q", r.PathValue("id")))
 		return nil, false
 	}
 	return j, true
@@ -288,13 +290,13 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	st := j.StatusWithResult()
 	if st.State != winofault.StateDone {
-		httpError(w, http.StatusConflict, fmt.Errorf("campaign %q is %s", st.ID, st.State))
+		WriteError(w, http.StatusConflict, fmt.Errorf("campaign %q is %s", st.ID, st.State))
 		return
 	}
 	if r.URL.Query().Get("format") == "text" {
 		var res winofault.CampaignResult
 		if err := json.Unmarshal(st.Result, &res); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

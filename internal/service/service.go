@@ -12,6 +12,7 @@ import (
 	"time"
 
 	winofault "repro"
+	"repro/internal/blob"
 	"repro/internal/obs"
 )
 
@@ -40,9 +41,9 @@ type Config struct {
 	// O(campaigns retained), never O(rounds).
 	TraceCap int
 	// TraceDir, when non-empty, spills finished campaign traces to a bounded
-	// on-disk store (obs.TraceStore): /campaigns/{id}/trace then survives
-	// both ring eviction and process restarts. Empty keeps traces
-	// memory-only, exactly as before.
+	// on-disk blob store (at most traceStoreCap <key>.trace files):
+	// /campaigns/{id}/trace then survives both ring eviction and process
+	// restarts. Empty keeps traces memory-only, exactly as before.
 	TraceDir string
 	// Tenants, when set, turns on multi-tenancy: SubmitFor resolves API keys
 	// against it (unknown keys get ErrUnauthorized) and the fair-share
@@ -122,12 +123,12 @@ type Service struct {
 	// trace retains recent campaign span trees for /campaigns/{id}/trace;
 	// metrics is the fixed-bucket histogram set /metrics exposes. Both are
 	// handed to runners through the job context (obs.With), never through
-	// extra parameters. traceStore is the durable spill tier (nil without
-	// Config.TraceDir — every use is nil-safe).
-	trace      *obs.Recorder
-	traceStore *obs.TraceStore
-	metrics    *obs.Metrics
-	start      time.Time
+	// extra parameters. traces is the durable spill tier of TraceSnapshot
+	// JSON (nil without Config.TraceDir — every use is nil-safe).
+	trace   *obs.Recorder
+	traces  *blob.Store
+	metrics *obs.Metrics
+	start   time.Time
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -176,19 +177,16 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	var traceStore *obs.TraceStore
-	if cfg.TraceDir != "" {
-		traceStore, err = obs.NewTraceStore(cfg.TraceDir, 0)
-		if err != nil {
-			return nil, err
-		}
+	traces, err := blob.Open(cfg.TraceDir, ".trace", traceStoreCap)
+	if err != nil {
+		return nil, fmt.Errorf("service: trace dir: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:        cfg,
 		cache:      cache,
 		trace:      obs.NewRecorder(cfg.TraceCap),
-		traceStore: traceStore,
+		traces:     traces,
 		metrics:    obs.NewMetrics(),
 		start:      time.Now(),
 		baseCtx:    ctx,
@@ -302,7 +300,10 @@ func (s *Service) submit(req winofault.CampaignRequest, t *Tenant) (*Job, error)
 // timeline for the key (in the ring, or spilled to disk by a previous
 // incarnation), which a synthetic one must never overwrite or shadow.
 func (s *Service) traceCacheHit(key string, vStart time.Time, vDur time.Duration, pStart time.Time, pDur time.Duration) {
-	if s.trace.Lookup(key) != nil || s.traceStore.Has(key) {
+	if s.trace.Lookup(key) != nil {
+		return
+	}
+	if _, ok := s.traces.Get(key); ok {
 		return
 	}
 	tr := s.trace.Begin(key)
@@ -323,28 +324,11 @@ func clampPriority(p int) int {
 	return p
 }
 
-// validKey reports whether id has the shape of a campaign content address
-// (64 lowercase hex digits). Anything else — in particular path fragments
-// smuggled through URL encoding — must never reach the cache, whose
-// persistence layer maps keys to file names.
-func validKey(id string) bool {
-	if len(id) != 64 {
-		return false
-	}
-	for _, c := range id {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // Job returns the job addressed by id: in-flight or recently finished, else
-// synthesized from the result cache.
+// synthesized from the result cache. Any id reaching the cache's disk tier
+// passes the blob store's content-address check first, which keeps path
+// fragments smuggled through URL encoding off the filesystem.
 func (s *Service) Job(id string) (*Job, bool) {
-	if !validKey(id) {
-		return nil, false
-	}
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
@@ -432,7 +416,7 @@ func (s *Service) runJob(j *Job) {
 		j.o.Trace.Record("cache-write", wStart, time.Since(wStart), obs.A("bytes", len(data)))
 		if perr != nil {
 			// Persistence failures degrade durability, not the response.
-			s.cfg.Logger.Error("service: cache persist failed", "campaign", shortKey(j.Key), "err", perr)
+			s.cfg.Logger.Error("service: cache persist failed", "campaign", ShortKey(j.Key), "err", perr)
 		}
 	}
 	// Every outcome below is terminal and client-visible (a success is now
@@ -450,28 +434,49 @@ func (s *Service) runJob(j *Job) {
 		s.metrics.Campaign.ObserveSince(j.enqueuedAt)
 	}
 	j.o.Trace.Finish()
-	// Spill the finished timeline to the durable store (nil-safe no-op
-	// without -trace-dir): after a restart the trace is served from disk,
-	// byte-identical — the snapshot round-trips JSON stably (sorted map keys,
-	// shortest floats, offset-preserving RFC3339 times).
-	if s.traceStore != nil {
-		if serr := s.traceStore.Put(j.o.Trace.Snapshot()); serr != nil {
-			s.cfg.Logger.Error("service: trace persist failed", "campaign", shortKey(j.Key), "err", serr)
-		}
-	}
+	s.persistTrace(j)
 	s.mu.Lock()
 	if err != nil {
 		// The failed job stays addressable for status polls but is
 		// retryable: Submit replaces it. Nothing touches the cache.
-		s.cfg.Logger.Warn("service: campaign failed", "campaign", shortKey(j.Key), "tenant", j.tenant, "err", err)
+		s.cfg.Logger.Warn("service: campaign failed", "campaign", ShortKey(j.Key), "tenant", j.tenant, "err", err)
 	}
 	s.rememberFinishedLocked(j)
 	s.mu.Unlock()
 	j.finish(data, err)
 }
 
-// shortKey truncates a campaign content address for log attrs.
-func shortKey(k string) string {
+// traceStoreCap bounds the on-disk trace store. Traces are O(spans) small,
+// so this is megabytes, not gigabytes.
+const traceStoreCap = 4096
+
+// persistTrace spills a finished timeline to the durable trace store (a
+// no-op without -trace-dir): after a restart the trace is served from disk,
+// byte-identical — the snapshot round-trips JSON stably (sorted map keys,
+// shortest floats, offset-preserving RFC3339 times).
+func (s *Service) persistTrace(j *Job) {
+	if s.traces == nil {
+		return
+	}
+	data, err := json.Marshal(j.o.Trace.Snapshot())
+	if err == nil {
+		err = s.traces.Put(j.Key, data)
+	}
+	if err != nil {
+		s.cfg.Logger.Error("service: trace persist failed", "campaign", ShortKey(j.Key), "err", err)
+	}
+}
+
+// storedTrace loads a campaign's timeline from the durable trace store.
+func (s *Service) storedTrace(key string) (obs.TraceSnapshot, bool) {
+	var snap obs.TraceSnapshot
+	data, ok := s.traces.Get(key)
+	return snap, ok && json.Unmarshal(data, &snap) == nil
+}
+
+// ShortKey truncates a campaign content address for logs and span attrs,
+// matching the %.12s prefix shard IDs embed.
+func ShortKey(k string) string {
 	if len(k) > 12 {
 		return k[:12]
 	}
@@ -487,7 +492,7 @@ func (s *Service) runGuarded(j *Job) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.cfg.Logger.Error("service: campaign panicked",
-				"campaign", shortKey(j.Key), "panic", r, "stack", string(debug.Stack()))
+				"campaign", ShortKey(j.Key), "panic", r, "stack", string(debug.Stack()))
 			data, err = nil, fmt.Errorf("service: campaign panicked: %v", r)
 		}
 	}()

@@ -46,13 +46,28 @@ func TestIDPathTraversalRejected(t *testing.T) {
 	}
 }
 
+// TestValidKey: the cache's disk tier maps keys to file names and accepts
+// exactly the shape Key produces (64 lowercase hex digits), so it is the one
+// gate between campaign IDs and the filesystem.
 func TestValidKey(t *testing.T) {
-	if !validKey(strings.Repeat("0123456789abcdef", 4)) {
-		t.Error("canonical key rejected")
+	dir := t.TempDir()
+	c, err := NewCache(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := Key(tinyReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(key, []byte("{}")); err != nil {
+		t.Errorf("canonical key rejected: %v", err)
 	}
 	for _, id := range []string{"", "abc", strings.Repeat("g", 64), "../x", strings.Repeat("A", 64)} {
-		if validKey(id) {
-			t.Errorf("validKey(%q) = true", id)
+		if err := c.Put(id, []byte("{}")); err == nil {
+			t.Errorf("disk tier accepted key %q", id)
 		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != key+".json" {
+		t.Errorf("cache dir holds %v (%v), want only %s.json", ents, err, key)
 	}
 }
