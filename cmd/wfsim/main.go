@@ -43,8 +43,13 @@ func main() {
 	vregion := flag.Float64("vregion", 0.75, "voltregion: supply voltage of the stressed region")
 	flag.Parse()
 
-	cfg := winofault.Config{
+	// The flags spell a wire request, so wfsim accepts exactly the enum
+	// spellings the service does and shares its translation to a Config.
+	req := winofault.CampaignRequest{
 		Model:     *model,
+		Engine:    *engine,
+		Precision: *prec,
+		Semantics: *semantics,
 		WidthMult: *width,
 		InputSize: *input,
 		Samples:   *samples,
@@ -54,55 +59,32 @@ func main() {
 		DeltaExec: delta,
 		Backend:   *backend,
 	}
-	switch *engine {
-	case "direct":
-	case "winograd":
-		cfg.Engine = winofault.Winograd
-	default:
-		fatal("unknown engine %q", *engine)
-	}
-	switch *prec {
-	case "int16":
-	case "int8":
-		cfg.Precision = winofault.Int8
-	default:
-		fatal("unknown precision %q", *prec)
-	}
-	switch *semantics {
-	case "result":
-		cfg.Semantics = winofault.ResultFlip
-	case "operand":
-		cfg.Semantics = winofault.OperandFlip
-	case "neuron":
-		cfg.Semantics = winofault.NeuronFlip
-	default:
-		fatal("unknown semantics %q", *semantics)
-	}
-
 	switch *scenario {
 	case "":
 	case "stuckpe":
 		p := parseInts(*pe, 2, "pe")
-		cfg.Scenario = &winofault.Scenario{Kind: "stuckpe", Row: p[0], Col: p[1], Bit: *stuckBit}
+		req.Scenario = &winofault.Scenario{Kind: "stuckpe", Row: p[0], Col: p[1], Bit: *stuckBit}
 	case "burst":
-		cfg.Scenario = &winofault.Scenario{Kind: "burst", Span: *burstSpan}
+		req.Scenario = &winofault.Scenario{Kind: "burst", Span: *burstSpan}
 	case "voltregion":
 		r := parseInts(*region, 4, "region")
-		cfg.Scenario = &winofault.Scenario{Kind: "voltregion",
+		req.Scenario = &winofault.Scenario{Kind: "voltregion",
 			Row0: r[0], Col0: r[1], Row1: r[2], Col1: r[3], V: *vregion}
 	default:
 		fatal("unknown scenario %q (want stuckpe, burst or voltregion)", *scenario)
 	}
-
-	var rates []float64
 	for _, s := range strings.Split(*bers, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
 			fatal("bad BER %q: %v", s, err)
 		}
-		rates = append(rates, v)
+		req.BERs = append(req.BERs, v)
 	}
 
+	cfg, err := req.SystemConfig()
+	if err != nil {
+		fatal("%v", err)
+	}
 	sys, err := winofault.New(cfg)
 	if err != nil {
 		fatal("%v", err)
@@ -117,10 +99,10 @@ func main() {
 		float64(sm)/1e6, float64(sa)/1e6, float64(fm)/1e9, float64(fa)/1e9)
 	// The table renderer is shared with the wfserve text endpoint so CI can
 	// diff server and CLI output byte-for-byte.
-	winofault.FormatSweep(os.Stdout, sys.Sweep(rates))
+	winofault.FormatSweep(os.Stdout, sys.Sweep(req.BERs))
 
 	if *layers {
-		mid := rates[len(rates)/2]
+		mid := req.BERs[len(req.BERs)/2]
 		base, ls := sys.LayerSensitivities(mid)
 		fmt.Printf("\nlayer sensitivity at BER %.3g (baseline %.2f%%):\n", mid, base*100)
 		fmt.Printf("%-24s %10s %10s %12s\n", "layer", "ff-acc%", "vuln pp", "muls(full)")

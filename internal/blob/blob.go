@@ -8,7 +8,8 @@
 //	wfblob/1 <key> <len> <sha256-hex>\n<payload>
 //
 // Put writes a temp file, fsyncs it, renames it over the final name and
-// fsyncs the directory, so a crash leaves the old blob, the new one or none.
+// fsyncs the directory, so a crash leaves the old blob, the new one or none
+// (plus, at worst, a temp file the next Open sweeps).
 // Get returns the payload only when the header's key, length and hash all
 // match the key looked up and the bytes read; a torn, empty, bit-flipped,
 // transplanted (another key's file copied over) or headerless file reads as a
@@ -36,8 +37,8 @@ type Store struct {
 
 // Open returns the store rooted at dir (created if needed) whose blobs are
 // named <key><ext>, retaining at most max of them (0 = no bound; Put prunes
-// the oldest-modified beyond it). An empty dir means no persistence: Open
-// returns a nil store.
+// the oldest-modified beyond it), after sweeping the temp files of Puts that
+// crashed. An empty dir means no persistence: Open returns a nil store.
 func Open(dir, ext string, max int) (*Store, error) {
 	if dir == "" {
 		return nil, nil
@@ -45,7 +46,26 @@ func Open(dir, ext string, max int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("blob: %w", err)
 	}
+	sweepTemps(dir)
 	return &Store{dir: dir, ext: ext, max: max}, nil
+}
+
+// sweepTemps removes the <key>.tmp-* files a crash between Put's CreateTemp
+// and Rename leaves behind, which nothing else would ever remove. Only names
+// whose part before ".tmp-" is a valid key go, so foreign files stay, and a
+// failed removal is ignored. The trade-off: a second process writing into the
+// same directory can lose one in-flight Put to the sweep. That Put's rename
+// then fails, which costs a later miss, never wrong bytes.
+func sweepTemps(dir string) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if k, _, ok := strings.Cut(e.Name(), ".tmp-"); ok && !e.IsDir() && validKey(k) {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 }
 
 // validKey admits exactly the campaign content-address shape: 64 lowercase

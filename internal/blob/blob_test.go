@@ -173,3 +173,60 @@ func TestStoreNilSafe(t *testing.T) {
 		t.Fatal("nil store Get hit")
 	}
 }
+
+// TestOpenSweepsStaleTemps: opening a store removes the <key>.tmp-* file a
+// crash between CreateTemp and Rename left behind, and leaves blobs and
+// foreign files alone.
+func TestOpenSweepsStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	if err := open(t, dir, 0).Put(key(1), []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, key(2)+".tmp-123456")
+	foreign := filepath.Join(dir, "notes.tmp-1")
+	for _, p := range []string{stale, foreign} {
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := open(t, dir, 0)
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("stale temp file survived Open: %v", err)
+	}
+	if _, err := os.Stat(foreign); err != nil {
+		t.Errorf("Open removed a foreign file: %v", err)
+	}
+	if got, ok := s.Get(key(1)); !ok || string(got) != "kept" {
+		t.Errorf("blob after Open read %q, %v", got, ok)
+	}
+}
+
+// FuzzGet: whatever bytes sit in a blob file, Get never panics and returns a
+// payload only when the file is exactly header(key, payload) + payload. The
+// store is opened once per fuzz process: a directory per input would make
+// the target I/O-bound.
+func FuzzGet(f *testing.F) {
+	k := key(7)
+	payload := `{"points":[{"BER":1e-9,"Accuracy":0.75}]}`
+	frame := header(k, []byte(payload))
+	f.Add([]byte(frame + payload))                           // valid frame
+	f.Add([]byte(frame))                                     // header, no payload
+	f.Add([]byte(header(key(8), []byte(payload)) + payload)) // another key's frame
+	f.Add([]byte(payload))                                   // bare payload
+	f.Add([]byte{})                                          // empty
+	dir := f.TempDir()
+	s, err := Open(dir, ".blob", 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(dir, k+".blob")
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(k)
+		if ok && header(k, got)+string(got) != string(raw) {
+			t.Fatalf("Get served %q from a file that is not its frame: %q", got, raw)
+		}
+	})
+}

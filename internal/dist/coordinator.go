@@ -98,8 +98,7 @@ type workerState struct {
 	shards   int64 // completed shard results (metrics)
 	// snap is the node's last heartbeat metric snapshot (metric federation);
 	// nil until an instrumented worker heartbeats.
-	snap   *MetricsSnapshot
-	snapAt time.Time
+	snap *MetricsSnapshot
 	// unitEWMA tracks exec seconds per unit over this worker's merged shards
 	// (exponentially weighted, stragglerAlpha); samples counts contributions.
 	unitEWMA float64
@@ -278,23 +277,8 @@ func (c *Coordinator) BeginDrain() {
 	c.mu.Unlock()
 }
 
-// Workers reports the fleet for /metrics (service.Distributor).
-func (c *Coordinator) Workers() []service.WorkerStat {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := time.Now()
-	out := make([]service.WorkerStat, 0, len(c.workers))
-	for _, w := range c.workers {
-		out = append(out, service.WorkerStat{
-			ID:     w.id,
-			Name:   w.name,
-			Live:   c.liveLocked(w, now),
-			Shards: w.shards,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// Workers lists the fleet's rows, sorted by worker ID: Fleet().Workers.
+func (c *Coordinator) Workers() []service.FleetWorker { return c.Fleet().Workers }
 
 func (c *Coordinator) liveLocked(w *workerState, now time.Time) bool {
 	return now.Sub(w.lastSeen) <= c.cfg.LeaseTTL
@@ -365,7 +349,7 @@ func (c *Coordinator) recomputeStragglersLocked(now time.Time) {
 }
 
 // Fleet reports the federated per-worker view for GET /fleet and the
-// wffleet_* series on /metrics (service.FleetReporter): coordinator-side
+// wffleet_* series on /metrics (service.Distributor): coordinator-side
 // liveness, shard counts and straggler flags joined with each node's last
 // heartbeat snapshot.
 func (c *Coordinator) Fleet() service.FleetStatus {
@@ -762,7 +746,6 @@ func (c *Coordinator) heartbeat(workerID string, snap *MetricsSnapshot) bool {
 			snap.Exec = obs.HistogramSnapshot{}
 		}
 		w.snap = snap
-		w.snapAt = now
 	}
 	return true
 }

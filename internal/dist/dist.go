@@ -51,13 +51,11 @@ type registerResponse struct {
 }
 
 // MetricsSnapshot is the compact per-node metric set a worker ships inside
-// each heartbeat (metric federation): the coordinator merges the fleet's
-// snapshots into per-worker wffleet_* series on /metrics and the /fleet
-// endpoint, so an operator scrapes one address instead of every node's
-// private -debug-addr.
+// each heartbeat (metric federation): the coordinator keeps each worker's
+// latest snapshot and joins it into that worker's wffleet_* series on
+// /metrics and its /fleet row, so an operator scrapes one address instead of
+// every node's private -debug-addr.
 type MetricsSnapshot struct {
-	// Shards counts completed shard executions (including failures).
-	Shards int64 `json:"shards"`
 	// Inflight is the number of shards currently executing (0 or 1 today —
 	// the lease loop is serial — but the wire form doesn't assume that).
 	Inflight int64 `json:"inflight"`
@@ -65,7 +63,7 @@ type MetricsSnapshot struct {
 	Goroutines int    `json:"goroutines"`
 	HeapBytes  uint64 `json:"heapBytes"`
 	// Exec is the node's shard execution latency histogram. Bounds ride along
-	// so the coordinator can validate the layout before merging.
+	// so the coordinator can validate the layout before storing it.
 	Exec obs.HistogramSnapshot `json:"exec"`
 }
 

@@ -31,14 +31,12 @@ var (
 //	POST /workers/{id}/heartbeat   refresh registration + lease deadlines
 //	POST /workers/{id}/lease       200 ShardTask, or 204 when idle
 //	POST /workers/{id}/result      deliver a ShardResult
-//	GET  /workers                  registry snapshot (debugging)
 //
 // Every per-worker call answers 404 for a lapsed registration, which is the
 // worker's signal to re-register.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /workers", c.handleRegister)
-	mux.HandleFunc("GET /workers", c.handleList)
 	mux.HandleFunc("POST /workers/{id}/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /workers/{id}/lease", c.handleLease)
 	mux.HandleFunc("POST /workers/{id}/result", c.handleResult)
@@ -70,11 +68,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(c.Workers())
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

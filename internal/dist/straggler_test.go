@@ -184,7 +184,7 @@ func TestHeartbeatStoresSnapshot(t *testing.T) {
 	h := obs.NewHistogram(obs.DurationBuckets)
 	h.Observe(0.25)
 	h.Observe(0.5)
-	snap := &MetricsSnapshot{Shards: 7, Inflight: 1, Goroutines: 12, HeapBytes: 1 << 20, Exec: h.Snapshot()}
+	snap := &MetricsSnapshot{Inflight: 1, Goroutines: 12, HeapBytes: 1 << 20, Exec: h.Snapshot()}
 	if !c.heartbeat(reg.ID, snap) {
 		t.Fatal("heartbeat for a registered worker rejected")
 	}
@@ -256,8 +256,8 @@ func TestWorkerMetricsSnapshot(t *testing.T) {
 	if snap.Inflight != 0 {
 		t.Fatalf("inflight %d after observe, want 0", snap.Inflight)
 	}
-	if snap.Shards != 1 || snap.Exec.Count != 1 || !snap.Exec.Valid() {
-		t.Fatalf("exec snapshot wrong: shards=%d %+v", snap.Shards, snap.Exec)
+	if snap.Exec.Count != 1 || !snap.Exec.Valid() {
+		t.Fatalf("exec snapshot wrong: %+v", snap.Exec)
 	}
 }
 

@@ -57,7 +57,6 @@ func (m *WorkerMetrics) Snapshot() *MetricsSnapshot {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return &MetricsSnapshot{
-		Shards:     m.shards.Load(),
 		Inflight:   m.inflight.Load(),
 		Goroutines: runtime.NumGoroutine(),
 		HeapBytes:  ms.HeapAlloc,

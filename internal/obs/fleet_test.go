@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -52,37 +51,6 @@ func TestHistogramSnapshotConcurrentObserve(t *testing.T) {
 	}
 	if final.Count != h.Count() {
 		t.Fatalf("snapshot count %d disagrees with histogram count %d", final.Count, h.Count())
-	}
-}
-
-// TestHistogramSnapshotMerge: merging accumulates matching layouts, adopts a
-// layout into an empty snapshot, and refuses to mis-bin mismatched ones.
-func TestHistogramSnapshotMerge(t *testing.T) {
-	a := NewHistogram(DurationBuckets)
-	b := NewHistogram(DurationBuckets)
-	for i := 0; i < 10; i++ {
-		a.Observe(0.002)
-		b.Observe(3.0)
-	}
-	var merged HistogramSnapshot
-	merged.Merge(a.Snapshot())
-	merged.Merge(b.Snapshot())
-	if !merged.Valid() {
-		t.Fatal("merged snapshot invalid")
-	}
-	if merged.Count != 20 {
-		t.Fatalf("merged count %d, want 20", merged.Count)
-	}
-	if want := 10*0.002 + 10*3.0; math.Abs(merged.Sum-want) > 1e-9 {
-		t.Fatalf("merged sum %g, want %g", merged.Sum, want)
-	}
-
-	// A snapshot with different bounds must be ignored, not mis-binned.
-	other := NewHistogram(ProbeBuckets)
-	other.Observe(0.1)
-	merged.Merge(other.Snapshot())
-	if merged.Count != 20 {
-		t.Fatalf("mismatched layout merged anyway: count %d", merged.Count)
 	}
 }
 

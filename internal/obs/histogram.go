@@ -79,7 +79,7 @@ func (h *Histogram) Count() int64 {
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram, suitable for
-// shipping over the wire (worker heartbeats) and merging on the far side.
+// shipping over the wire (worker heartbeats) and re-rendering on the far side.
 // Counts has one entry per bound plus the +Inf overflow bucket.
 type HistogramSnapshot struct {
 	Bounds []float64 `json:"bounds"`
@@ -111,7 +111,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // Valid reports whether the snapshot is structurally sound: ascending
 // bounds, one overflow bucket, non-negative counts that sum to Count.
 // Snapshots arrive from workers over the network, so the coordinator
-// validates before merging.
+// validates before storing one.
 func (s HistogramSnapshot) Valid() bool {
 	if len(s.Bounds) == 0 || len(s.Counts) != len(s.Bounds)+1 {
 		return false
@@ -129,28 +129,6 @@ func (s HistogramSnapshot) Valid() bool {
 		total += c
 	}
 	return total == s.Count
-}
-
-// Merge accumulates other into s. Bucket layouts must match (same bounds);
-// mismatched layouts are ignored rather than mis-binned.
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
-	if len(s.Bounds) == 0 {
-		s.Bounds = append([]float64(nil), other.Bounds...)
-		s.Counts = make([]int64, len(other.Counts))
-	}
-	if len(other.Counts) != len(s.Counts) || len(other.Bounds) != len(s.Bounds) {
-		return
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != other.Bounds[i] {
-			return
-		}
-	}
-	for i, c := range other.Counts {
-		s.Counts[i] += c
-	}
-	s.Sum += other.Sum
-	s.Count += other.Count
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation

@@ -7,16 +7,20 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	winofault "repro"
 )
 
-// stubDistributor is a Distributor returning canned bytes and fleet stats.
+// stubDistributor is a Distributor with canned behavior, so the service's
+// side of the seam is testable without a live coordinator: Run returns data,
+// Fleet returns fleet, and CampaignDone calls onDone when set.
 type stubDistributor struct {
-	data    []byte
-	workers []WorkerStat
-	runs    int
+	data   []byte
+	fleet  FleetStatus
+	onDone func(key string)
+	runs   int
 }
 
 func (d *stubDistributor) Run(ctx context.Context, key string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
@@ -24,7 +28,13 @@ func (d *stubDistributor) Run(ctx context.Context, key string, req winofault.Cam
 	return d.data, nil
 }
 
-func (d *stubDistributor) Workers() []WorkerStat { return d.workers }
+func (d *stubDistributor) CampaignDone(key string) {
+	if d.onDone != nil {
+		d.onDone(key)
+	}
+}
+
+func (d *stubDistributor) Fleet() FleetStatus { return d.fleet }
 
 // TestDistributedResultSkipsLocal: with a Distributor configured, its result
 // is the job's result; the service never runs the campaign itself.
@@ -48,6 +58,81 @@ func TestDistributedResultSkipsLocal(t *testing.T) {
 	}
 	if d.runs != 1 {
 		t.Errorf("distributor ran %d times, want 1", d.runs)
+	}
+}
+
+// TestCampaignDoneOncePerTerminalCampaign: the service tells its Distributor
+// that a campaign is over exactly once per run — after a success (with the
+// result already cached, so a durable coordinator never retires a campaign
+// whose bytes a crash could still lose), after a failure and after a
+// cancellation — and a cache hit, which runs nothing, tells it nothing.
+func TestCampaignDoneOncePerTerminalCampaign(t *testing.T) {
+	d := &stubDistributor{}
+	started := make(chan struct{})
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 8, Distributor: d},
+		func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
+			switch req.Seed {
+			case 1:
+				return []byte(`{"points":[]}`), nil
+			case 2:
+				return nil, errors.New("shard retries exhausted")
+			default:
+				close(started)
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+		})
+	var mu sync.Mutex
+	calls := map[string]int{}
+	cachedAtDone := map[string]bool{}
+	d.onDone = func(key string) {
+		_, cached := s.cache.getMemory(key)
+		mu.Lock()
+		defer mu.Unlock()
+		calls[key]++
+		cachedAtDone[key] = cached
+	}
+
+	submit := func(seed uint64) *Job {
+		t.Helper()
+		j, err := s.Submit(sweepReq(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	ok, failed, canceled := submit(1), submit(2), submit(3)
+	<-started
+	s.Cancel(canceled.Key)
+	if _, err := ok.Wait(context.Background()); err != nil {
+		t.Fatalf("successful campaign: %v", err)
+	}
+	if _, err := failed.Wait(context.Background()); err == nil {
+		t.Fatal("failing campaign succeeded")
+	}
+	if _, err := canceled.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled campaign: %v, want context.Canceled", err)
+	}
+	if hit := submit(1); !hit.Status().Cached {
+		t.Fatal("resubmitted success was not a cache hit")
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, tc := range []struct {
+		name   string
+		key    string
+		cached bool
+	}{{"success", ok.Key, true}, {"failure", failed.Key, false}, {"cancellation", canceled.Key, false}} {
+		if calls[tc.key] != 1 {
+			t.Errorf("%s: CampaignDone called %d times, want 1", tc.name, calls[tc.key])
+		}
+		if cachedAtDone[tc.key] != tc.cached {
+			t.Errorf("%s: cache held the key at CampaignDone = %v, want %v", tc.name, cachedAtDone[tc.key], tc.cached)
+		}
+	}
+	if len(calls) != 3 {
+		t.Errorf("CampaignDone saw %d campaigns, want 3: %v", len(calls), calls)
 	}
 }
 
@@ -78,16 +163,11 @@ func TestHealthzReportsDrainState(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint: the Prometheus text surface carries queue/cache
-// counters and the per-worker shard counts of the fleet.
+// TestMetricsEndpoint: the Prometheus text surface carries the queue, cache
+// and drain series. The fleet's per-worker series are the federated wffleet_*
+// families (TestFleetMetricsFederatedExposition).
 func TestMetricsEndpoint(t *testing.T) {
-	d := &stubDistributor{
-		data: []byte(`{"points":[]}`),
-		workers: []WorkerStat{
-			{ID: "w-1", Name: "alpha", Live: true, Shards: 3},
-			{ID: "w-2", Name: "beta", Live: false, Shards: 2},
-		},
-	}
+	d := &stubDistributor{data: []byte(`{"points":[]}`)}
 	s, err := New(quiet(Config{Jobs: 1, QueueDepth: 8, Distributor: d}))
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +206,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"wfserve_cache_entries 1",
 		"wfserve_cache_resident_bytes 13",
 		"wfserve_draining 0",
-		"wfserve_workers_live 1",
-		`wfserve_worker_shards_total{worker="alpha",id="w-1"} 3`,
-		`wfserve_worker_shards_total{worker="beta",id="w-2"} 2`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)

@@ -10,15 +10,8 @@ import (
 	"repro/internal/obs"
 )
 
-// FleetReporter is optionally implemented by a Distributor that federates
-// per-worker metrics (internal/dist.Coordinator): the service type-asserts
-// it to serve GET /fleet and the wffleet_* series on /metrics. Distributors
-// without it simply don't get a fleet page.
-type FleetReporter interface {
-	Fleet() FleetStatus
-}
-
-// FleetStatus is the federated fleet view served by GET /fleet.
+// FleetStatus is the fleet view (Distributor.Fleet) served by GET /fleet and
+// rendered as the wffleet_* series on /metrics.
 type FleetStatus struct {
 	// Epoch is the coordinator incarnation (shard IDs and traces carry it).
 	Epoch string `json:"epoch"`
@@ -99,15 +92,6 @@ func fmtSeconds(s float64) string {
 	}
 }
 
-// fleet resolves the configured Distributor's FleetReporter, or nil: the
-// fleet view only exists on a coordinator-backed (wfserve -dist) service.
-func (s *Service) fleet() FleetReporter {
-	if fr, ok := s.cfg.Distributor.(FleetReporter); ok {
-		return fr
-	}
-	return nil
-}
-
 // writeFleetMetrics renders the federated wffleet_* series for /metrics:
 // per-worker gauges from coordinator state and heartbeat snapshots, plus one
 // wffleet_shard_exec_seconds histogram family with a label set per worker.
@@ -165,8 +149,8 @@ func writeFleetMetrics(w io.Writer, fs FleetStatus) {
 //
 // The view is tenant-agnostic — it describes infrastructure, not campaigns —
 // but on a keyed server it still demands some valid API key, so the fleet's
-// shape never leaks to unauthenticated callers. Without a FleetReporter
-// (no -dist) the route answers 404.
+// shape never leaks to unauthenticated callers. Without a Distributor (no
+// -dist) the route answers 404.
 func (s *Service) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Tenants != nil {
 		if _, ok := s.cfg.Tenants.Lookup(RequestAPIKey(r)); !ok {
@@ -174,12 +158,12 @@ func (s *Service) handleFleet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	fr := s.fleet()
-	if fr == nil {
+	d := s.cfg.Distributor
+	if d == nil {
 		WriteError(w, http.StatusNotFound, fmt.Errorf("no fleet: this server runs without a distributor"))
 		return
 	}
-	fs := fr.Fleet()
+	fs := d.Fleet()
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fs.WriteText(w)

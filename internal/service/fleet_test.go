@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,18 +15,6 @@ import (
 	winofault "repro"
 	"repro/internal/obs"
 )
-
-// fleetStub is a Distributor that also federates a canned fleet view, so the
-// /fleet surface is testable without a live coordinator.
-type fleetStub struct {
-	status FleetStatus
-}
-
-func (d *fleetStub) Run(ctx context.Context, key string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
-	return nil, errors.New("fleetStub runs no campaigns")
-}
-func (d *fleetStub) Workers() []WorkerStat { return nil }
-func (d *fleetStub) Fleet() FleetStatus    { return d.status }
 
 // stubFleetStatus builds a two-worker fleet view, one flagged, with hostile
 // label content in the worker names.
@@ -54,10 +41,10 @@ func stubFleetStatus() FleetStatus {
 	}
 }
 
-// TestFleetEndpointJSONAndText: GET /fleet serves the reporter's view as
+// TestFleetEndpointJSONAndText: GET /fleet serves the distributor's view as
 // JSON and as the fixed-width table, stragglers marked.
 func TestFleetEndpointJSONAndText(t *testing.T) {
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 4, Distributor: &fleetStub{status: stubFleetStatus()}},
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 4, Distributor: &stubDistributor{fleet: stubFleetStatus()}},
 		func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 			return []byte(`{"points":[]}`), nil
 		})
@@ -121,7 +108,7 @@ func TestFleetEndpointKeyedServer(t *testing.T) {
 	tenants := &TenantTable{byKey: map[string]*Tenant{
 		"key-a": {Name: "alice", Weight: 1},
 	}}
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 4, Tenants: tenants, Distributor: &fleetStub{status: stubFleetStatus()}},
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 4, Tenants: tenants, Distributor: &stubDistributor{fleet: stubFleetStatus()}},
 		func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 			return []byte(`{"points":[]}`), nil
 		})
@@ -157,7 +144,7 @@ func TestFleetEndpointKeyedServer(t *testing.T) {
 func TestFleetMetricsFederatedExposition(t *testing.T) {
 	status := stubFleetStatus()
 	hostile := status.Workers[0].Name
-	s := newStubService(t, Config{Jobs: 1, QueueDepth: 4, Distributor: &fleetStub{status: status}},
+	s := newStubService(t, Config{Jobs: 1, QueueDepth: 4, Distributor: &stubDistributor{fleet: status}},
 		func(ctx context.Context, _ string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
 			return []byte(`{"points":[]}`), nil
 		})

@@ -34,7 +34,7 @@ import (
 //	                              fleet workers stop routing on the 503
 //	GET    /metrics               Prometheus text format: queue depth,
 //	                              in-flight jobs, cache hit/miss counters,
-//	                              per-worker shard counts and the federated
+//	                              and with a distributor the per-worker
 //	                              wffleet_* series
 //	GET    /fleet                 federated fleet view (JSON; ?format=text
 //	                              renders a table): per-worker liveness,
@@ -126,25 +126,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "wfserve_tenant_served_units_total{tenant=\"%s\"} %d\n", obs.EscapeLabel(ts.Name), ts.ServedUnits)
 		}
 	}
-	if st.Workers != nil {
-		live := 0
-		for _, ws := range st.Workers {
-			if ws.Live {
-				live++
-			}
-		}
-		fmt.Fprintln(w, "# HELP wfserve_workers_live Fleet workers with a fresh heartbeat.")
-		fmt.Fprintln(w, "# TYPE wfserve_workers_live gauge")
-		fmt.Fprintf(w, "wfserve_workers_live %d\n", live)
-		fmt.Fprintln(w, "# HELP wfserve_worker_shards_total Shard results delivered per fleet worker.")
-		fmt.Fprintln(w, "# TYPE wfserve_worker_shards_total counter")
-		for _, ws := range st.Workers {
-			fmt.Fprintf(w, "wfserve_worker_shards_total{worker=\"%s\",id=\"%s\"} %d\n",
-				obs.EscapeLabel(ws.Name), obs.EscapeLabel(ws.ID), ws.Shards)
-		}
-	}
-	if fr := s.fleet(); fr != nil {
-		writeFleetMetrics(w, fr.Fleet())
+	if d := s.cfg.Distributor; d != nil {
+		writeFleetMetrics(w, d.Fleet())
 	}
 	s.metrics.Write(w)
 	obs.WriteBuildInfo(w, "wfserve", s.start)

@@ -58,39 +58,25 @@ type Config struct {
 	Distributor Distributor
 }
 
-// Distributor executes campaigns on a remote worker fleet by sharding their
-// flattened unit index space. Implementations must return bytes identical to
-// the local runner's for the same request (internal/dist achieves this by
-// merging per-unit agreement counts in index order) — the content-addressed
-// cache stores whichever path ran first.
+// Distributor is the service's one seam to a worker fleet (internal/dist):
+// it executes campaigns by sharding their flattened unit index space, hears
+// when each campaign is over, and reports the fleet. Implementations must
+// return bytes identical to the in-process run for the same request
+// (internal/dist achieves this by merging per-unit agreement counts in index
+// order) — the content-addressed cache stores whichever path ran first.
 type Distributor interface {
 	// Run executes the campaign. key is the campaign's content address
 	// (already validated by Submit); workers re-derive it from req to verify
 	// both sides agree on the campaign's identity.
 	Run(ctx context.Context, key string, req winofault.CampaignRequest, progress func(batch, done, total int)) ([]byte, error)
-	// Workers reports the fleet for /metrics: every registered worker with
-	// its liveness and completed shard count.
-	Workers() []WorkerStat
-}
-
-// WorkerStat is one registered fleet worker as reported by /metrics.
-type WorkerStat struct {
-	ID   string
-	Name string
-	// Live reports a fresh heartbeat; dead workers stay listed (their shard
-	// counts remain part of the totals) until the registry prunes them.
-	Live bool
-	// Shards is the number of shard results this worker delivered.
-	Shards int64
-}
-
-// DurableDistributor is optionally implemented by a Distributor with a
-// durable campaign registry (internal/dist with a journal). The service
-// notifies it when a campaign reaches a terminal, client-visible state —
-// for successes only after the result is in the content-addressed cache, so
-// a crash between finishing and caching still resumes the campaign.
-type DurableDistributor interface {
+	// CampaignDone reports that the campaign reached a terminal,
+	// client-visible state, exactly once per run: for a success only after
+	// the result is in the cache, so a crash between finishing and caching
+	// still resumes the campaign from a durable registry.
 	CampaignDone(key string)
+	// Fleet reports every registered worker for GET /fleet and the wffleet_*
+	// series on /metrics.
+	Fleet() FleetStatus
 }
 
 // Sentinel errors surfaced by Submit and Distributor.Run.
@@ -422,7 +408,7 @@ func (s *Service) runJob(j *Job) {
 	// Every outcome below is terminal and client-visible (a success is now
 	// cached; failures and cancellations surface to waiters), so a durable
 	// coordinator may retire the campaign from its journal.
-	if d, ok := s.cfg.Distributor.(DurableDistributor); ok {
+	if d := s.cfg.Distributor; d != nil {
 		d.CampaignDone(j.Key)
 	}
 	units := j.servedUnits()
@@ -568,8 +554,6 @@ type Stats struct {
 	// than only hit/miss flow.
 	CacheEntries int
 	CacheBytes   int64
-	// Workers is the distributed fleet (nil without a Distributor).
-	Workers []WorkerStat
 	// Tenants is the per-tenant fair-share view: every tenant that has ever
 	// submitted, with occupancy and admission counters.
 	Tenants []TenantStat
@@ -577,19 +561,15 @@ type Stats struct {
 
 // Stats snapshots the service counters for the /metrics endpoint.
 func (s *Service) Stats() Stats {
-	st := Stats{
+	return Stats{
 		QueueDepth:   s.sched.depthNow(),
 		Inflight:     s.inflight.Load(),
 		CacheHits:    s.cache.Hits(),
 		CacheMisses:  s.cache.Misses(),
 		CacheEntries: s.cache.Len(),
 		CacheBytes:   s.cache.Bytes(),
+		Tenants:      s.sched.stats(),
 	}
-	if s.cfg.Distributor != nil {
-		st.Workers = s.cfg.Distributor.Workers()
-	}
-	st.Tenants = s.sched.stats()
-	return st
 }
 
 // Close drains the service: no new submissions are accepted, queued and
