@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/conv"
 	"repro/internal/fault"
 	"repro/internal/fixed"
 	"repro/internal/kernel"
@@ -122,10 +121,8 @@ type diffInjector struct {
 }
 
 func (in *diffInjector) OpEvents(li int, census fault.Census) []fault.Event {
-	evs := fault.Sample(rng.New(in.seed).Split(in.round).Split(uint64(li)), census, census,
+	return fault.Sample(rng.New(in.seed).Split(in.round).Split(uint64(li)), census, census,
 		fault.Model{BER: in.ber, Semantics: fault.ResultFlip}, in.fmt, fault.Protection{})
-	conv.MarkResultFlip(evs)
-	return evs
 }
 
 func (in *diffInjector) Neuron(int, *tensor.QTensor) {}

@@ -13,43 +13,96 @@ import (
 	"repro/internal/winograd"
 )
 
-// TestGoldenAccuracyFixture pins campaign accuracies for all four models and
-// both engines to the values measured before the allocation-free hot-path
-// refactor (ExecContext scratch arenas, blocked winograd kernels, sorted
-// event cursors). The engines' determinism contract makes these bit-exact:
-// any arithmetic reordering, stale-scratch leak or event-routing change shows
-// up here as a hard failure, for every Workers value — and, since the kernel
-// seam, for every compute backend and with delta execution on or off: all
-// four (backend, delta) combinations must land on the same fixture values.
+// TestGoldenAccuracyFixture pins campaign accuracies for every event source
+// the platform has: statistical result flips and operand flips for all four
+// models and both engines, and each hardware-located scenario kind on vgg19
+// for both engines. The result-flip rows were measured before the
+// allocation-free hot-path refactor (ExecContext scratch arenas, blocked
+// winograd kernels, sorted event cursors); the operand and scenario rows
+// were measured before the engines' fault replay moved onto internal/fault's
+// shared corruption rule. The engines' determinism contract makes these
+// bit-exact: any arithmetic reordering, stale-scratch leak, event-routing
+// change or change to how an event corrupts an operation shows up here as a
+// hard failure, for every Workers value — and, since the kernel seam, for
+// every compute backend and with delta execution on or off: all four
+// (backend, delta) combinations must land on the same fixture values.
 func TestGoldenAccuracyFixture(t *testing.T) {
-	bers := []float64{3e-11, 3e-10, 1e-9}
-	fixture := map[string]map[Engine][]float64{
+	type row struct {
+		name string
+		cfg  Config // model, engine and event source; the rest is shared
+		bers []float64
+		want []float64
+	}
+	var rows []row
+	resultBERs := []float64{3e-11, 3e-10, 1e-9}
+	for model, byEngine := range map[string]map[Engine][]float64{
 		"vgg19":       {Direct: {1, 0.875, 0.9375}, Winograd: {1, 0.9375, 0.875}},
 		"resnet50":    {Direct: {0.125, 0, 0}, Winograd: {0.375, 0, 0}},
 		"densenet169": {Direct: {0.25, 0, 0}, Winograd: {0.4375, 0, 0.0625}},
 		"googlenet":   {Direct: {0.9375, 0.625, 0.625}, Winograd: {0.8125, 0.8125, 0.75}},
-	}
-	for model, byEngine := range fixture {
+	} {
 		for engine, want := range byEngine {
-			for _, backend := range []string{"scalar", "blocked"} {
-				for _, delta := range []bool{true, false} {
-					d := delta
-					t.Run(fmt.Sprintf("%s/%v/%s/delta=%t", model, engine, backend, delta), func(t *testing.T) {
-						sys, err := New(Config{
-							Model: model, Engine: engine, WidthMult: 0.125, InputSize: 16,
-							Samples: 8, Rounds: 2, Seed: 3, Workers: 4,
-							Backend: backend, DeltaExec: &d,
-						})
-						if err != nil {
-							t.Fatal(err)
+			rows = append(rows, row{fmt.Sprintf("%s/%v", model, engine),
+				Config{Model: model, Engine: engine}, resultBERs, want})
+		}
+	}
+	// Operand flips reach the engines' operand paths, which result flips
+	// never touch: swapping the two operands of a multiplication moves at
+	// least one point of every row. Operand and scenario rows share this
+	// higher BER range, where operand flips start to cost accuracy.
+	bers := []float64{3e-10, 1e-9, 1e-8}
+	for model, byEngine := range map[string]map[Engine][]float64{
+		"vgg19":       {Direct: {0.9375, 1, 0.8125}, Winograd: {1, 1, 0.875}},
+		"resnet50":    {Direct: {0.3125, 0, 0}, Winograd: {0.3125, 0.0625, 0}},
+		"densenet169": {Direct: {0.1875, 0, 0}, Winograd: {0.3125, 0.125, 0.0625}},
+		"googlenet":   {Direct: {1, 0.6875, 0.625}, Winograd: {0.9375, 0.9375, 0.6875}},
+	} {
+		for engine, want := range byEngine {
+			rows = append(rows, row{fmt.Sprintf("%s/%v/operand", model, engine),
+				Config{Model: model, Engine: engine, Semantics: OperandFlip}, bers, want})
+		}
+	}
+	// Scenario events come from internal/hwfault rather than the statistical
+	// sampler; each configuration is chosen so that reading its events as
+	// operand flips instead of result flips changes every row.
+	for _, sc := range []struct {
+		cfg  Config
+		want map[Engine][]float64
+	}{
+		{Config{Scenario: &Scenario{Kind: "stuckpe", Row: 0, Col: 0, Bit: 18}},
+			map[Engine][]float64{Direct: {1, 1, 1}, Winograd: {0.25, 0.25, 0.25}}},
+		{Config{Precision: Int8, Seed: 5, Scenario: &Scenario{Kind: "burst", Span: 1024}},
+			map[Engine][]float64{Direct: {0.375, 0.375, 0.375}, Winograd: {0.5625, 0.5625, 0.5625}}},
+		{Config{Scenario: &Scenario{Kind: "voltregion", Row1: 3, Col1: 3, V: 0.72}},
+			map[Engine][]float64{Direct: {0.3125, 0.3125, 0.3125}, Winograd: {0.375, 0.375, 0.375}}},
+	} {
+		for engine, want := range sc.want {
+			cfg := sc.cfg
+			cfg.Model, cfg.Engine = "vgg19", engine
+			rows = append(rows, row{fmt.Sprintf("vgg19/%v/%s", engine, sc.cfg.Scenario.Kind), cfg, bers, want})
+		}
+	}
+	for _, r := range rows {
+		for _, backend := range []string{"scalar", "blocked"} {
+			for _, delta := range []bool{true, false} {
+				d := delta
+				t.Run(fmt.Sprintf("%s/%s/delta=%t", r.name, backend, delta), func(t *testing.T) {
+					cfg := r.cfg
+					cfg.WidthMult, cfg.InputSize, cfg.Samples, cfg.Rounds = 0.125, 16, 8, 2
+					cfg.Workers, cfg.Backend, cfg.DeltaExec = 4, backend, &d
+					if cfg.Seed == 0 {
+						cfg.Seed = 3
+					}
+					sys, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, ber := range r.bers {
+						if got := sys.Accuracy(ber); got != r.want[i] {
+							t.Errorf("accuracy(%g) = %v, want %v (bit-exactness broken)", ber, got, r.want[i])
 						}
-						for i, ber := range bers {
-							if got := sys.Accuracy(ber); got != want[i] {
-								t.Errorf("accuracy(%g) = %v, want %v (bit-exactness broken)", ber, got, want[i])
-							}
-						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}

@@ -284,11 +284,9 @@ func (p *Params) replayFaults(padded *tensor.QTensor, inFmt fixed.Format, out *t
 
 // replayOutput recomputes one output element executing the MAC chain in op
 // order, applying the events that target it. Events are matched by their
-// local op step; the semantics (operand vs result flip) is encoded by the
-// Operand field being meaningful only for OperandFlip samples, so replay
-// distinguishes them via the Params' caller contract: events sampled with
-// ResultFlip always carry Operand == 0 and bit indices covering the result
-// register, which replay interprets through applyMulFault/applyAddFault.
+// local op step; what an event does to its operation (operand or result
+// flip, as marked where the event was created) is fault.Mul's and
+// fault.Add's rule.
 func (p *Params) replayOutput(padded *tensor.QTensor, inFmt fixed.Format, bias []int64, shift int, n, o, oy, ox, flat int, evs []fault.Event) int32 {
 	ws := p.Weight.Shape
 	ic, kh, kw := ws.C, ws.H, ws.W
@@ -322,106 +320,18 @@ func (p *Params) replayOutput(padded *tensor.QTensor, inFmt fixed.Format, bias [
 			for kx := 0; kx < kw; kx++ {
 				a := int64(padded.Data[((n*padded.Shape.C+c)*ph+iy0+ky)*pw+ix0+kx])
 				b := int64(w.Data[((o*ic+c)*kh+ky)*kw+kx])
-				prod := a * b
-				for _, ev := range mulEvents[step] {
-					prod = applyMulFault(ev, a, b, prod)
-					// Subsequent events on the same op re-derive operands
-					// from the current product only for result flips; operand
-					// flips recompute from the (already corrupted) operands.
-					// With independent uniform sampling, coincident events on
-					// one op are vanishingly rare; sequential application is
-					// the documented tie-break.
-					a, b = opAfterMulFault(ev, a, b)
-				}
+				prod := fault.Mul(a, b, mulEvents[step])
 				if step == 0 {
 					acc = prod
 				} else {
-					addStep := step - 1
-					for _, ev := range addEvents[addStep] {
-						acc, prod = applyAddOperandFault(ev, acc, prod)
-					}
-					acc += prod
-					for _, ev := range addEvents[addStep] {
-						if isResultFlip(ev) {
-							acc = fixed.FlipBit(acc, uint(ev.Bit))
-						}
-					}
+					acc = fault.Add(acc, prod, addEvents[step-1])
 				}
 				step++
 			}
 		}
 	}
 	if p.BiasF != nil {
-		b := bias[o]
-		biasStep := int64(k - 1)
-		for _, ev := range addEvents[biasStep] {
-			acc, b = applyAddOperandFault(ev, acc, b)
-		}
-		acc += b
-		for _, ev := range addEvents[biasStep] {
-			if isResultFlip(ev) {
-				acc = fixed.FlipBit(acc, uint(ev.Bit))
-			}
-		}
+		acc = fault.Add(acc, bias[o], addEvents[int64(k-1)])
 	}
 	return p.OutFmt.RequantizeShift(acc, shift)
-}
-
-// Event semantics plumbing: rather than threading the Model through every
-// engine call, events carry enough information for replay. Operand-flip
-// events have Bit < operand width and a meaningful Operand field; result-flip
-// events are marked by the sampler with Operand == 0 and the engines are
-// invoked with the semantics recorded on the campaign. To keep the engine
-// self-contained we encode the semantics in the top bit of Operand.
-
-// MarkResultFlip tags events sampled under ResultFlip semantics so engine
-// replay applies them to result registers. Sample always emits Operand 0 for
-// ResultFlip; campaigns call this immediately after sampling.
-func MarkResultFlip(evs []fault.Event) {
-	for i := range evs {
-		evs[i].Operand = resultFlipMark
-	}
-}
-
-const resultFlipMark = 0x80
-
-func isResultFlip(ev fault.Event) bool { return ev.Operand&resultFlipMark != 0 }
-
-// applyMulFault returns the corrupted product of a*b for one event. Flips
-// are pure XOR at the sampled bit position: the severity comes from the bit
-// position range (W bits for operands, 2W for the product register), while
-// involution (flip twice = identity) holds regardless of value magnitude.
-func applyMulFault(ev fault.Event, a, b, prod int64) int64 {
-	if isResultFlip(ev) {
-		return fixed.FlipBit(prod, uint(ev.Bit))
-	}
-	if ev.Operand == 0 {
-		return fixed.FlipBit(a, uint(ev.Bit)) * b
-	}
-	return a * fixed.FlipBit(b, uint(ev.Bit))
-}
-
-// opAfterMulFault returns the operand values after an operand-flip event so
-// stacked events compose.
-func opAfterMulFault(ev fault.Event, a, b int64) (int64, int64) {
-	if isResultFlip(ev) {
-		return a, b
-	}
-	if ev.Operand == 0 {
-		return fixed.FlipBit(a, uint(ev.Bit)), b
-	}
-	return a, fixed.FlipBit(b, uint(ev.Bit))
-}
-
-// applyAddOperandFault corrupts the operands of an addition for operand-flip
-// events (result flips are applied after the add by the caller). Registers
-// are modelled at the W-bit datapath width (see fault.SurfaceBits).
-func applyAddOperandFault(ev fault.Event, partial, addend int64) (int64, int64) {
-	if isResultFlip(ev) {
-		return partial, addend
-	}
-	if ev.Operand == 0 {
-		return fixed.FlipBit(partial, uint(ev.Bit)), addend
-	}
-	return partial, fixed.FlipBit(addend, uint(ev.Bit))
 }

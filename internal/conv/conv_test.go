@@ -159,8 +159,7 @@ func TestReplayMulResultFlipMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		mulIdx := r.Int63n(census.Mul)
 		bit := uint(r.Intn(inQ.Fmt.ProductBits()))
-		ev := []fault.Event{{Class: fault.OpMul, Op: mulIdx, Bit: uint8(bit)}}
-		MarkResultFlip(ev)
+		ev := []fault.Event{{Class: fault.OpMul, Op: mulIdx, Bit: uint8(bit), Operand: fault.ResultReg}}
 		got := ForwardFaulty(inQ, p, ev)
 		want := bruteForceMulResultFlip(inQ, p, mulIdx, bit)
 		for i := range got.Data {
@@ -282,7 +281,6 @@ func TestStatisticalEquivalenceToBernoulli(t *testing.T) {
 	var sampled float64
 	for i := 0; i < rounds; i++ {
 		evs := fault.Sample(r.Split(uint64(i)), census, census, m, inQ.Fmt, fault.Protection{})
-		MarkResultFlip(evs)
 		sampled += float64(countDiffs(ForwardFaulty(inQ, p, evs)))
 	}
 	sampled /= rounds
@@ -295,18 +293,17 @@ func TestStatisticalEquivalenceToBernoulli(t *testing.T) {
 		for op := int64(0); op < census.Mul; op++ {
 			for bit := 0; bit < inQ.Fmt.ProductBits(); bit++ {
 				if rb.Bernoulli(m.BER) {
-					evs = append(evs, fault.Event{Class: fault.OpMul, Op: op, Bit: uint8(bit)})
+					evs = append(evs, fault.Event{Class: fault.OpMul, Op: op, Bit: uint8(bit), Operand: fault.ResultReg})
 				}
 			}
 		}
 		for op := int64(0); op < census.Add; op++ {
 			for bit := 0; bit < inQ.Fmt.Width; bit++ {
 				if rb.Bernoulli(m.BER) {
-					evs = append(evs, fault.Event{Class: fault.OpAdd, Op: op, Bit: uint8(bit)})
+					evs = append(evs, fault.Event{Class: fault.OpAdd, Op: op, Bit: uint8(bit), Operand: fault.ResultReg})
 				}
 			}
 		}
-		MarkResultFlip(evs)
 		brute += float64(countDiffs(ForwardFaulty(inQ, p, evs)))
 	}
 	brute /= rounds

@@ -1,8 +1,9 @@
 // Package fault defines the soft-error models of the reproduction: the
 // bit-error-rate metric, the three injection semantics (operand-level,
-// result-level, neuron-level), and the statistical sampler that converts a
+// result-level, neuron-level), the statistical sampler that converts a
 // per-bit Bernoulli process over billions of executed operations into a small
-// set of exactly-placed fault events.
+// set of exactly-placed fault events, and the one rule (Mul, Add) by which
+// every engine applies an event to the operation it lands in.
 //
 // The paper's operation-level platform injects "random soft errors ... to the
 // results of primitive operations i.e. multiplication and addition", with the
@@ -155,7 +156,64 @@ type Event struct {
 	Class   OpClass
 	Op      int64 // flat op index within the class ordering of the layer
 	Bit     uint8 // bit position within the chosen register
-	Operand uint8 // 0 or 1; which operand (OperandFlip only)
+	Operand uint8 // 0 or 1 for an operand flip; ResultReg for a result flip
+}
+
+// ResultReg is the Operand of an event that flips a bit of the operation's
+// result register instead of one of its operands. The code that creates an
+// event sets it (Sample under ResultFlip, and the hardware-located scenario
+// constructors), so engines replay every event without knowing how it was
+// drawn.
+const ResultReg uint8 = 0x80
+
+// Mul returns the product a·b as corrupted by evs, the events of that one
+// multiplication: every operand flip, then the multiply, then every result
+// flip. Flips are pure XOR at the event's bit, so an event applied twice
+// cancels. Engines own which operation an event addresses (their op
+// ordering); this rule owns what the event does to it.
+func Mul(a, b int64, evs []Event) int64 {
+	a, b = flipOperands(a, b, evs)
+	return flipResult(a*b, evs)
+}
+
+// Add is Mul's rule for one addition a+b: operand flips, the add, then
+// result flips, in the W-bit datapath register model (see SurfaceBits).
+func Add(a, b int64, evs []Event) int64 {
+	a, b = flipOperands(a, b, evs)
+	return flipResult(a+b, evs)
+}
+
+// At returns the events of evs that address op, in their original order.
+func At(evs []Event, op int64) []Event {
+	var out []Event
+	for _, ev := range evs {
+		if ev.Op == op {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+func flipOperands(a, b int64, evs []Event) (int64, int64) {
+	for _, ev := range evs {
+		switch ev.Operand {
+		case ResultReg:
+		case 0:
+			a = fixed.FlipBit(a, uint(ev.Bit))
+		default:
+			b = fixed.FlipBit(b, uint(ev.Bit))
+		}
+	}
+	return a, b
+}
+
+func flipResult(v int64, evs []Event) int64 {
+	for _, ev := range evs {
+		if ev.Operand == ResultReg {
+			v = fixed.FlipBit(v, uint(ev.Bit))
+		}
+	}
+	return v
 }
 
 // Protection describes the fraction of operations of each class in a layer
@@ -224,7 +282,10 @@ func Sample(r *rng.Stream, siteCensus, intensityCensus Census, m Model, f fixed.
 				Op:    r.Int63n(sites),
 				Bit:   uint8(r.Intn(surface)),
 			}
-			if m.Semantics == OperandFlip {
+			switch m.Semantics {
+			case ResultFlip:
+				ev.Operand = ResultReg
+			case OperandFlip:
 				// The surface spans both operand registers; split it.
 				half := surface / 2
 				if int(ev.Bit) >= half {
@@ -236,16 +297,4 @@ func Sample(r *rng.Stream, siteCensus, intensityCensus Census, m Model, f fixed.
 		}
 	}
 	return events
-}
-
-// FlipInReg flips bit b of the regBits-wide two's-complement register
-// currently holding v, returning the new value sign-extended to int64. Bits
-// at or above regBits clamp to the register's sign bit.
-func FlipInReg(v int64, b uint, regBits int) int64 {
-	if int(b) >= regBits {
-		b = uint(regBits - 1)
-	}
-	u := uint64(v) ^ (uint64(1) << b)
-	shift := uint(64 - regBits)
-	return int64(u<<shift) >> shift
 }

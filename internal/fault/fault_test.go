@@ -3,7 +3,6 @@ package fault
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/fixed"
 	"repro/internal/rng"
@@ -152,8 +151,8 @@ func TestSampleResultFlipBitRange(t *testing.T) {
 			if int(ev.Bit) >= limit {
 				t.Fatalf("bit %d out of range %d for %v", ev.Bit, limit, ev.Class)
 			}
-			if ev.Operand != 0 {
-				t.Fatalf("ResultFlip must not set operand")
+			if ev.Operand != ResultReg {
+				t.Fatalf("ResultFlip event has Operand %#x, want ResultReg", ev.Operand)
 			}
 		}
 	}
@@ -206,27 +205,77 @@ func TestSampleIntensityScaling(t *testing.T) {
 	}
 }
 
-func TestFlipInReg(t *testing.T) {
-	// Flip inside a 16-bit register.
-	if got := FlipInReg(0, 15, 16); got != -32768 {
-		t.Errorf("FlipInReg(0,15,16) = %d, want -32768", got)
+// TestMulAdd pins the one corruption rule every engine replays through:
+// what each kind of event does to a multiplication or an addition, and that
+// a repeated event cancels. It also pins that the rule agrees bit for bit
+// with the direct engine's former per-event multiplication rule on every
+// event list a campaign can produce: all operand flips or all result flips,
+// repeats included. (That engine's addition rule was already operands, add,
+// result.)
+func TestMulAdd(t *testing.T) {
+	const a, b = int64(-1234), int64(567)
+	flip := fixed.FlipBit
+	for _, tc := range []struct {
+		name     string
+		evs      []Event
+		mul, add int64
+	}{
+		{"none", nil, a * b, a + b},
+		{"operand0", []Event{{Bit: 9}}, flip(a, 9) * b, flip(a, 9) + b},
+		{"operand1", []Event{{Bit: 3, Operand: 1}}, a * flip(b, 3), a + flip(b, 3)},
+		{"result", []Event{{Bit: 30, Operand: ResultReg}}, flip(a*b, 30), flip(a+b, 30)},
+		{"operand0 twice", []Event{{Bit: 9}, {Bit: 9}}, a * b, a + b},
+		{"operand1 twice", []Event{{Bit: 3, Operand: 1}, {Bit: 3, Operand: 1}}, a * b, a + b},
+		{"result twice", []Event{{Bit: 30, Operand: ResultReg}, {Bit: 30, Operand: ResultReg}}, a * b, a + b},
+	} {
+		if got := Mul(a, b, tc.evs); got != tc.mul {
+			t.Errorf("%s: Mul = %d, want %d", tc.name, got, tc.mul)
+		}
+		if got := Add(a, b, tc.evs); got != tc.add {
+			t.Errorf("%s: Add = %d, want %d", tc.name, got, tc.add)
+		}
 	}
-	if got := FlipInReg(-1, 0, 16); got != -2 {
-		t.Errorf("FlipInReg(-1,0,16) = %d", got)
+
+	r := rng.New(15)
+	for trial := 0; trial < 5000; trial++ {
+		x, y := int64(r.Intn(1<<16)-1<<15), int64(r.Intn(1<<16)-1<<15)
+		result := trial%2 == 1
+		var evs []Event
+		for n := r.Intn(5); len(evs) < n; {
+			if len(evs) > 0 && r.Intn(3) == 0 {
+				evs = append(evs, evs[r.Intn(len(evs))]) // a repeat
+				continue
+			}
+			ev := Event{Bit: uint8(r.Intn(16)), Operand: uint8(r.Intn(2))}
+			if result {
+				ev = Event{Bit: uint8(r.Intn(32)), Operand: ResultReg}
+			}
+			evs = append(evs, ev)
+		}
+		if got, want := Mul(x, y, evs), legacyMul(x, y, evs); got != want {
+			t.Fatalf("Mul(%d, %d, %+v) = %d, per-event rule %d", x, y, evs, got, want)
+		}
 	}
-	// Out-of-range bit clamps to the sign bit.
-	if got := FlipInReg(0, 63, 16); got != -32768 {
-		t.Errorf("FlipInReg clamp = %d", got)
+}
+
+// legacyMul is the direct engine's former per-event multiplication rule:
+// events apply in order, a result flip toggling the current product and an
+// operand flip recomputing it from the flipped operand.
+func legacyMul(a, b int64, evs []Event) int64 {
+	prod := a * b
+	for _, ev := range evs {
+		switch ev.Operand {
+		case ResultReg:
+			prod = fixed.FlipBit(prod, uint(ev.Bit))
+		case 0:
+			a = fixed.FlipBit(a, uint(ev.Bit))
+			prod = a * b
+		default:
+			b = fixed.FlipBit(b, uint(ev.Bit))
+			prod = a * b
+		}
 	}
-	// Involution.
-	err := quick.Check(func(v int32, b uint8) bool {
-		bit := uint(b % 32)
-		x := int64(v)
-		return FlipInReg(FlipInReg(x, bit, 32), bit, 32) == x
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
+	return prod
 }
 
 func TestInjectNeuronsRate(t *testing.T) {

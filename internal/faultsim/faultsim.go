@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/conv"
 	"repro/internal/fault"
 	"repro/internal/fixed"
 	"repro/internal/hwfault"
@@ -149,9 +148,7 @@ func (in *injector) OpEvents(li int, census fault.Census) []fault.Event {
 		if in.opts.MulFaultFree {
 			prot.MulFrac = 1
 		}
-		evs := in.opts.HW.Events(li, in.round, in.model.BER, 1-prot.Frac(fault.OpMul))
-		conv.MarkResultFlip(evs)
-		return evs
+		return in.opts.HW.Events(li, in.round, in.model.BER, 1-prot.Frac(fault.OpMul))
 	}
 	intensity := census
 	if in.opts.Intensity != nil {
@@ -164,11 +161,7 @@ func (in *injector) OpEvents(li int, census fault.Census) []fault.Event {
 	if in.opts.AddFaultFree {
 		prot.AddFrac = 1
 	}
-	evs := fault.Sample(in.round.Split(uint64(li)), census, intensity, in.model, in.fmt, prot)
-	if in.model.Semantics == fault.ResultFlip {
-		conv.MarkResultFlip(evs)
-	}
-	return evs
+	return fault.Sample(in.round.Split(uint64(li)), census, intensity, in.model, in.fmt, prot)
 }
 
 func (in *injector) Neuron(li int, q *tensor.QTensor) {

@@ -153,6 +153,19 @@ func eventsOf(inj *Injection, round uint64, ber, keep float64) map[int][]fault.E
 	return out
 }
 
+// requireResultFlips: every scenario event is a product-register flip of a
+// multiplication, marked as such where it is created.
+func requireResultFlips(t *testing.T, got map[int][]fault.Event) {
+	t.Helper()
+	for li, evs := range got {
+		for _, ev := range evs {
+			if ev.Class != fault.OpMul || ev.Operand != fault.ResultReg {
+				t.Fatalf("node %d: event %+v is not a mul result flip", li, ev)
+			}
+		}
+	}
+}
+
 // TestStuckPEEvents: a stuck PE corrupts exactly its scheduled ops, at the
 // pinned bit, identically in every round — and node order must not matter.
 func TestStuckPEEvents(t *testing.T) {
@@ -163,6 +176,7 @@ func TestStuckPEEvents(t *testing.T) {
 		if len(got) == 0 {
 			t.Fatalf("%v: stuck PE (0,0) produced no events", kind)
 		}
+		requireResultFlips(t, got)
 		var n int64
 		for li, evs := range got {
 			s := sched[li]
@@ -236,6 +250,7 @@ func TestBurstEvents(t *testing.T) {
 		if len(got) != 1 {
 			t.Fatalf("round %d: burst hit %d nodes, want exactly 1", round, len(got))
 		}
+		requireResultFlips(t, got)
 		for li, evs := range got {
 			rounds[li] = true
 			s := sched[li]
@@ -277,6 +292,7 @@ func TestVoltRegionEvents(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("stressed region at 0.72V produced no events")
 	}
+	requireResultFlips(t, got)
 	for li, evs := range got {
 		for _, ev := range evs {
 			if pe := sched[li].PEOf(ev.Op); !rg.Contains(pe) {

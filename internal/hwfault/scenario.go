@@ -275,7 +275,8 @@ func (inj *Injection) StuckAt() (PE, int) { return inj.pe, int(inj.bit) }
 // by it, mirroring the statistical sampler's protection model.
 //
 // All events flip bits of multiplication product registers (the PE array's
-// MACs); callers mark them ResultFlip before handing them to the engines.
+// MACs), so every event is created with Operand fault.ResultReg and goes to
+// the engines as is.
 func (inj *Injection) Events(li int, round *rng.Stream, campaignBER, keep float64) []fault.Event {
 	if li < 0 || li >= len(inj.sched) || inj.sched[li] == nil {
 		return nil
@@ -321,9 +322,10 @@ func (inj *Injection) stuckEvents(li int, round *rng.Stream, keep float64) []fau
 			continue
 		}
 		events = append(events, fault.Event{
-			Class: fault.OpMul,
-			Op:    s.MulOnPE(inj.pe, slot),
-			Bit:   inj.bit,
+			Class:   fault.OpMul,
+			Op:      s.MulOnPE(inj.pe, slot),
+			Bit:     inj.bit,
+			Operand: fault.ResultReg,
 		})
 	}
 	return events
@@ -358,7 +360,7 @@ func (inj *Injection) burstEvents(li int, round *rng.Stream, keep float64) []fau
 		if keep < 1 && !ls.Bernoulli(keep) {
 			continue
 		}
-		events = append(events, fault.Event{Class: fault.OpMul, Op: s.MulOnPE(pe, slot), Bit: bit})
+		events = append(events, fault.Event{Class: fault.OpMul, Op: s.MulOnPE(pe, slot), Bit: bit, Operand: fault.ResultReg})
 	}
 	return events
 }
@@ -382,9 +384,10 @@ func (inj *Injection) sampleCoverage(ls *rng.Stream, s *LayerSchedule, cov *peCo
 	for i := int64(0); i < k; i++ {
 		pe, local := cov.locate(ls.Int63n(cov.total))
 		events = append(events, fault.Event{
-			Class: fault.OpMul,
-			Op:    s.MulOnPE(pe, local),
-			Bit:   uint8(ls.Intn(inj.pbits)),
+			Class:   fault.OpMul,
+			Op:      s.MulOnPE(pe, local),
+			Bit:     uint8(ls.Intn(inj.pbits)),
+			Operand: fault.ResultReg,
 		})
 	}
 	return events

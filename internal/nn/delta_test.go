@@ -44,7 +44,7 @@ func TestForwardDeltaMatchesForwardCtx(t *testing.T) {
 			br1 := nodeByName(t, net, "br1")
 			fc := nodeByName(t, net, "fc")
 			mul := func(li int, op int64, bit uint8) fault.Event {
-				return fault.Event{Class: fault.OpMul, Op: op, Bit: bit, Operand: 0x80}
+				return fault.Event{Class: fault.OpMul, Op: op, Bit: bit, Operand: fault.ResultReg}
 			}
 			rounds := []map[int][]fault.Event{
 				nil, // clean round
@@ -93,7 +93,7 @@ func TestForwardDeltaDirtyClosure(t *testing.T) {
 	// Event on the first node (the only input consumer): everything is
 	// downstream, so the closure is the whole graph.
 	conv1 := nodeByName(t, net, "conv1")
-	ev := fault.Event{Class: fault.OpMul, Op: 3, Bit: 27, Operand: 0x80}
+	ev := fault.Event{Class: fault.OpMul, Op: 3, Bit: 27, Operand: fault.ResultReg}
 	net.ForwardDelta(ctx, in, &mapInjector{events: map[int][]fault.Event{conv1: {ev}}})
 	if got := ctx.RecomputeCount(); got != len(net.Nodes) {
 		t.Errorf("input-node event recomputed %d of %d nodes, want all", got, len(net.Nodes))
@@ -143,7 +143,7 @@ func TestForwardDeltaInputChange(t *testing.T) {
 	inB := qIn(45, 1, 3, 16, 16, fixed.Int16)
 	conv1 := nodeByName(t, net, "conv1")
 	inj := &mapInjector{events: map[int][]fault.Event{
-		conv1: {{Class: fault.OpMul, Op: 7, Bit: 26, Operand: 0x80}},
+		conv1: {{Class: fault.OpMul, Op: 7, Bit: 26, Operand: fault.ResultReg}},
 	}}
 	ctx := net.NewExecContext()
 	for i, in := range []*tensor.QTensor{inA, inB, inA} {
@@ -178,7 +178,7 @@ func TestForwardDeltaAllocFree(t *testing.T) {
 			in := qIn(46, 2, 3, 16, 16, fixed.Int16)
 			conv1 := nodeByName(t, net, "conv1")
 			dirty := &mapInjector{events: map[int][]fault.Event{
-				conv1: {{Class: fault.OpMul, Op: 3, Bit: 27, Operand: 0x80}},
+				conv1: {{Class: fault.OpMul, Op: 3, Bit: 27, Operand: fault.ResultReg}},
 			}}
 			clean := Injector(&mapInjector{})
 			ctx := net.NewExecContext()

@@ -270,7 +270,7 @@ func TestFaultEventsPerturbNetwork(t *testing.T) {
 	convIdx := net.ConvNodes()[0]
 	inj := &singleLayerInjector{target: convIdx}
 	for i := 0; i < 20; i++ {
-		inj.ev = fault.Event{Class: fault.OpMul, Op: int64(i) % census[convIdx].Mul, Bit: 28, Operand: 0x80}
+		inj.ev = fault.Event{Class: fault.OpMul, Op: int64(i) % census[convIdx].Mul, Bit: 28, Operand: fault.ResultReg}
 		out := net.Forward(in, inj)
 		if !equalQ(out, golden) {
 			return // perturbation observed

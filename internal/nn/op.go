@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/fixed"
 	"repro/internal/tensor"
 )
 
@@ -157,7 +156,7 @@ func (p AvgPool) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Even
 								first = false
 								continue
 							}
-							acc = applyAddEvents(acc, v, eventsAt(evs, step))
+							acc = fault.Add(acc, v, fault.At(evs, step))
 							step++
 						}
 					}
@@ -200,7 +199,7 @@ func (GlobalAvgPool) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.
 			acc := int64(in.Data[base])
 			step := int64(flat) * perOut
 			for i := 1; i < hw; i++ {
-				acc = applyAddEvents(acc, int64(in.Data[base+i]), eventsAt(evs, step))
+				acc = fault.Add(acc, int64(in.Data[base+i]), fault.At(evs, step))
 				step++
 			}
 			out.Data[flat] = in.Fmt.Saturate(roundDiv(acc, int64(hw)))
@@ -234,7 +233,7 @@ func (Add) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event) *te
 	out := sc.Output(a.Shape, a.Fmt)
 	byOut := groupByOutput(events, 1)
 	for i := range a.Data {
-		s := applyAddEvents(int64(a.Data[i]), int64(b.Data[i]), byOut[int64(i)])
+		s := fault.Add(int64(a.Data[i]), int64(b.Data[i]), byOut[int64(i)])
 		out.Data[i] = a.Fmt.Saturate(s)
 	}
 	return out
@@ -329,41 +328,4 @@ func groupByOutput(events []fault.Event, perOut int64) map[int64][]fault.Event {
 		m[ev.Op/perOut] = append(m[ev.Op/perOut], ev)
 	}
 	return m
-}
-
-// eventsAt filters events whose absolute op index equals step.
-func eventsAt(evs []fault.Event, step int64) []fault.Event {
-	if len(evs) == 0 {
-		return nil
-	}
-	var out []fault.Event
-	for _, ev := range evs {
-		if ev.Op == step {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// applyAddEvents mirrors the engines' addition fault semantics: operand
-// flips before the add, result flips after, in the W-bit datapath register
-// model (see fault.SurfaceBits).
-func applyAddEvents(a, b int64, evs []fault.Event) int64 {
-	for _, ev := range evs {
-		if ev.Operand&0x80 != 0 {
-			continue
-		}
-		if ev.Operand == 0 {
-			a = fixed.FlipBit(a, uint(ev.Bit))
-		} else {
-			b = fixed.FlipBit(b, uint(ev.Bit))
-		}
-	}
-	s := a + b
-	for _, ev := range evs {
-		if ev.Operand&0x80 != 0 {
-			s = fixed.FlipBit(s, uint(ev.Bit))
-		}
-	}
-	return s
 }

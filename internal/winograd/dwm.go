@@ -401,7 +401,7 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 		step := int64(ui - 1)
 		for i := range acc {
 			evs := sumEvents[int64(i)]
-			acc[i] = applyAdd(acc[i], ua[i], filterStep(evs, int64(i)*perOut+step))
+			acc[i] = fault.Add(acc[i], ua[i], fault.At(evs, int64(i)*perOut+step))
 		}
 	}
 	if bias := l.accumBias(sc, in.Fmt); bias != nil {
@@ -422,7 +422,7 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 			for i := range acc {
 				oc := (i / outs) % outShape.C
 				evs := sumEvents[int64(i)]
-				acc[i] = applyAdd(acc[i], bias[oc], filterStep(evs, int64(i)*perOut+step))
+				acc[i] = fault.Add(acc[i], bias[oc], fault.At(evs, int64(i)*perOut+step))
 			}
 		}
 	}
@@ -433,20 +433,6 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 	out := sc.out
 	for i, a := range acc {
 		out.Data[i] = l.OutFmt.RequantizeShift(a, shift)
-	}
-	return out
-}
-
-// filterStep selects the events whose absolute summation index equals step.
-func filterStep(evs []fault.Event, step int64) []fault.Event {
-	if len(evs) == 0 {
-		return nil
-	}
-	var out []fault.Event
-	for _, ev := range evs {
-		if ev.Op == step {
-			out = append(out, ev)
-		}
 	}
 	return out
 }

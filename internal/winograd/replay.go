@@ -2,39 +2,8 @@ package winograd
 
 import (
 	"repro/internal/fault"
-	"repro/internal/fixed"
 	"repro/internal/tensor"
 )
-
-// Replay shares the result-flip marker with the conv package: events sampled
-// under ResultFlip semantics carry the top bit of Operand set (see
-// conv.MarkResultFlip; campaigns mark events once, engines only read it).
-const resultFlipMark = 0x80
-
-func isResultFlip(ev fault.Event) bool { return ev.Operand&resultFlipMark != 0 }
-
-// applyAdd performs one census-counted addition acc+term with any fault
-// events for this step applied: operand flips before the add, result flips
-// after, all in the W-bit datapath register model (see fault.SurfaceBits).
-func applyAdd(acc, term int64, evs []fault.Event) int64 {
-	for _, ev := range evs {
-		if isResultFlip(ev) {
-			continue
-		}
-		if ev.Operand == 0 {
-			acc = fixed.FlipBit(acc, uint(ev.Bit))
-		} else {
-			term = fixed.FlipBit(term, uint(ev.Bit))
-		}
-	}
-	acc += term
-	for _, ev := range evs {
-		if isResultFlip(ev) {
-			acc = fixed.FlipBit(acc, uint(ev.Bit))
-		}
-	}
-	return acc
-}
 
 // matTransformReplay is the scalar twin of matTransform that walks the adds
 // in census order, consuming steps from evs (keyed by absolute add index).
@@ -57,7 +26,7 @@ func matTransformReplay(mat [][]int64, rows, t int, in, out []int64, evs map[int
 					first = false
 					continue
 				}
-				acc = applyAdd(acc, term, evs[step])
+				acc = fault.Add(acc, term, evs[step])
 				step++
 			}
 			scratch[r*t+col] = acc
@@ -79,7 +48,7 @@ func matTransformReplay(mat [][]int64, rows, t int, in, out []int64, evs map[int
 					first = false
 					continue
 				}
-				acc = applyAdd(acc, term, evs[step])
+				acc = fault.Add(acc, term, evs[step])
 				step++
 			}
 			out[r*rows+c2] = acc
@@ -146,7 +115,7 @@ func (p *Params) replayTile(ext *tensor.QTensor, acc []int64, outShape tensor.Sh
 		for c := 1; c < p.InC; c++ {
 			for i := 0; i < t2; i++ {
 				prod := p.hadamard(uBase, c, i, t2, v, mulEvs[mulBase+int64(c*t2+i)])
-				msum[i] = applyAdd(msum[i], prod, caEvs[caBase+int64((c-1)*t2+i)])
+				msum[i] = fault.Add(msum[i], prod, caEvs[caBase+int64((c-1)*t2+i)])
 			}
 		}
 		matTransformReplay(t.AT, m, T, msum, y, otEvs, int64(o)*int64(t.OutputAdds()))
@@ -172,23 +141,5 @@ func (p *Params) replayTile(ext *tensor.QTensor, acc []int64, outShape tensor.Sh
 // 1 the transformed weight, both modelled as WBits-wide registers; result
 // flips hit the 2·WBits product register.
 func (p *Params) hadamard(uBase, c, pos, t2 int, v []int64, evs []fault.Event) int64 {
-	a := v[c*t2+pos]
-	b := int64(p.U[uBase+c*t2+pos])
-	for _, ev := range evs {
-		if isResultFlip(ev) {
-			continue
-		}
-		if ev.Operand == 0 {
-			a = fixed.FlipBit(a, uint(ev.Bit))
-		} else {
-			b = fixed.FlipBit(b, uint(ev.Bit))
-		}
-	}
-	prod := a * b
-	for _, ev := range evs {
-		if isResultFlip(ev) {
-			prod = fixed.FlipBit(prod, uint(ev.Bit))
-		}
-	}
-	return prod
+	return fault.Mul(v[c*t2+pos], int64(p.U[uBase+c*t2+pos]), evs)
 }

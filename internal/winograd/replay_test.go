@@ -70,11 +70,7 @@ func TestDuplicateEventCancels(t *testing.T) {
 				}
 				if trial%3 == 0 {
 					// Exercise result-flip semantics too.
-					ev.Operand = 0
-					evs := []fault.Event{ev, ev}
-					conv.MarkResultFlip(evs)
-					checkCancels(t, l, in, golden, evs, trial)
-					continue
+					ev.Operand = fault.ResultReg
 				}
 				checkCancels(t, l, in, golden, []fault.Event{ev, ev}, trial)
 			}
@@ -197,8 +193,7 @@ func TestHadamardResultFlipPredictedDelta(t *testing.T) {
 	T := F2.T()
 	for pos := 0; pos < T*T; pos++ {
 		for _, bit := range []uint8{0, 7, 15, 30} {
-			ev := []fault.Event{{Class: fault.OpMul, Op: int64(pos), Bit: bit}}
-			conv.MarkResultFlip(ev)
+			ev := []fault.Event{{Class: fault.OpMul, Op: int64(pos), Bit: bit, Operand: fault.ResultReg}}
 			faultyAcc, _ := p.ForwardAcc(in, ev)
 
 			// Reconstruct the product to get its delta.

@@ -6,8 +6,8 @@
 // exploration on a DNN-Engine-class accelerator.
 //
 // The package is a thin, stable facade over the internal engine packages;
-// see DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record. Typical use:
+// see DESIGN.md for the system inventory, and run `wfrepro -exp headline`
+// for the paper-vs-measured numbers. Typical use:
 //
 //	sys, err := winofault.New(winofault.Config{Model: "vgg19", Engine: winofault.Winograd})
 //	if err != nil { ... }
