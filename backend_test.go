@@ -28,7 +28,7 @@ func sweepWith(t *testing.T, cfg Config, bers []float64) []Point {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys.Sweep(bers)
+	return runPlan(t, sys, bers, false).Points
 }
 
 // TestBackendSweepBitIdentical compares full statistical campaigns between
@@ -87,20 +87,12 @@ func TestBackendSweepBitIdentical(t *testing.T) {
 	// backend; the surrounding fault-free tiles do not, so a stuckpe
 	// campaign exercises both sides of the seam in one sweep.
 	t.Run("vgg19/stuckpe", func(t *testing.T) {
-		sc := Scenario{Kind: "stuckpe", Row: 1, Col: 2, Bit: 24}
 		results := map[string][]Point{}
 		for _, backend := range []string{"scalar", "blocked"} {
 			cfg := base
 			cfg.Model, cfg.Engine, cfg.Backend = "vgg19", Winograd, backend
-			sys, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pts, err := sys.SweepHW(sc, bers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results[backend] = pts
+			cfg.Scenario = &Scenario{Kind: "stuckpe", Row: 1, Col: 2, Bit: 24}
+			results[backend] = sweepWith(t, cfg, bers)
 		}
 		for i := range results["scalar"] {
 			if results["scalar"][i] != results["blocked"][i] {

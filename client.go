@@ -10,8 +10,6 @@ import (
 	"net/url"
 	"strings"
 	"time"
-
-	"repro/internal/kernel"
 )
 
 // This file is the thin client side of the campaign service (cmd/wfserve,
@@ -87,8 +85,9 @@ type CampaignRequest struct {
 }
 
 // SystemConfig translates the wire request into the facade Config, rejecting
-// unknown enum spellings. It does not apply defaults beyond Config's own
-// zero-value handling, so translation never changes campaign identity.
+// unknown enum spellings and every config New would reject (Config.validate).
+// It does not apply defaults beyond Config's own zero-value handling, so
+// translation never changes campaign identity.
 func (r CampaignRequest) SystemConfig() (Config, error) {
 	cfg := Config{
 		Model:     r.Model,
@@ -126,12 +125,9 @@ func (r CampaignRequest) SystemConfig() (Config, error) {
 	default:
 		return cfg, fmt.Errorf("winofault: unknown semantics %q (want result, operand or neuron)", r.Semantics)
 	}
-	// Reject unknown backend names here so the service 400s them at submit
-	// time instead of keying a job that can only fail on the worker.
-	if _, err := kernel.Get(r.Backend); err != nil {
-		return cfg, fmt.Errorf("winofault: %w", err)
-	}
-	return cfg, nil
+	// Validate here so the service 400s a bad request at submit time instead
+	// of keying a job that can only fail on the worker.
+	return cfg, cfg.validate()
 }
 
 // CampaignResult is the wire form of a finished campaign: the sweep, plus

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -81,11 +82,16 @@ func main() {
 		req.BERs = append(req.BERs, v)
 	}
 
+	// Build the whole plan first, so an invalid request fails before any output.
 	cfg, err := req.SystemConfig()
 	if err != nil {
 		fatal("%v", err)
 	}
 	sys, err := winofault.New(cfg)
+	if err != nil {
+		fatal("%v", err)
+	}
+	plan, err := sys.Plan(req.BERs, *layers)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -97,16 +103,19 @@ func main() {
 	}
 	fmt.Printf("ops per image: scaled %.3gM mul + %.3gM add; full-size %.3gG mul + %.3gG add\n",
 		float64(sm)/1e6, float64(sa)/1e6, float64(fm)/1e9, float64(fa)/1e9)
+	res, err := plan.Run(context.Background(), nil)
+	if err != nil {
+		fatal("%v", err)
+	}
 	// The table renderer is shared with the wfserve text endpoint so CI can
 	// diff server and CLI output byte-for-byte.
-	winofault.FormatSweep(os.Stdout, sys.Sweep(req.BERs))
+	winofault.FormatSweep(os.Stdout, res.Points)
 
 	if *layers {
-		mid := req.BERs[len(req.BERs)/2]
-		base, ls := sys.LayerSensitivities(mid)
-		fmt.Printf("\nlayer sensitivity at BER %.3g (baseline %.2f%%):\n", mid, base*100)
+		mid := req.BERs[len(req.BERs)/2] // where the plan's layers phase runs
+		fmt.Printf("\nlayer sensitivity at BER %.3g (baseline %.2f%%):\n", mid, res.Baseline*100)
 		fmt.Printf("%-24s %10s %10s %12s\n", "layer", "ff-acc%", "vuln pp", "muls(full)")
-		for _, l := range ls {
+		for _, l := range res.Layers {
 			fmt.Printf("%-24s %10.2f %10.2f %12d\n",
 				l.Layer, l.FaultFreeAccuracy*100, l.Vulnerability*100, l.Muls)
 		}

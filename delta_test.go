@@ -1,7 +1,6 @@
 package winofault
 
 import (
-	"context"
 	"fmt"
 	"testing"
 )
@@ -26,18 +25,9 @@ func TestDeltaMatchesFullExecution(t *testing.T) {
 					Samples: 8, Rounds: 2, Seed: 3, Workers: workers,
 				}
 				cfg.DeltaExec = deltaOff()
-				full, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := full.Sweep(bers)
-
+				want := sweepWith(t, cfg, bers)
 				cfg.DeltaExec = nil // the default: delta on
-				delta, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := delta.Sweep(bers)
+				got := sweepWith(t, cfg, bers)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Errorf("point %d: delta %+v != full %+v (bit-identity broken)", i, got[i], want[i])
@@ -59,11 +49,7 @@ func TestDeltaWorkerCountInvariant(t *testing.T) {
 		cfg.Rounds = 2
 		cfg.Workers = workers
 		cfg.DeltaExec = deltaOn()
-		sys, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := sys.Sweep(bers)
+		got := sweepWith(t, cfg, bers)
 		if want == nil {
 			want = got
 			continue
@@ -89,10 +75,7 @@ func TestDeltaShardedSweepBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := full.SweepCtx(context.Background(), bers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runPlan(t, full, bers, false).Points
 	plan, err := full.Plan(bers, false)
 	if err != nil {
 		t.Fatal(err)
@@ -123,23 +106,9 @@ func TestDeltaMatchesFullScenario(t *testing.T) {
 		cfg := scenarioConfig(Winograd, &sc)
 		cfg.Rounds = 2
 		cfg.DeltaExec = deltaOff()
-		full, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := full.SweepCtx(context.Background(), bers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := sweepWith(t, cfg, bers)
 		cfg.DeltaExec = nil
-		delta, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := delta.SweepCtx(context.Background(), bers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := sweepWith(t, cfg, bers)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Errorf("%s point %d: delta %+v != full %+v", sc.Kind, i, got[i], want[i])

@@ -1,8 +1,10 @@
 package winofault_test
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"os"
 
 	winofault "repro"
 )
@@ -26,13 +28,26 @@ func ExampleNew() {
 	// Output: direct 0.40G muls, winograd 0.18G muls, ratio 2.25
 }
 
-// ExampleSystem_Accuracy demonstrates the golden-agreement contract: with no
-// faults injected, the system agrees with itself perfectly.
-func ExampleSystem_Accuracy() {
+// ExamplePlan_Run runs a campaign in-process: a BER sweep whose BER 0 point
+// shows the golden-agreement contract — with no faults injected, the system
+// agrees with itself perfectly.
+func ExamplePlan_Run() {
 	sys, err := winofault.New(winofault.Config{Model: "googlenet", Samples: 8, InputSize: 16})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(sys.Accuracy(0))
-	// Output: 1
+	plan, err := sys.Plan([]float64{0, 1e-8, 1e-7}, false)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := plan.Run(context.Background(), nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	winofault.FormatSweep(os.Stdout, res.Points)
+	// Output:
+	// BER          accuracy%
+	// 0            100.00
+	// 1e-08        100.00
+	// 1e-07        87.50
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -23,17 +24,24 @@ func main() {
 	}
 
 	const ber = 5e-9
-	base, layers := sys.LayerSensitivities(ber)
-	fmt.Printf("VGG19 (winograd engine), BER %.0e, all-faulty baseline %.1f%%\n\n", ber, base*100)
+	plan, err := sys.Plan([]float64{ber}, true) // layers run at the sweep's middle BER
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := plan.Run(context.Background(), nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("VGG19 (winograd engine), BER %.0e, all-faulty baseline %.1f%%\n\n", ber, res.Baseline*100)
 	fmt.Printf("%-16s %9s %9s %14s  %s\n", "layer", "ff-acc%", "vuln pp", "muls (full)", "vulnerability")
 
 	maxV := 0.0
-	for _, l := range layers {
+	for _, l := range res.Layers {
 		if l.Vulnerability > maxV {
 			maxV = l.Vulnerability
 		}
 	}
-	for _, l := range layers {
+	for _, l := range res.Layers {
 		bar := ""
 		if maxV > 0 && l.Vulnerability > 0 {
 			bar = strings.Repeat("#", int(l.Vulnerability/maxV*30+0.5))

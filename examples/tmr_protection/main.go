@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -33,7 +34,15 @@ func main() {
 			log.Fatal(err)
 		}
 
-		before := sys.Accuracy(ber)
+		unprotected, err := sys.Plan([]float64{ber}, false)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := unprotected.Run(context.Background(), nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		before := res.Points[0].Accuracy
 		plan := sys.OptimizeTMR(ber, target)
 		fmt.Printf("== %s ==\n", name)
 		fmt.Printf("accuracy unprotected: %.1f%%  ->  with plan: %.1f%% (goal %.0f%%)\n",

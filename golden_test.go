@@ -2,6 +2,7 @@ package winofault
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/fixed"
@@ -97,9 +98,9 @@ func TestGoldenAccuracyFixture(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for i, ber := range r.bers {
-						if got := sys.Accuracy(ber); got != r.want[i] {
-							t.Errorf("accuracy(%g) = %v, want %v (bit-exactness broken)", ber, got, r.want[i])
+					for i, p := range runPlan(t, sys, r.bers, false).Points {
+						if p.Accuracy != r.want[i] {
+							t.Errorf("accuracy(%g) = %v, want %v (bit-exactness broken)", p.BER, p.Accuracy, r.want[i])
 						}
 					}
 				})
@@ -123,15 +124,24 @@ func TestNewUndersizedInput(t *testing.T) {
 				if err != nil {
 					continue // a descriptive rejection is a valid outcome
 				}
-				if acc := sys.Accuracy(0); acc != 1 {
+				if acc := accuracy(t, sys, 0); acc != 1 {
 					t.Errorf("%s/%v@%d: golden accuracy %v", model, engine, sz, acc)
 				}
 			}
 		}
 		// Nonsensical sizes must be rejected, not silently replaced or
 		// panicked on.
-		if _, err := New(Config{Model: model, InputSize: -3}); err == nil {
-			t.Errorf("%s: negative InputSize did not error", model)
+		for name, cfg := range map[string]Config{
+			"negative InputSize": {Model: model, InputSize: -3},
+			"negative Samples":   {Model: model, Samples: -1},
+			"negative Rounds":    {Model: model, Rounds: -3},
+			"negative WidthMult": {Model: model, WidthMult: -0.5},
+			"NaN WidthMult":      {Model: model, WidthMult: math.NaN()},
+			"infinite WidthMult": {Model: model, WidthMult: math.Inf(1)},
+		} {
+			if _, err := New(cfg); err == nil {
+				t.Errorf("%s: %s did not error", model, name)
+			}
 		}
 	}
 }

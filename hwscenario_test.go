@@ -25,6 +25,13 @@ func TestScenarioConfigValidation(t *testing.T) {
 			cfg.Semantics = OperandFlip
 			return cfg
 		}(),
+		// The injector would silently ignore scenario events under neuron
+		// semantics and hand back statistical results labeled as a scenario.
+		"neuron semantics": func() Config {
+			cfg := scenarioConfig(Winograd, &Scenario{Kind: "stuckpe", Bit: 24})
+			cfg.Semantics = NeuronFlip
+			return cfg
+		}(),
 		"bit vs precision": func() Config {
 			cfg := scenarioConfig(Direct, &Scenario{Kind: "stuckpe", Bit: 20})
 			cfg.Precision = Int8
@@ -38,72 +45,49 @@ func TestScenarioConfigValidation(t *testing.T) {
 	}
 }
 
-// TestScenarioSweepMatchesSweepHW: baking a scenario into the Config and
-// overriding per-sweep via SweepHW are the same campaign — bit-identical
-// points — and both reject the fault-free BER 0 that the unit-space
-// contract would silently skip.
-func TestScenarioSweepMatchesSweepHW(t *testing.T) {
+// TestScenarioRunMatchesWireRequest: a scenario in the Config and the same
+// scenario on the wire (NewPlan) are the same campaign — bit-identical
+// points — and every way to run one rejects the fault-free BER 0 that the
+// unit-space contract would silently skip.
+func TestScenarioRunMatchesWireRequest(t *testing.T) {
 	sc := Scenario{Kind: "stuckpe", Row: 0, Col: 0, Bit: 24}
 	bers := []float64{1e-10, 1e-9}
+	sys, err := New(scenarioConfig(Winograd, &sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runPlan(t, sys, bers, false).Points
 
-	baked, err := New(scenarioConfig(Winograd, &sc))
+	req := CampaignRequest{Engine: "winograd", InputSize: 16, Samples: 4, Rounds: 1, Seed: 3,
+		BERs: bers, Scenario: &sc}
+	plan, err := NewPlan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := baked.SweepCtx(context.Background(), bers)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	plain, err := New(scenarioConfig(Winograd, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := plain.SweepHW(sc, bers)
+	got, err := plan.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("point %d: SweepHW %+v != Config.Scenario %+v", i, got[i], want[i])
+		if got.Points[i] != want[i] {
+			t.Errorf("point %d: wire request %+v != Config.Scenario %+v", i, got.Points[i], want[i])
 		}
 	}
 
-	if _, err := baked.SweepCtx(context.Background(), []float64{0, 1e-9}); err == nil ||
+	if _, err := sys.Plan([]float64{0, 1e-9}, false); err == nil ||
 		!strings.Contains(err.Error(), "positive") {
-		t.Errorf("scenario sweep accepted BER 0 (err %v)", err)
+		t.Errorf("scenario plan accepted BER 0 (err %v)", err)
 	}
-	if _, err := plain.SweepHW(sc, []float64{0}); err == nil {
-		t.Error("SweepHW accepted BER 0")
+	req.BERs = []float64{0}
+	if _, err := NewPlan(req); err == nil {
+		t.Error("NewPlan accepted a scenario request at BER 0")
 	}
-	if _, err := plain.SweepHW(Scenario{Kind: "nope"}, bers); err == nil {
-		t.Error("SweepHW accepted an unknown scenario kind")
+	if _, err := sys.SweepCtx(context.Background(), []float64{0}); err == nil {
+		t.Error("SweepCtx accepted BER 0 on a scenario system")
 	}
-
-	// A non-result-semantics system must refuse the per-sweep override too:
-	// the injector would otherwise silently ignore the scenario and hand
-	// back statistical results labeled as a stuck-at sweep.
-	neuronCfg := scenarioConfig(Winograd, nil)
-	neuronCfg.Semantics = NeuronFlip
-	neuron, err := New(neuronCfg)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := sys.LayerSensitivitiesCtx(context.Background(), 0); err == nil {
+		t.Error("LayerSensitivitiesCtx accepted BER 0 on a scenario system")
 	}
-	if _, err := neuron.SweepHW(sc, bers); err == nil ||
-		!strings.Contains(err.Error(), "semantics") {
-		t.Errorf("SweepHW on a neuron-semantics system returned %v, want a semantics error", err)
-	}
-
-	// The error-dropping convenience wrappers must not swallow the
-	// validation: they panic instead of returning a fake measurement.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Sweep with BER 0 on a scenario system did not panic")
-			}
-		}()
-		baked.Sweep([]float64{0})
-	}()
 }
 
 // TestScenarioShardedSweepBitIdentical: the acceptance invariant for
@@ -118,10 +102,7 @@ func TestScenarioShardedSweepBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.SweepCtx(context.Background(), bers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runPlan(t, sys, bers, false).Points
 	plan, err := sys.Plan(bers, false)
 	if err != nil {
 		t.Fatal(err)

@@ -275,8 +275,14 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 	}
 
 	// The resumed run re-executed everything except the one journaled unit.
-	sys := systemFor(t, req)
-	totalUnits := sys.SweepUnits(req.BERs) + sys.LayerUnits(req.BERs[len(req.BERs)/2])
+	plan, err := winofault.NewPlan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	totalUnits := 0
+	for _, ph := range plan.Phases() {
+		totalUnits += ph.Units
+	}
 	var shards int64
 	for _, w := range c2.Workers() {
 		shards += w.Shards
@@ -394,20 +400,6 @@ func TestRecoveredRunResumesInProcess(t *testing.T) {
 			t.Errorf("log lacks %q:\n%s", line, logs.String())
 		}
 	}
-}
-
-// systemFor builds the facade system for unit-space arithmetic in tests.
-func systemFor(t *testing.T, req winofault.CampaignRequest) *winofault.System {
-	t.Helper()
-	cfg, err := req.SystemConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := winofault.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
 }
 
 // report posts a hand-built shard result over the wire.

@@ -7,7 +7,7 @@ import (
 
 // fig1BERs is the paper's Fig. 1 bit-error-rate axis, extended one decade to
 // the right: our golden-agreement metric shifts the degradation cliff (see
-// EXPERIMENTS.md, known deltas), and the extension makes the op-level ST/WG
+// DESIGN.md "Substitutions"), and the extension makes the op-level ST/WG
 // separation visible on the same plot without leaving the paper's points out.
 var fig1BERs = []float64{7e-11, 1e-10, 3e-10, 5e-10, 7e-10, 9e-10, 3e-9, 9e-9}
 

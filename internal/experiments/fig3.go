@@ -12,7 +12,7 @@ import (
 // of the full-size network that the paper correlates the sensitivity with.
 // The paper ran at BER 3e-10; like Fig. 5, the harness calibrates the BER so
 // the all-faulty baseline sits at the paper's operating point (the
-// golden-agreement metric shifts the cliff; see EXPERIMENTS.md).
+// golden-agreement metric shifts the cliff; see DESIGN.md "Substitutions").
 func Fig3(cfg Config) []*Figure {
 	st := makeRig(cfg, "vgg19", nn.Direct, int16Fmt)
 	wg := makeRig(cfg, "vgg19", nn.Winograd, int16Fmt)

@@ -86,16 +86,10 @@ func TestEndToEndCacheHitBitIdentical(t *testing.T) {
 
 	// The cached sweep matches an in-process serial run bit-for-bit: the
 	// service layer adds caching, never changes numbers.
-	cfg, err := tinyReq().SystemConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 1
-	sys, err := winofault.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range sys.Sweep(tinyReq().BERs) {
+	serialReq := tinyReq()
+	serialReq.Workers = 1
+	serial := runLocal(t, serialReq)
+	for i, p := range serial.Points {
 		if res1.Points[i] != p {
 			t.Errorf("server point %d = %+v, serial run = %+v", i, res1.Points[i], p)
 		}
@@ -113,6 +107,20 @@ func TestEndToEndCacheHitBitIdentical(t *testing.T) {
 			t.Errorf("result probe %d not byte-identical to the submission result", probe)
 		}
 	}
+}
+
+// runLocal runs req in-process through its plan, as wfsim does.
+func runLocal(t *testing.T, req winofault.CampaignRequest) *winofault.CampaignResult {
+	t.Helper()
+	plan, err := winofault.NewPlan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := plan.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestResultTextFormatMatchesCLI: the ?format=text rendering is the exact
@@ -157,12 +165,8 @@ func TestLayerSensitivityOverHTTP(t *testing.T) {
 	if len(res.Layers) == 0 {
 		t.Fatal("no layer sensitivities returned")
 	}
-	cfg, _ := req.SystemConfig()
-	sys, err := winofault.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, layers := sys.LayerSensitivities(req.BERs[len(req.BERs)/2])
+	direct := runLocal(t, req)
+	base, layers := direct.Baseline, direct.Layers
 	if res.Baseline != base {
 		t.Errorf("baseline %v, facade %v", res.Baseline, base)
 	}

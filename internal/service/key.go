@@ -58,9 +58,6 @@ func Canonical(req winofault.CampaignRequest) (string, error) {
 	// so requests without one keep byte-identical wfcampaign/v1 keys.
 	var scenario *winofault.Scenario
 	if req.Scenario != nil {
-		if req.Semantics != "" && req.Semantics != "result" {
-			return "", fmt.Errorf("service: scenario %q requires result semantics, got %q", req.Scenario.Kind, req.Semantics)
-		}
 		for _, ber := range req.BERs {
 			if ber <= 0 {
 				return "", fmt.Errorf("service: scenario campaigns need positive BERs, got %v", ber)
@@ -100,22 +97,6 @@ func Canonical(req winofault.CampaignRequest) (string, error) {
 	}
 	if req.Seed == 0 {
 		req.Seed = 1
-	}
-	// Reject nonsensical numerics at submit time: a keyed request must be
-	// runnable, otherwise the cache fills with addresses that can only fail
-	// (or worse, panic deep inside dataset/model construction). Only the
-	// zero value means "default"; anything else must stand on its own.
-	if math.IsNaN(req.WidthMult) || math.IsInf(req.WidthMult, 0) || req.WidthMult <= 0 {
-		return "", fmt.Errorf("service: WidthMult %v is not a positive finite value", req.WidthMult)
-	}
-	if req.InputSize < 1 {
-		return "", fmt.Errorf("service: InputSize %d is not positive", req.InputSize)
-	}
-	if req.Samples < 1 {
-		return "", fmt.Errorf("service: Samples %d is not positive", req.Samples)
-	}
-	if req.Rounds < 1 {
-		return "", fmt.Errorf("service: Rounds %d is not positive", req.Rounds)
 	}
 
 	var b strings.Builder

@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,57 +157,66 @@ func TestKeyIgnoresBackend(t *testing.T) {
 	}
 }
 
+// resultAffectingVariants change one result-affecting field each from the
+// all-defaults request.
+var resultAffectingVariants = map[string]winofault.CampaignRequest{
+	"model":     {Model: "googlenet", BERs: []float64{1e-9}},
+	"engine":    {Engine: "winograd", BERs: []float64{1e-9}},
+	"precision": {Precision: "int8", BERs: []float64{1e-9}},
+	"semantics": {Semantics: "neuron", BERs: []float64{1e-9}},
+	"widthMult": {WidthMult: 0.25, BERs: []float64{1e-9}},
+	"inputSize": {InputSize: 16, BERs: []float64{1e-9}},
+	"samples":   {Samples: 8, BERs: []float64{1e-9}},
+	"rounds":    {Rounds: 5, BERs: []float64{1e-9}},
+	"seed":      {Seed: 99, BERs: []float64{1e-9}},
+	"tileF4":    {TileF4: true, BERs: []float64{1e-9}},
+	"berOrder":  {BERs: []float64{1e-8, 1e-9}},
+	"layers":    {Layers: true, BERs: []float64{1e-9}},
+}
+
 // TestKeyDistinguishesResultAffectingFields: every field that changes the
 // campaign's outcome must change the key.
 func TestKeyDistinguishesResultAffectingFields(t *testing.T) {
 	base := winofault.CampaignRequest{BERs: []float64{1e-9}}
 	want := mustKey(t, base)
-	variants := map[string]winofault.CampaignRequest{
-		"model":     {Model: "googlenet", BERs: []float64{1e-9}},
-		"engine":    {Engine: "winograd", BERs: []float64{1e-9}},
-		"precision": {Precision: "int8", BERs: []float64{1e-9}},
-		"semantics": {Semantics: "neuron", BERs: []float64{1e-9}},
-		"widthMult": {WidthMult: 0.25, BERs: []float64{1e-9}},
-		"inputSize": {InputSize: 16, BERs: []float64{1e-9}},
-		"samples":   {Samples: 8, BERs: []float64{1e-9}},
-		"rounds":    {Rounds: 5, BERs: []float64{1e-9}},
-		"seed":      {Seed: 99, BERs: []float64{1e-9}},
-		"tileF4":    {TileF4: true, BERs: []float64{1e-9}},
-		"berOrder":  {BERs: []float64{1e-8, 1e-9}},
-		"layers":    {Layers: true, BERs: []float64{1e-9}},
-	}
-	for field, req := range variants {
+	for field, req := range resultAffectingVariants {
 		if mustKey(t, req) == want {
 			t.Errorf("changing %s did not change the key", field)
 		}
 	}
 }
 
+// invalidRequests pins the validation surface: Key must reject every one.
+var invalidRequests = map[string]winofault.CampaignRequest{
+	"no bers":        {},
+	"bad engine":     {Engine: "systolic", BERs: []float64{1e-9}},
+	"bad precision":  {Precision: "fp32", BERs: []float64{1e-9}},
+	"bad semantics":  {Semantics: "sdc", BERs: []float64{1e-9}},
+	"reserved chars": {BERs: []float64{1e-9}, Protection: map[string][2]float64{"a|b": {1, 1}}},
+	"nan ber":        {BERs: []float64{math.NaN()}},
+	"inf ber":        {BERs: []float64{math.Inf(1)}},
+	// Negative/nonsensical numerics must be 400s at submit time, never
+	// keyed jobs that fail (or panic) on the worker: only the zero value
+	// means "default".
+	"negative samples":       {Samples: -1, BERs: []float64{1e-9}},
+	"negative rounds":        {Rounds: -1, BERs: []float64{1e-9}},
+	"negative inputSize":     {InputSize: -4, BERs: []float64{1e-9}},
+	"negative widthMult":     {WidthMult: -0.5, BERs: []float64{1e-9}},
+	"nan widthMult":          {WidthMult: math.NaN(), BERs: []float64{1e-9}},
+	"inf widthMult":          {WidthMult: math.Inf(1), BERs: []float64{1e-9}},
+	"nan protection":         {BERs: []float64{1e-9}, Protection: map[string][2]float64{"conv1_1": {math.NaN(), 0.5}}},
+	"inf protection":         {BERs: []float64{1e-9}, Protection: map[string][2]float64{"conv1_1": {math.Inf(1), 0.5}}},
+	"negative protection":    {BERs: []float64{1e-9}, Protection: map[string][2]float64{"conv1_1": {-0.1, 0.5}}},
+	"above-unity protection": {BERs: []float64{1e-9}, Protection: map[string][2]float64{"conv1_1": {0.5, 1.5}}},
+	// An unknown model can only fail on the worker, and the model spelling
+	// is written into the canonical text verbatim.
+	"unknown model":         {Model: "alexnet", BERs: []float64{1e-9}},
+	"model with a key line": {Model: "vgg19\nengine=winograd", BERs: []float64{1e-9}},
+}
+
 // TestKeyRejectsInvalidRequests pins the validation surface.
 func TestKeyRejectsInvalidRequests(t *testing.T) {
-	bad := map[string]winofault.CampaignRequest{
-		"no bers":        {},
-		"bad engine":     {Engine: "systolic", BERs: []float64{1e-9}},
-		"bad precision":  {Precision: "fp32", BERs: []float64{1e-9}},
-		"bad semantics":  {Semantics: "sdc", BERs: []float64{1e-9}},
-		"reserved chars": {BERs: []float64{1e-9}, Protection: map[string][2]float64{"a|b": {1, 1}}},
-		"nan ber":        {BERs: []float64{math.NaN()}},
-		"inf ber":        {BERs: []float64{math.Inf(1)}},
-		// Negative/nonsensical numerics must be 400s at submit time, never
-		// keyed jobs that fail (or panic) on the worker: only the zero value
-		// means "default".
-		"negative samples":       {Samples: -1, BERs: []float64{1e-9}},
-		"negative rounds":        {Rounds: -1, BERs: []float64{1e-9}},
-		"negative inputSize":     {InputSize: -4, BERs: []float64{1e-9}},
-		"negative widthMult":     {WidthMult: -0.5, BERs: []float64{1e-9}},
-		"nan widthMult":          {WidthMult: math.NaN(), BERs: []float64{1e-9}},
-		"inf widthMult":          {WidthMult: math.Inf(1), BERs: []float64{1e-9}},
-		"nan protection":         {BERs: []float64{1e-9}, Protection: map[string][2]float64{"conv1_1": {math.NaN(), 0.5}}},
-		"inf protection":         {BERs: []float64{1e-9}, Protection: map[string][2]float64{"conv1_1": {math.Inf(1), 0.5}}},
-		"negative protection":    {BERs: []float64{1e-9}, Protection: map[string][2]float64{"conv1_1": {-0.1, 0.5}}},
-		"above-unity protection": {BERs: []float64{1e-9}, Protection: map[string][2]float64{"conv1_1": {0.5, 1.5}}},
-	}
-	for name, req := range bad {
+	for name, req := range invalidRequests {
 		if _, err := Key(req); err == nil {
 			t.Errorf("%s: Key accepted an invalid request", name)
 		}
@@ -217,24 +228,36 @@ func TestKeyRejectsInvalidRequests(t *testing.T) {
 // scenario lines are appended only when the field is present, so every
 // previously persisted cache entry keeps answering its request.
 func TestKeyUnchangedWithoutScenario(t *testing.T) {
-	pinned := []struct {
-		name string
-		req  winofault.CampaignRequest
-		key  string
-	}{
-		{"defaults", winofault.CampaignRequest{BERs: []float64{1e-9}},
-			"dc864e4c985bfd6d4116e42dc50f1200b09ea3c76c21861a2b1765f2b0983a9e"},
-		{"full", winofault.CampaignRequest{Model: "resnet50", Engine: "winograd", Precision: "int8",
-			Semantics: "operand", WidthMult: 0.25, InputSize: 24, Samples: 12, Rounds: 3, Seed: 9,
-			TileF4: true, BERs: []float64{1e-10, 3e-9}, Layers: true,
-			Protection: map[string][2]float64{"conv1": {0.5, 0.25}}},
-			"8747f1568f30fb20e26d76ba51dfc644e26018c02481cd5177265c4ee834a61f"},
-	}
-	for _, p := range pinned {
+	for _, p := range pinnedKeys {
 		if got := mustKey(t, p.req); got != p.key {
 			t.Errorf("%s: key drifted from the pinned PR 4 value:\ngot  %s\nwant %s", p.name, got, p.key)
 		}
 	}
+}
+
+var pinnedKeys = []struct {
+	name string
+	req  winofault.CampaignRequest
+	key  string
+}{
+	{"defaults", winofault.CampaignRequest{BERs: []float64{1e-9}},
+		"dc864e4c985bfd6d4116e42dc50f1200b09ea3c76c21861a2b1765f2b0983a9e"},
+	{"full", winofault.CampaignRequest{Model: "resnet50", Engine: "winograd", Precision: "int8",
+		Semantics: "operand", WidthMult: 0.25, InputSize: 24, Samples: 12, Rounds: 3, Seed: 9,
+		TileF4: true, BERs: []float64{1e-10, 3e-9}, Layers: true,
+		Protection: map[string][2]float64{"conv1": {0.5, 0.25}}},
+		"8747f1568f30fb20e26d76ba51dfc644e26018c02481cd5177265c4ee834a61f"},
+}
+
+// scenarioVariants each differ from a stuckpe scenario at PE (1, 2), bit 20,
+// in one identity-bearing way.
+var scenarioVariants = map[string]*winofault.Scenario{
+	"kind":   {Kind: "burst"},
+	"pe":     {Kind: "stuckpe", Row: 3, Col: 2, Bit: 20},
+	"bit":    {Kind: "stuckpe", Row: 1, Col: 2, Bit: 21},
+	"span":   {Kind: "burst", Span: 128},
+	"region": {Kind: "voltregion", Row1: 3, Col1: 3, V: 0.75},
+	"volt":   {Kind: "voltregion", Row1: 3, Col1: 3, V: 0.76},
 }
 
 // TestKeyScenario: scenarios are part of campaign identity — the kind and
@@ -249,16 +272,8 @@ func TestKeyScenario(t *testing.T) {
 	if stuck == plain {
 		t.Error("stuckpe scenario did not change the key")
 	}
-	variants := map[string]*winofault.Scenario{
-		"kind":   {Kind: "burst"},
-		"pe":     {Kind: "stuckpe", Row: 3, Col: 2, Bit: 20},
-		"bit":    {Kind: "stuckpe", Row: 1, Col: 2, Bit: 21},
-		"span":   {Kind: "burst", Span: 128},
-		"region": {Kind: "voltregion", Row1: 3, Col1: 3, V: 0.75},
-		"volt":   {Kind: "voltregion", Row1: 3, Col1: 3, V: 0.76},
-	}
 	seen := map[string]string{"": stuck}
-	for name, sc := range variants {
+	for name, sc := range scenarioVariants {
 		k := mustKey(t, base(sc))
 		for prev, pk := range seen {
 			if k == pk {
@@ -290,27 +305,28 @@ func TestKeyScenario(t *testing.T) {
 	}
 }
 
+// invalidScenarioRequests pins the scenario validation surface.
+var invalidScenarioRequests = map[string]winofault.CampaignRequest{
+	"unknown kind":  {BERs: []float64{1e-9}, Scenario: &winofault.Scenario{Kind: "meteor"}},
+	"pe outside":    {BERs: []float64{1e-9}, Scenario: &winofault.Scenario{Kind: "stuckpe", Row: 16}},
+	"bit outside":   {BERs: []float64{1e-9}, Scenario: &winofault.Scenario{Kind: "stuckpe", Bit: 32}},
+	"bit vs int8":   {BERs: []float64{1e-9}, Precision: "int8", Scenario: &winofault.Scenario{Kind: "stuckpe", Bit: 20}},
+	"negative span": {BERs: []float64{1e-9}, Scenario: &winofault.Scenario{Kind: "burst", Span: -2}},
+	"bad region":    {BERs: []float64{1e-9}, Scenario: &winofault.Scenario{Kind: "voltregion", Row0: 3, Row1: 1, V: 0.8}},
+	"zero volt":     {BERs: []float64{1e-9}, Scenario: &winofault.Scenario{Kind: "voltregion", Row1: 1, Col1: 1}},
+	"semantics":     {BERs: []float64{1e-9}, Semantics: "operand", Scenario: &winofault.Scenario{Kind: "burst"}},
+	"zero ber":      {BERs: []float64{0, 1e-9}, Scenario: &winofault.Scenario{Kind: "burst"}},
+}
+
 // TestKeyRejectsInvalidScenarios pins the scenario validation surface.
 func TestKeyRejectsInvalidScenarios(t *testing.T) {
-	bers := []float64{1e-9}
-	bad := map[string]winofault.CampaignRequest{
-		"unknown kind":  {BERs: bers, Scenario: &winofault.Scenario{Kind: "meteor"}},
-		"pe outside":    {BERs: bers, Scenario: &winofault.Scenario{Kind: "stuckpe", Row: 16}},
-		"bit outside":   {BERs: bers, Scenario: &winofault.Scenario{Kind: "stuckpe", Bit: 32}},
-		"bit vs int8":   {BERs: bers, Precision: "int8", Scenario: &winofault.Scenario{Kind: "stuckpe", Bit: 20}},
-		"negative span": {BERs: bers, Scenario: &winofault.Scenario{Kind: "burst", Span: -2}},
-		"bad region":    {BERs: bers, Scenario: &winofault.Scenario{Kind: "voltregion", Row0: 3, Row1: 1, V: 0.8}},
-		"zero volt":     {BERs: bers, Scenario: &winofault.Scenario{Kind: "voltregion", Row1: 1, Col1: 1}},
-		"semantics":     {BERs: bers, Semantics: "operand", Scenario: &winofault.Scenario{Kind: "burst"}},
-		"zero ber":      {BERs: []float64{0, 1e-9}, Scenario: &winofault.Scenario{Kind: "burst"}},
-	}
-	for name, req := range bad {
+	for name, req := range invalidScenarioRequests {
 		if _, err := Key(req); err == nil {
 			t.Errorf("%s: Key accepted an invalid scenario request", name)
 		}
 	}
 	// int16 keeps the full 32-bit product register addressable.
-	ok := winofault.CampaignRequest{BERs: bers, Scenario: &winofault.Scenario{Kind: "stuckpe", Bit: 31}}
+	ok := winofault.CampaignRequest{BERs: []float64{1e-9}, Scenario: &winofault.Scenario{Kind: "stuckpe", Bit: 31}}
 	if _, err := Key(ok); err != nil {
 		t.Errorf("bit 31 on int16 rejected: %v", err)
 	}
@@ -326,4 +342,68 @@ func TestCanonicalIsVersioned(t *testing.T) {
 	if !strings.HasPrefix(canon, keySchema+"\n") {
 		t.Errorf("canonical form does not start with schema tag %q:\n%s", keySchema, canon)
 	}
+}
+
+// FuzzCanonical decodes its input as a JSON campaign request and checks the
+// canonical form's contract: Canonical never panics; a request it accepts
+// keeps its canonical text across a JSON round trip, as it does on its way
+// to the server; and replacing the scenario by its normalized form keeps the
+// text too, because canonicalizing is idempotent. Every request in this
+// file's tables is a seed, so go test replays them.
+func FuzzCanonical(f *testing.F) {
+	var seeds []winofault.CampaignRequest
+	for _, table := range []map[string]winofault.CampaignRequest{
+		resultAffectingVariants, invalidRequests, invalidScenarioRequests,
+	} {
+		for _, name := range slices.Sorted(maps.Keys(table)) {
+			seeds = append(seeds, table[name])
+		}
+	}
+	for _, p := range pinnedKeys {
+		seeds = append(seeds, p.req)
+	}
+	for _, name := range slices.Sorted(maps.Keys(scenarioVariants)) {
+		seeds = append(seeds, winofault.CampaignRequest{BERs: []float64{1e-9}, Scenario: scenarioVariants[name]})
+	}
+	for _, req := range seeds {
+		if data, err := json.Marshal(req); err == nil { // NaN and Inf have no JSON spelling
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req winofault.CampaignRequest
+		if json.Unmarshal(data, &req) != nil {
+			return
+		}
+		canon, err := Canonical(req)
+		if err != nil {
+			return
+		}
+		wire, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request does not marshal: %v", err)
+		}
+		var back winofault.CampaignRequest
+		if err := json.Unmarshal(wire, &back); err != nil {
+			t.Fatalf("accepted request does not round-trip: %v", err)
+		}
+		if got, err := Canonical(back); got != canon {
+			t.Fatalf("JSON round trip changed the canonical text (err %v):\n%s\nwant\n%s", err, got, canon)
+		}
+		if req.Scenario == nil {
+			return
+		}
+		cfg, err := req.SystemConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns, err := req.Scenario.Normalized(cfg.Precision)
+		if err != nil {
+			t.Fatalf("accepted scenario does not normalize: %v", err)
+		}
+		req.Scenario = &ns
+		if got, err := Canonical(req); got != canon {
+			t.Fatalf("normalizing the scenario changed the canonical text (err %v):\n%s\nwant\n%s", err, got, canon)
+		}
+	})
 }

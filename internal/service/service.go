@@ -486,9 +486,8 @@ func (s *Service) runGuarded(j *Job) (data []byte, err error) {
 }
 
 // runCampaign executes one real campaign: through the Distributor when one is
-// configured, otherwise in-process, each plan phase as a single unit range
-// [0, n). Both paths drive the same campaign plan, so their bytes are
-// identical.
+// configured, otherwise in-process with Plan.Run. Both paths drive the same
+// campaign plan, so their bytes are identical.
 func (s *Service) runCampaign(ctx context.Context, key string, req winofault.CampaignRequest, progress func(batch, done, total int)) ([]byte, error) {
 	// The request's own worker ask is honored only up to the service's
 	// per-job budget (the budget is the default) on either path: a
@@ -501,21 +500,9 @@ func (s *Service) runCampaign(ctx context.Context, key string, req winofault.Cam
 	if err != nil {
 		return nil, err
 	}
-	o := obs.From(ctx)
-	var res winofault.CampaignResult
-	for i, phase := range plan.Phases() {
-		ph := o.Trace.Start("phase",
-			obs.A("phase", phase.Name), obs.A("path", "local"), obs.A("units", phase.Units))
-		counts, err := plan.Counts(ctx, i, 0, phase.Units, func(done, total int) { progress(i, done, total) })
-		if err == nil {
-			err = plan.Reduce(&res, i, counts)
-		}
-		if err != nil {
-			ph.SetAttr("err", err.Error())
-			ph.End()
-			return nil, err
-		}
-		ph.End()
+	res, err := plan.Run(ctx, progress)
+	if err != nil {
+		return nil, err
 	}
 	return json.Marshal(res)
 }

@@ -5,17 +5,18 @@ import (
 	"fmt"
 
 	"repro/internal/faultsim"
+	"repro/internal/obs"
 )
 
 // Plan is the execution plan of one campaign, shared by every path that runs
-// it: the service's in-process run, the fleet coordinator and its shard
-// workers. A campaign is a sequence of phases — the BER sweep, then, when
-// layer sensitivity is requested, the layer batch at the sweep's middle BER
-// (BERs[len/2], the wfsim -layers convention). Each phase flattens to a
-// (campaign, round) unit index space that is a pure function of the request
-// (see internal/faultsim), so any split of it into ranges, computed by any
-// process with any worker count, reduces to the same bytes as one in-process
-// run over [0, n).
+// it: Run in-process (the service, wfsim, the examples), the fleet
+// coordinator and its shard workers. A campaign is a sequence of phases —
+// the BER sweep, then, when layer sensitivity is requested, the layer batch
+// at the sweep's middle BER (BERs[len/2], the wfsim -layers convention).
+// Each phase flattens to a (campaign, round) unit index space that is a
+// pure function of the request (see internal/faultsim), so any split of it
+// into ranges, computed by any process with any worker count, reduces to
+// the same bytes as one in-process run over [0, n).
 type Plan struct {
 	sys     *System
 	phases  []Phase
@@ -52,8 +53,12 @@ func NewPlan(req CampaignRequest) (*Plan, error) {
 // Plan returns the execution plan of a sweep over bers on this system, plus
 // the layer-sensitivity phase at the middle BER when layers is set.
 func (s *System) Plan(bers []float64, layers bool) (*Plan, error) {
-	if err := s.scenarioBERs(s.opts.HW, bers...); err != nil {
-		return nil, err
+	// The unit-space contract treats BER <= 0 campaigns as exactly
+	// fault-free, which a hardware scenario is not, so they would lie.
+	for _, ber := range bers {
+		if s.opts.HW != nil && ber <= 0 {
+			return nil, fmt.Errorf("winofault: hardware scenarios need positive BERs, got %v", ber)
+		}
 	}
 	p := &Plan{sys: s}
 	p.add("sweep", faultsim.SweepCampaigns(bers, s.opts))
@@ -75,6 +80,34 @@ func (p *Plan) add(name string, cs []faultsim.Campaign) {
 // Phases lists the plan's phases in execution order; phase indices in the
 // other methods refer to this order.
 func (p *Plan) Phases() []Phase { return append([]Phase(nil), p.phases...) }
+
+// Run executes the whole plan in this process, each phase as the one unit
+// range [0, n) traced as a "phase" span (path=local) on obs.From(ctx).
+// progress, when non-nil, observes (phase, done, total) after every finished
+// unit and may be called concurrently. When ctx is canceled the partial
+// result is discarded and ctx.Err() is returned.
+func (p *Plan) Run(ctx context.Context, progress func(phase, done, total int)) (*CampaignResult, error) {
+	tr := obs.From(ctx).Trace
+	var res CampaignResult
+	for i, phase := range p.phases {
+		ph := tr.Start("phase", obs.A("phase", phase.Name), obs.A("path", "local"), obs.A("units", phase.Units))
+		var unit func(done, total int)
+		if progress != nil {
+			unit = func(done, total int) { progress(i, done, total) }
+		}
+		counts, err := p.Counts(ctx, i, 0, phase.Units, unit)
+		if err == nil {
+			err = p.Reduce(&res, i, counts)
+		}
+		if err != nil {
+			ph.SetAttr("err", err.Error())
+			ph.End()
+			return nil, err
+		}
+		ph.End()
+	}
+	return &res, nil
+}
 
 // Counts executes units [lo, hi) of phase i and returns their
 // golden-agreement counts in unit order. Counts for a range are
@@ -145,7 +178,15 @@ func (p *Plan) Reduce(res *CampaignResult, i int, counts []int) error {
 	s := p.sys
 	if p.phases[i].Name == "layers" {
 		base, per := s.runner.LayerSensitivityFromCounts(p.mid, s.opts, s.cfg.Rounds, counts)
-		res.Baseline, res.Layers = base, s.layerTable(base, per)
+		res.Baseline, res.Layers = base, nil
+		for _, li := range s.runner.Net.ConvNodes() {
+			res.Layers = append(res.Layers, LayerSensitivity{
+				Layer:             s.arch.Ops[li].Name,
+				FaultFreeAccuracy: per[li],
+				Vulnerability:     per[li] - base,
+				Muls:              s.opts.Intensity[li].Mul,
+			})
+		}
 		return nil
 	}
 	accs := s.runner.Reduce(p.batches[i], s.cfg.Rounds, counts)

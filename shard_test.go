@@ -2,8 +2,13 @@ package winofault
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // planFor builds the campaign plan of (bers, layers) on a fresh system.
@@ -53,7 +58,7 @@ func shardedResult(t *testing.T, plan *Plan, remote func() *Plan, split func(i, 
 
 // TestShardedSweepBitIdentical: splitting a sweep's unit index space into
 // contiguous shards, computing each shard's counts independently (as remote
-// workers would) and reducing the merged counts must reproduce SweepCtx
+// workers would) and reducing the merged counts must reproduce Plan.Run
 // bit-for-bit — the invariant the distributed campaign path rests on.
 func TestShardedSweepBitIdentical(t *testing.T) {
 	bers := []float64{0, 1e-9, 1e-8}
@@ -62,18 +67,15 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := sys.SweepCtx(context.Background(), bers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := CampaignResult{Points: pts}
+	want := *runPlan(t, sys, bers, false)
 	plan, err := sys.Plan(bers, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// BER 0 is exactly fault-free and contributes no units.
 	total := plan.Phases()[0].Units
-	if total == 0 || total != sys.SweepUnits(bers) {
-		t.Fatalf("sweep phase has %d units, SweepUnits says %d", total, sys.SweepUnits(bers))
+	if total != 2*cfg.Rounds {
+		t.Fatalf("sweep phase has %d units, want %d", total, 2*cfg.Rounds)
 	}
 	remote := func() *Plan { return planFor(t, cfg, bers, false) }
 	for _, shards := range []int{1, 2, total} {
@@ -93,6 +95,10 @@ func TestShardedLayersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := *runPlan(t, sys, []float64{ber}, true)
+	// The methods kept for cmd/wfbench's serial replay run the same two
+	// phases one by one, and the replay checks its bytes against digests
+	// pinned from the service's.
 	pts, err := sys.SweepCtx(context.Background(), []float64{ber})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +107,9 @@ func TestShardedLayersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := CampaignResult{Points: pts, Baseline: base, Layers: layers}
+	if got := (CampaignResult{Points: pts, Baseline: base, Layers: layers}); !reflect.DeepEqual(got, want) {
+		t.Errorf("replay methods %+v, want Plan.Run's %+v", got, want)
+	}
 	plan, err := sys.Plan([]float64{ber}, true)
 	if err != nil {
 		t.Fatal(err)
@@ -161,5 +169,48 @@ func TestShardRangeAndCountErrors(t *testing.T) {
 	}
 	if _, err := sys.Plan(nil, true); err == nil {
 		t.Error("layer phase without a BER did not error")
+	}
+}
+
+// TestPlanRunProgressSpansAndCancel: Run reports progress per phase, traces
+// each phase as a path=local span on the context's trace, and a canceled
+// context fails the run with ctx.Err() and an err attribute on the span.
+func TestPlanRunProgressSpansAndCancel(t *testing.T) {
+	plan := planFor(t, testConfig(Direct), []float64{1e-9}, true)
+	var mu sync.Mutex
+	last := map[int][2]int{}
+	tr := obs.NewRecorder(4).Begin("k")
+	ctx := obs.With(context.Background(), obs.Obs{Trace: tr})
+	if _, err := plan.Run(ctx, func(phase, done, total int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if done > last[phase][0] {
+			last[phase] = [2]int{done, total}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Snapshot().Spans
+	for i, ph := range plan.Phases() {
+		if last[i] != [2]int{ph.Units, ph.Units} {
+			t.Errorf("phase %d progress ended at %v, want %d of %d", i, last[i], ph.Units, ph.Units)
+		}
+		if i >= len(spans) {
+			t.Fatalf("%d spans for %d phases", len(spans), len(plan.Phases()))
+		}
+		want := map[string]string{"phase": ph.Name, "path": "local", "units": fmt.Sprint(ph.Units)}
+		if sp := spans[i]; sp.Name != "phase" || !reflect.DeepEqual(sp.Attrs, want) {
+			t.Errorf("span %d: %s %v, want phase %v", i, sp.Name, sp.Attrs, want)
+		}
+	}
+
+	canceled, cancel := context.WithCancel(obs.With(context.Background(), obs.Obs{Trace: tr}))
+	cancel()
+	if _, err := plan.Run(canceled, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled run returned %v, want context.Canceled", err)
+	}
+	spans = tr.Snapshot().Spans
+	if sp := spans[len(spans)-1]; sp.Attrs["err"] == "" {
+		t.Errorf("canceled phase span %v carries no err attribute", sp.Attrs)
 	}
 }

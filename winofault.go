@@ -11,13 +11,16 @@
 //
 //	sys, err := winofault.New(winofault.Config{Model: "vgg19", Engine: winofault.Winograd})
 //	if err != nil { ... }
-//	acc := sys.Accuracy(3e-10) // golden-agreement accuracy under soft errors
+//	plan, err := sys.Plan([]float64{3e-10}, false)
+//	if err != nil { ... }
+//	res, err := plan.Run(ctx, nil) // res.Points: golden-agreement accuracy under soft errors
 package winofault
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/experiments"
@@ -203,6 +206,38 @@ func (s Scenario) Normalized(p Precision) (Scenario, error) {
 	return out, nil
 }
 
+// validate rejects a config no campaign can run; zero still means the
+// default (see normalize). New and CampaignRequest.SystemConfig both call
+// it, so the facade and the service's submit-time gate agree.
+func (c Config) validate() error {
+	if c.Model != "" {
+		if _, err := models.ByName(c.Model, models.Options{}); err != nil {
+			return err
+		}
+	}
+	if _, err := kernel.Get(c.Backend); err != nil {
+		return fmt.Errorf("winofault: %w", err)
+	}
+	// Scenario events are mul result-register flips; under any other
+	// semantics the injector would silently ignore them and hand back
+	// statistical results labeled as a scenario campaign.
+	if c.Scenario != nil && c.Semantics != ResultFlip {
+		return fmt.Errorf("winofault: scenario %q requires result-flip semantics, got %q", c.Scenario.Kind, c.semantics())
+	}
+	if c.WidthMult < 0 || math.IsNaN(c.WidthMult) || math.IsInf(c.WidthMult, 0) {
+		return fmt.Errorf("winofault: WidthMult %v is negative or not finite (0 means the default)", c.WidthMult)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"InputSize", c.InputSize}, {"Samples", c.Samples}, {"Rounds", c.Rounds}} {
+		if f.v < 0 {
+			return fmt.Errorf("winofault: %s %d is negative (0 means the default)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func (c *Config) normalize() {
 	if c.Model == "" {
 		c.Model = "vgg19"
@@ -264,52 +299,13 @@ type System struct {
 	runner *faultsim.Runner
 	opts   faultsim.Options
 	census []fault.Census
-	// sched maps the scaled network onto the DNN-Engine PE array for
-	// hardware-located scenarios; built eagerly in New (it is geometry-only
-	// and cheap) so concurrent SweepHW calls never race on it.
-	sched []*hwfault.LayerSchedule
-}
-
-// injection compiles a scenario against this system's schedules. Sampled
-// stuck coordinates resolve from the campaign seed, so every process that
-// builds the same (config, scenario) pair injects identical faults.
-func (s *System) injection(sc Scenario) (*hwfault.Injection, error) {
-	// Scenario events are mul result-register flips; under any other
-	// semantics the injector would silently ignore them and hand back
-	// statistical results labeled as a scenario sweep.
-	if s.cfg.Semantics != ResultFlip {
-		return nil, fmt.Errorf("winofault: scenario %q requires result-flip semantics, got %q", sc.Kind, s.cfg.semantics())
-	}
-	hs, err := sc.compile(s.cfg.format())
-	if err != nil {
-		return nil, err
-	}
-	return hwfault.NewInjection(hs, systolic.DNNEngine16, s.cfg.format(), s.sched, s.cfg.Seed)
-}
-
-// scenarioBERs rejects non-positive BERs when a hardware scenario is
-// active: the unit-space contract treats BER <= 0 campaigns as exactly
-// fault-free, which a stuck PE is not, so such sweeps would silently lie.
-func (s *System) scenarioBERs(hw *hwfault.Injection, bers ...float64) error {
-	if hw == nil {
-		return nil
-	}
-	for _, ber := range bers {
-		if ber <= 0 {
-			return fmt.Errorf("winofault: hardware scenarios need positive BERs, got %v", ber)
-		}
-	}
-	return nil
 }
 
 // New builds a system: the scaled quantized network with deterministic
 // weights, a synthetic evaluation set, and paper-scale fault intensities.
 func New(cfg Config) (*System, error) {
-	if cfg.InputSize < 0 {
-		return nil, fmt.Errorf("winofault: InputSize %d is negative (0 means the default, %d)", cfg.InputSize, 32)
-	}
-	if _, err := kernel.Get(cfg.Backend); err != nil {
-		return nil, fmt.Errorf("winofault: %w", err)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg.normalize()
 	scale := models.Options{WidthMult: cfg.WidthMult, InputSize: cfg.InputSize}
@@ -346,13 +342,17 @@ func New(cfg Config) (*System, error) {
 			Backend:         cfg.Backend,
 		},
 	}
-	sys.sched = hwfault.NetworkSchedules(systolic.DNNEngine16, arch, cfg.kind(), cfg.tile(), cfg.Samples)
 	if cfg.Scenario != nil {
-		inj, err := sys.injection(*cfg.Scenario) // also rejects non-result semantics
+		hs, err := cfg.Scenario.compile(f)
 		if err != nil {
 			return nil, err
 		}
-		sys.opts.HW = inj
+		// Sampled stuck coordinates resolve from the campaign seed, so every
+		// process that builds the same config injects identical faults.
+		sched := hwfault.NetworkSchedules(systolic.DNNEngine16, arch, cfg.kind(), cfg.tile(), cfg.Samples)
+		if sys.opts.HW, err = hwfault.NewInjection(hs, systolic.DNNEngine16, f, sched, cfg.Seed); err != nil {
+			return nil, err
+		}
 	}
 	return sys, nil
 }
@@ -363,95 +363,24 @@ type Point struct {
 	Accuracy float64 // golden-agreement accuracy in [0,1]
 }
 
-// Accuracy returns golden-agreement accuracy at the given bit error rate.
-// It panics on invalid arguments (a non-positive BER on a scenario-carrying
-// system); use AccuracyCtx to handle that as an error. Before scenarios no
-// error could reach this wrapper, and silently returning 0 would be
-// indistinguishable from a measured 0% accuracy.
-func (s *System) Accuracy(ber float64) float64 {
-	acc, err := s.AccuracyCtx(context.Background(), ber)
-	if err != nil {
-		panic(err) // Background ctx never cancels: only validation errors land here
-	}
-	return acc
-}
-
-// AccuracyCtx is Accuracy with cancellation: when ctx is canceled the
-// campaign stops scheduling Monte-Carlo rounds and ctx.Err() is returned.
-func (s *System) AccuracyCtx(ctx context.Context, ber float64) (float64, error) {
-	if err := s.scenarioBERs(s.opts.HW, ber); err != nil {
-		return 0, err
-	}
-	acc := s.runner.Accuracy(ctx, ber, s.opts, s.cfg.Rounds)
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return acc, nil
-}
-
-// Sweep measures accuracy across a BER range. Like Accuracy it panics on
-// invalid arguments (a non-positive BER on a scenario-carrying system)
-// rather than silently returning nil; use SweepCtx to get the error.
-func (s *System) Sweep(bers []float64) []Point {
-	pts, err := s.SweepCtx(context.Background(), bers)
-	if err != nil {
-		panic(err) // Background ctx never cancels: only validation errors land here
-	}
-	return pts
-}
-
-// SweepCtx is Sweep with cancellation: when ctx is canceled mid-campaign the
-// scheduler stops claiming (BER point, round) units, the partial points are
-// discarded and ctx.Err() is returned.
+// SweepCtx runs a BER sweep campaign and returns its points. Plan.Run is the
+// way to run a campaign; SweepCtx, LayerSensitivitiesCtx, OnProgress and
+// LayerUnits serve cmd/wfbench's serial replay, which times the phases one
+// by one. A canceled ctx discards the partial points and returns ctx.Err().
 func (s *System) SweepCtx(ctx context.Context, bers []float64) ([]Point, error) {
-	return s.sweep(ctx, s.opts, bers)
-}
-
-// sweep runs a BER sweep under opts (the system's, or a scenario override).
-func (s *System) sweep(ctx context.Context, opts faultsim.Options, bers []float64) ([]Point, error) {
-	if err := s.scenarioBERs(opts.HW, bers...); err != nil {
-		return nil, err
-	}
-	pts := s.runner.Sweep(ctx, bers, opts, s.cfg.Rounds)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]Point, len(pts))
-	for i, p := range pts {
-		out[i] = Point{BER: p.BER, Accuracy: p.Accuracy}
-	}
-	return out, nil
-}
-
-// SweepHW measures accuracy across a BER range with faults located on the
-// accelerator array by the given scenario, overriding any Config.Scenario
-// for this sweep. The BER axis keeps its statistical meaning as the
-// nominal background rate: a "voltregion" draws it outside the stressed
-// region, while "stuckpe" and "burst" ignore it (their fault process is the
-// scenario itself) — every BER must still be positive, because BER <= 0
-// points are defined as exactly fault-free by the unit-space contract.
-func (s *System) SweepHW(sc Scenario, bers []float64) ([]Point, error) {
-	return s.SweepHWCtx(context.Background(), sc, bers)
-}
-
-// SweepHWCtx is SweepHW with cancellation.
-func (s *System) SweepHWCtx(ctx context.Context, sc Scenario, bers []float64) ([]Point, error) {
-	inj, err := s.injection(sc)
+	p, err := s.Plan(bers, false)
 	if err != nil {
 		return nil, err
 	}
-	opts := s.opts
-	opts.HW = inj
-	return s.sweep(ctx, opts, bers)
+	res, err := p.Run(ctx, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.Points, nil
 }
 
-// SweepUnits reports the size of the flattened (campaign, round) unit index
-// space of a BER sweep — the Units of a Plan's sweep phase.
-func (s *System) SweepUnits(bers []float64) int {
-	return faultsim.Units(faultsim.SweepCampaigns(bers, s.opts), s.cfg.Rounds)
-}
-
-// LayerUnits is SweepUnits for the layer-sensitivity batch at one BER.
+// LayerUnits is the unit total of the layer-sensitivity batch at one BER,
+// as Plan.Phases reports it; it serves cmd/wfbench's serial replay.
 func (s *System) LayerUnits(ber float64) int {
 	return faultsim.Units(s.runner.LayerCampaigns(ber, s.opts), s.cfg.Rounds)
 }
@@ -464,7 +393,7 @@ func (s *System) LayerUnits(ber float64) int {
 func (s *System) OnProgress(fn func(done, total int)) { s.opts.Progress = fn }
 
 // SetProtection installs a fine-grained TMR protection plan by layer name:
-// each entry maps a convolution layer (as reported by LayerSensitivities) to
+// each entry maps a convolution layer (named as in CampaignResult.Layers) to
 // its protected [mul, add] operation fractions in [0, 1]. An empty or nil map
 // clears the protection. The plan applies to every subsequent campaign run by
 // this system.
@@ -515,45 +444,22 @@ type LayerSensitivity struct {
 	Muls int64
 }
 
-// LayerSensitivities runs the paper's Fig. 3 analysis at the given BER,
-// returning the all-faulty baseline accuracy and per-layer results in
-// network order. Like Accuracy it panics on invalid arguments (a
-// non-positive BER on a scenario-carrying system); use
-// LayerSensitivitiesCtx to get the error.
-func (s *System) LayerSensitivities(ber float64) (baseline float64, layers []LayerSensitivity) {
-	baseline, layers, err := s.LayerSensitivitiesCtx(context.Background(), ber)
-	if err != nil {
-		panic(err) // Background ctx never cancels: only validation errors land here
-	}
-	return baseline, layers
-}
-
-// LayerSensitivitiesCtx is LayerSensitivities with cancellation: when ctx is
-// canceled the partial analysis is discarded and ctx.Err() is returned.
+// LayerSensitivitiesCtx runs the paper's Fig. 3 analysis at the given BER —
+// the layers phase of a campaign at that BER — returning the all-faulty
+// baseline accuracy and per-layer results in network order. Like SweepCtx it
+// serves cmd/wfbench's serial replay. When ctx is canceled the partial
+// analysis is discarded and ctx.Err() is returned.
 func (s *System) LayerSensitivitiesCtx(ctx context.Context, ber float64) (baseline float64, layers []LayerSensitivity, err error) {
-	if err := s.scenarioBERs(s.opts.HW, ber); err != nil {
+	p, err := s.Plan([]float64{ber}, true)
+	if err != nil {
 		return 0, nil, err
 	}
-	base, per := s.runner.LayerSensitivity(ctx, ber, s.opts, s.cfg.Rounds)
-	if err := ctx.Err(); err != nil {
-		return 0, nil, err
+	var res CampaignResult
+	counts, err := p.Counts(ctx, 1, 0, p.phases[1].Units, nil)
+	if err == nil {
+		err = p.Reduce(&res, 1, counts)
 	}
-	return base, s.layerTable(base, per), nil
-}
-
-// layerTable maps per-node accuracies to the named LayerSensitivity rows in
-// network order (shared by LayerSensitivitiesCtx and Plan.Reduce).
-func (s *System) layerTable(base float64, per map[int]float64) []LayerSensitivity {
-	var layers []LayerSensitivity
-	for _, li := range s.runner.Net.ConvNodes() {
-		layers = append(layers, LayerSensitivity{
-			Layer:             s.arch.Ops[li].Name,
-			FaultFreeAccuracy: per[li],
-			Vulnerability:     per[li] - base,
-			Muls:              s.opts.Intensity[li].Mul,
-		})
-	}
-	return layers
+	return res.Baseline, res.Layers, err
 }
 
 // TMRPlan is a fine-grained protection plan.

@@ -2,6 +2,7 @@ package winofault
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -18,6 +19,26 @@ func testConfig(engine Engine) Config {
 	}
 }
 
+// runPlan runs the campaign (bers, layers) on sys through its plan.
+func runPlan(t testing.TB, sys *System, bers []float64, layers bool) *CampaignResult {
+	t.Helper()
+	p, err := sys.Plan(bers, layers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// accuracy runs a one-point sweep at ber on sys.
+func accuracy(t testing.TB, sys *System, ber float64) float64 {
+	t.Helper()
+	return runPlan(t, sys, []float64{ber}, false).Points[0].Accuracy
+}
+
 func TestNewDefaults(t *testing.T) {
 	sys, err := New(Config{})
 	if err != nil {
@@ -26,7 +47,7 @@ func TestNewDefaults(t *testing.T) {
 	if got := len(sys.GoldenPredictions()); got != 24 {
 		t.Errorf("default samples = %d, want 24", got)
 	}
-	if acc := sys.Accuracy(0); acc != 1 {
+	if acc := accuracy(t, sys, 0); acc != 1 {
 		t.Errorf("accuracy at BER 0 = %v", acc)
 	}
 }
@@ -51,7 +72,7 @@ func TestSweepAndOpCounts(t *testing.T) {
 	if wgMul >= stMul {
 		t.Errorf("winograd full-size muls %d not below direct %d", wgMul, stMul)
 	}
-	pts := st.Sweep([]float64{0, 1e-8})
+	pts := runPlan(t, st, []float64{0, 1e-8}, false).Points
 	if len(pts) != 2 || pts[0].Accuracy != 1 {
 		t.Errorf("sweep malformed: %+v", pts)
 	}
@@ -65,7 +86,8 @@ func TestLayerSensitivities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, layers := sys.LayerSensitivities(3e-9)
+	res := runPlan(t, sys, []float64{3e-9}, true)
+	base, layers := res.Baseline, res.Layers
 	if base < 0 || base > 1 {
 		t.Errorf("baseline = %v", base)
 	}
@@ -85,7 +107,7 @@ func TestOptimizeTMR(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ber = 3e-9
-	before := sys.Accuracy(ber)
+	before := accuracy(t, sys, ber)
 	plan := sys.OptimizeTMR(ber, before+(1-before)*0.5)
 	if plan.Accuracy < before-0.2 {
 		t.Errorf("plan accuracy %v collapsed below unprotected %v", plan.Accuracy, before)
@@ -148,7 +170,7 @@ func TestSemanticsSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if acc := sys.Accuracy(1e-9); acc < 0 || acc > 1 {
+		if acc := accuracy(t, sys, 1e-9); acc < 0 || acc > 1 {
 			t.Errorf("semantics %v: accuracy %v", sem, acc)
 		}
 	}
@@ -219,7 +241,7 @@ func TestFormatSweepGoldenCampaigns(t *testing.T) {
 				}
 			}
 			var b strings.Builder
-			FormatSweep(&b, sys.Sweep(bers))
+			FormatSweep(&b, runPlan(t, sys, bers, false).Points)
 			if b.String() != tc.want {
 				t.Errorf("rendered table drifted:\n got %q\nwant %q", b.String(), tc.want)
 			}
@@ -235,7 +257,7 @@ func TestPrecisionAndTileSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := sys.Accuracy(0); acc != 1 {
+	if acc := accuracy(t, sys, 0); acc != 1 {
 		t.Errorf("golden accuracy = %v", acc)
 	}
 }
