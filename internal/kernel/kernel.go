@@ -12,10 +12,12 @@
 // leaves requantization to the caller produces results bit-identical to the
 // scalar reference. Backends may therefore block, unroll, and reassociate
 // freely, but must never round intermediates, change the product set, or
-// requantize early. The fault-replay paths (conv.replayOutput,
-// winograd.replayTile and the summation-segment walk) deliberately stay on
-// the reference scalar code: events are rare and their op-order contract is
-// correctness-critical, so they are not part of this interface.
+// requantize early. Fault replay is not part of this interface: the
+// census↔replay contract addresses single operations, so conv.replayOutput,
+// the winograd per-site replay and the DWM summation walk apply events on
+// scalar reference code. A faulty winograd tile still runs these kernels for
+// everything its events do not touch, which the same ring argument makes
+// exact.
 package kernel
 
 import (

@@ -2,7 +2,6 @@ package winograd
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/fixed"
@@ -28,8 +27,7 @@ type Params struct {
 	Tile  *Tile
 	OutC  int
 	InC   int
-	U     []int32 // transformed weights, [oc][c][T*T], frac = WFrac+FracExtra
-	UT    []int32 // U transposed to [pos][oc][c] for contiguous Hadamard sums
+	UT    []int32 // transformed weights U[oc][c][pos] stored as [pos][oc][c], frac = WFrac+FracExtra
 	WFrac int     // fractional bits of the original weight format
 	WBits int     // width of the weight/activation operand registers
 }
@@ -47,10 +45,13 @@ func NewParams(w *tensor.Tensor, t *Tile, wFmt fixed.Format) *Params {
 		Tile:  t,
 		OutC:  outC,
 		InC:   inC,
-		U:     make([]int32, outC*inC*T*T),
+		UT:    make([]int32, T*T*outC*inC),
 		WFrac: wFmt.Frac,
 		WBits: wFmt.Width,
 	}
+	// Both the Hadamard kernels and a replayed chain (oc, pos) sum over
+	// input channels at fixed (position, output channel); storing the
+	// weights position-major makes that sum walk them with stride 1.
 	scale := float64(int64(1) << uint(wFmt.Frac+t.FracExtra))
 	g := make([]float64, t.R*t.R)
 	for o := 0; o < outC; o++ {
@@ -60,27 +61,13 @@ func NewParams(w *tensor.Tensor, t *Tile, wFmt fixed.Format) *Params {
 					g[ky*t.R+kx] = w.At(o, c, ky, kx)
 				}
 			}
-			u := TransformFilter(t, g)
-			base := (o*inC + c) * T * T
-			for i, v := range u {
+			for i, v := range TransformFilter(t, g) {
 				s := v * scale
 				if s >= 0 {
-					p.U[base+i] = int32(s + 0.5)
+					p.UT[(i*outC+o)*inC+c] = int32(s + 0.5)
 				} else {
-					p.U[base+i] = int32(s - 0.5)
+					p.UT[(i*outC+o)*inC+c] = int32(s - 0.5)
 				}
-			}
-		}
-	}
-	// The fast path accumulates over input channels at fixed (position,
-	// output channel); storing the weights position-major makes that inner
-	// loop walk both operands with stride 1.
-	t2 := T * T
-	p.UT = make([]int32, t2*outC*inC)
-	for o := 0; o < outC; o++ {
-		for c := 0; c < inC; c++ {
-			for i := 0; i < t2; i++ {
-				p.UT[(i*outC+o)*inC+c] = p.U[(o*inC+c)*t2+i]
 			}
 		}
 	}
@@ -124,34 +111,6 @@ func coreCensus(t *Tile, in tensor.Shape, outC int) fault.Census {
 	return fault.Census{Mul: muls, Add: it + ca + ot}
 }
 
-// segments returns the per-(nt) spans used to route add events.
-func (p *Params) segments() (itPer, caPer, otPer int64) {
-	t2 := int64(p.Tile.MulsPerTileChannel())
-	itPer = int64(p.InC) * int64(p.Tile.InputAdds())
-	caPer = int64(p.OutC) * int64(p.InC-1) * t2
-	otPer = int64(p.OutC) * int64(p.Tile.OutputAdds())
-	return
-}
-
-// tileOfEvent maps an event to its global tile index nt.
-func (p *Params) tileOfEvent(ev fault.Event, ntTotal int64) int64 {
-	t2 := int64(p.Tile.MulsPerTileChannel())
-	if ev.Class == fault.OpMul {
-		return ev.Op / (int64(p.OutC) * int64(p.InC) * t2)
-	}
-	itPer, caPer, otPer := p.segments()
-	itTotal := ntTotal * itPer
-	caTotal := ntTotal * caPer
-	switch {
-	case ev.Op < itTotal:
-		return ev.Op / itPer
-	case ev.Op < itTotal+caTotal:
-		return (ev.Op - itTotal) / caPer
-	default:
-		return (ev.Op - itTotal - caTotal) / otPer
-	}
-}
-
 // coreScratch holds every buffer one Params forward pass needs. The zero
 // value is ready to use; buffers are (re)allocated on first use or geometry
 // change and recycled afterwards, so steady-state passes are allocation-free.
@@ -167,10 +126,7 @@ type coreScratch struct {
 	y    []int64         // one MxM output tile
 	tmp  []int64         // matTransform intermediate
 
-	// Sorted-events cursor state (event rounds only).
-	evs    []fault.Event // events stably sorted by owning tile
-	evTile []int64       // owning tile of evs[i], same order
-	sorter tileSorter    // reusable sort.Stable adapter for large draws
+	evs eventCursor // this pass's events, sorted by replay site (replay.go)
 }
 
 // i64 returns a recycled []int64 of length n (contents unspecified).
@@ -179,43 +135,6 @@ func i64(buf *[]int64, n int) []int64 {
 		*buf = make([]int64, n)
 	}
 	return (*buf)[:n]
-}
-
-// sortEventsByTile fills cs.evs/cs.evTile with the events stably sorted by
-// their owning tile, so the tile walk can consume them with a cursor instead
-// of a per-call map. Small event sets (the overwhelmingly common case) use a
-// stable insertion sort with zero allocation; large high-BER draws fall back
-// to sort.Stable to stay O(k·log²k).
-func (p *Params) sortEventsByTile(cs *coreScratch, events []fault.Event, ntTotal int64) {
-	cs.evs = append(cs.evs[:0], events...)
-	if cap(cs.evTile) < len(events) {
-		cs.evTile = make([]int64, len(events))
-	}
-	cs.evTile = cs.evTile[:len(events)]
-	for i, ev := range events {
-		cs.evTile[i] = p.tileOfEvent(ev, ntTotal)
-	}
-	if len(cs.evs) > 32 {
-		cs.sorter.cs = cs
-		sort.Stable(&cs.sorter)
-		return
-	}
-	for i := 1; i < len(cs.evs); i++ {
-		for j := i; j > 0 && cs.evTile[j-1] > cs.evTile[j]; j-- {
-			cs.evTile[j-1], cs.evTile[j] = cs.evTile[j], cs.evTile[j-1]
-			cs.evs[j-1], cs.evs[j] = cs.evs[j], cs.evs[j-1]
-		}
-	}
-}
-
-// tileSorter stably orders a coreScratch's event buffers by owning tile.
-type tileSorter struct{ cs *coreScratch }
-
-func (s *tileSorter) Len() int           { return len(s.cs.evs) }
-func (s *tileSorter) Less(i, j int) bool { return s.cs.evTile[i] < s.cs.evTile[j] }
-func (s *tileSorter) Swap(i, j int) {
-	s.cs.evTile[i], s.cs.evTile[j] = s.cs.evTile[j], s.cs.evTile[i]
-	s.cs.evs[i], s.cs.evs[j] = s.cs.evs[j], s.cs.evs[i]
 }
 
 // ForwardAcc computes the layer into an accumulator-domain buffer indexed by
@@ -229,9 +148,10 @@ func (p *Params) ForwardAcc(in *tensor.QTensor, events []fault.Event) ([]int64, 
 
 // forwardAcc is ForwardAcc against a caller-owned scratch and compute backend:
 // the returned slice aliases cs.acc and is valid until the next call with the
-// same scratch. Only the fault-free tile path goes through bk; tiles with
-// events replay on the reference census-ordered walk, so the backend can never
-// perturb fault semantics.
+// same scratch. Every tile runs through bk; a tile with events then replays
+// just the input transforms, Hadamard chains and output transforms its events
+// touch on the census-ordered scalar walk (replay.go), so a fault's effect
+// never depends on the backend.
 func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTensor, events []fault.Event) ([]int64, tensor.Shape) {
 	if in.Shape.C != p.InC {
 		panic(fmt.Sprintf("winograd: input channels %d != %d", in.Shape.C, p.InC))
@@ -267,16 +187,17 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 		}
 	}
 
-	// Route events to tiles with a sorted cursor: the tile walk below visits
-	// nt in strictly increasing order, so a stably tile-sorted event slice is
-	// consumed front to back and the fault-free common case pays nothing.
-	// The truncation matters: a recycled scratch still holds the previous
-	// event round's sorted events, which must not leak into this pass.
-	evCursor := 0
-	cs.evs, cs.evTile = cs.evs[:0], cs.evTile[:0]
-	if len(events) > 0 {
-		p.sortEventsByTile(cs, events, ntTotal)
+	// Key every event by its replay site. The tile walk below visits nt in
+	// strictly increasing order and each tile's sites in key order, so the
+	// sorted events are consumed front to back and a fault-free tile pays
+	// only cursor comparisons.
+	sites := p.siteLayout(ntTotal)
+	evs := &cs.evs
+	evs.reset()
+	for _, ev := range events {
+		evs.push(sites.key(ev), ev)
 	}
+	evs.sort()
 
 	t2 := T * T
 	acc := i64(&cs.acc, outShape.Elems())
@@ -304,17 +225,8 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 				mi = rest
 			}
 			for tx := 0; tx < tilesX; tx++ {
-				nt := (int64(n)*int64(tilesY)+int64(ty))*int64(tilesX) + int64(tx)
-				if evCursor < len(cs.evTile) && cs.evTile[evCursor] == nt {
-					run := evCursor
-					for run < len(cs.evTile) && cs.evTile[run] == nt {
-						run++
-					}
-					p.replayTile(ext, acc, outShape, n, ty, tx, nt, ntTotal, cs.evs[evCursor:run])
-					evCursor = run
-					continue
-				}
-				// Fast path: input transform per channel, then transpose to
+				key := ((int64(n)*int64(tilesY)+int64(ty))*int64(tilesX) + int64(tx)) * sites.span
+				// Input transform per channel, then transpose to
 				// position-major for the Hadamard stage.
 				tileBase := extBatch + ty*m*extW + tx*m
 				for c := 0; c < inC; c++ {
@@ -332,6 +244,19 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 					}
 					matTransform(t.BT, T, T, d, v[c*t2:(c+1)*t2], tmp)
 				}
+				// Replay the input transforms that carry events: each faulty
+				// V row feeds the backend Hadamard and every replayed chain.
+				for evs.below(key + sites.itPer) {
+					c := int((evs.peek() - key) / sites.itAdds)
+					base := tileBase + c*extChan
+					for i := 0; i < T; i++ {
+						for j := 0; j < T; j++ {
+							d[i*T+j] = int64(ext.Data[base+j])
+						}
+						base += extW
+					}
+					matTransformReplay(t.BT, T, T, d, v[c*t2:(c+1)*t2], tmp, evs, key+int64(c)*sites.itAdds)
+				}
 				for c := 0; c < inC; c++ {
 					vb := c * t2
 					for i := 0; i < t2; i++ {
@@ -344,15 +269,26 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 				// product set in int64, so the results are bit-identical no
 				// matter how the backend blocks the loops.
 				bk.Hadamard(msum, vT, p.UT, t2, outC, inC)
+				// Replay the chains that carry events; chain o·T²+pos is
+				// msum's element of the same index.
+				for evs.below(key + sites.otOff) {
+					chain := int((evs.peek() - key - sites.itPer) / (2 * sites.inC))
+					msum[chain] = p.replayChain(evs, v, chain/t2, chain%t2, t2,
+						key+sites.itPer+int64(chain)*2*sites.inC)
+				}
 				// Output transform + write-out per out channel.
 				mj := m
 				if rest := outShape.W - tx*m; rest < m {
 					mj = rest
 				}
 				for o := 0; o < outC; o++ {
-					if fast {
+					ot := key + sites.otOff + int64(o)*sites.otAdds
+					switch {
+					case evs.below(ot + sites.otAdds):
+						matTransformReplay(t.AT, m, T, msum[o*t2:(o+1)*t2], y, tmp, evs, ot)
+					case fast:
 						bk.Output(kt, msum[o*t2:(o+1)*t2], y)
-					} else {
+					default:
 						matTransform(t.AT, m, T, msum[o*t2:(o+1)*t2], y, tmp)
 					}
 					rowBase := outBatch + o*outChan + ty*m*outW + tx*m

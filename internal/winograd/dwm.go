@@ -196,9 +196,10 @@ func (l *Layer) sumAddsPerOut() int64 {
 // to one (Layer, goroutine) pair and makes steady-state fault-free passes
 // allocation-free. See DESIGN.md, memory model.
 type Scratch struct {
-	// Backend selects the compute backend for the fault-free tile paths;
+	// Backend selects the compute backend of every tile, faulty or not;
 	// nil means the process default (kernel.Default). Backends are
-	// bit-identical by contract, and fault replay ignores this entirely.
+	// bit-identical by contract, and the sites a fault touches replay on
+	// the scalar census walk whatever the backend.
 	Backend kernel.Backend
 
 	core    coreScratch       // shared by the units (identical geometry)
@@ -210,6 +211,7 @@ type Scratch struct {
 	out     *tensor.QTensor   // recycled requantized output
 	unitEvs [][]fault.Event   // per-unit routed events (event rounds only)
 	spans   [2][]int64        // per-unit census spans by op class
+	sum     eventCursor       // summation-segment events, step-major
 }
 
 // gather materializes the unit's input view into g: subsample by stride at
@@ -298,11 +300,15 @@ func (l *Layer) accumBias(sc *Scratch, inFmt fixed.Format) []int64 {
 }
 
 // routeEvents splits the layer's events into per-unit slices (rebased to the
-// unit's own op indexing) and the summation-segment map. The per-unit slices
-// recycle sc.unitEvs; the map is allocated only on event rounds.
-func (l *Layer) routeEvents(sc *Scratch, uin tensor.Shape, events []fault.Event) ([][]fault.Event, map[int64][]fault.Event) {
+// unit's own op indexing) and the summation segment's cursor sc.sum, and
+// panics on an event beyond the layer's census. A summation add is indexed
+// element·perOut + step, but the sum runs step by step over all elements, so
+// its cursor key is step·elems + element. Both destinations recycle sc's
+// buffers.
+func (l *Layer) routeEvents(sc *Scratch, uin tensor.Shape, elems int64, events []fault.Event) [][]fault.Event {
+	sc.sum.reset()
 	if len(events) == 0 {
-		return nil, nil
+		return nil
 	}
 	if len(sc.unitEvs) != len(l.units) {
 		sc.unitEvs = make([][]fault.Event, len(l.units))
@@ -317,7 +323,7 @@ func (l *Layer) routeEvents(sc *Scratch, uin tensor.Shape, events []fault.Event)
 		mulSpans[i] = c.Mul
 		addSpans[i] = c.Add
 	}
-	sumEvents := map[int64][]fault.Event{}
+	perOut := l.sumAddsPerOut()
 	for _, ev := range events {
 		spans := addSpans
 		if ev.Class == fault.OpMul {
@@ -336,15 +342,14 @@ func (l *Layer) routeEvents(sc *Scratch, uin tensor.Shape, events []fault.Event)
 			op -= span
 		}
 		if !routed {
-			if ev.Class != fault.OpAdd {
-				panic(fmt.Sprintf("winograd: mul event index %d beyond census", ev.Op))
+			if ev.Class != fault.OpAdd || op >= elems*perOut {
+				panic(fmt.Sprintf("winograd: %v event index %d beyond census", ev.Class, ev.Op))
 			}
-			rebased := ev
-			rebased.Op = op
-			sumEvents[op/l.sumAddsPerOut()] = append(sumEvents[op/l.sumAddsPerOut()], rebased)
+			sc.sum.push(op%perOut*elems+op/perOut, ev)
 		}
 	}
-	return sc.unitEvs, sumEvents
+	sc.sum.sort()
+	return sc.unitEvs
 }
 
 // ForwardFaultyCtx computes the layer with fault events applied bit-exactly,
@@ -365,12 +370,14 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 		bk = kernel.Default()
 	}
 
-	unitEvents, sumEvents := l.routeEvents(sc, uin, events)
+	elems := int64(outShape.Elems())
+	unitEvents := l.routeEvents(sc, uin, elems, events)
 
-	// Run units and sum in the accumulator domain.
+	// Run units and sum in the accumulator domain. Summation step s adds
+	// unit s+1 (or, after the last unit, the bias); a step with events walks
+	// every element through fault.Add, consuming its cursor keys in order.
 	acc := i64(&sc.acc, outShape.Elems())
 	shift := in.Fmt.Frac + l.WFrac + l.Tile.FracExtra - l.OutFmt.Frac
-	perOut := l.sumAddsPerOut()
 	if len(sc.gather) != len(l.units) {
 		sc.gather = make([]*tensor.QTensor, len(l.units))
 	}
@@ -392,21 +399,21 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 			copy(acc, ua)
 			continue
 		}
-		if sumEvents == nil {
+		key := int64(ui-1) * elems
+		if !sc.sum.below(key + elems) {
 			for i, a := range ua {
 				acc[i] += a
 			}
 			continue
 		}
-		step := int64(ui - 1)
-		for i := range acc {
-			evs := sumEvents[int64(i)]
-			acc[i] = fault.Add(acc[i], ua[i], fault.At(evs, int64(i)*perOut+step))
+		for i, a := range ua {
+			acc[i] = fault.Add(acc[i], a, sc.sum.at(key+int64(i)))
 		}
 	}
 	if bias := l.accumBias(sc, in.Fmt); bias != nil {
 		outs := outShape.H * outShape.W
-		if sumEvents == nil {
+		key := int64(len(l.units)-1) * elems
+		if !sc.sum.below(key + elems) {
 			i := 0
 			for n := 0; n < outShape.N; n++ {
 				for oc := 0; oc < outShape.C; oc++ {
@@ -418,11 +425,9 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 				}
 			}
 		} else {
-			step := int64(len(l.units) - 1)
 			for i := range acc {
 				oc := (i / outs) % outShape.C
-				evs := sumEvents[int64(i)]
-				acc[i] = fault.Add(acc[i], bias[oc], fault.At(evs, int64(i)*perOut+step))
+				acc[i] = fault.Add(acc[i], bias[oc], sc.sum.at(key+int64(i)))
 			}
 		}
 	}

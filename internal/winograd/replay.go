@@ -1,15 +1,161 @@
 package winograd
 
 import (
+	"fmt"
+	"sort"
+
 	"repro/internal/fault"
-	"repro/internal/tensor"
 )
 
+// A faulty tile runs the same fault-free backend path as a clean tile and
+// then replays, on the census-ordered scalar walk, only the sites its events
+// touch:
+//
+//   - the input transform of each input channel with an IT event, before the
+//     Hadamard stage, so its faulty V row feeds both the backend Hadamard and
+//     every replayed chain;
+//   - each Hadamard chain (o, pos) with a mul or CA event: the InC products
+//     V[c,pos]·U[o,c,pos] and InC−1 channel-accumulation adds of one output
+//     channel at one transform position;
+//   - the output transform of each output channel with an OT event, over the
+//     chain-replayed Hadamard sums.
+//
+// This is exact: a replayed site overwrites the backend's value with the
+// census walk's, and every value the backend produced from a faulty V row is
+// the same int64 sum the walk would form (int64 + and × form a ring, the
+// backend seam's own argument). Chains are independent: chain (o, pos) reads
+// only V[·,pos] and U[o,·,pos]. Op order and the fault.Mul/fault.Add rule are
+// those of the census↔replay contract in core.go.
+
+// eventCursor is an event list stably sorted by a replay key (key[i] belongs
+// to evs[i]) and consumed front to back. The buffers are recycled across
+// passes, so steady-state event rounds do not allocate.
+type eventCursor struct {
+	key  []int64
+	evs  []fault.Event
+	next int // first unconsumed event
+}
+
+// reset empties the cursor. Recycled buffers still hold the previous event
+// round, which must not leak into this one.
+func (c *eventCursor) reset() {
+	c.key, c.evs, c.next = c.key[:0], c.evs[:0], 0
+}
+
+func (c *eventCursor) push(key int64, ev fault.Event) {
+	c.key = append(c.key, key)
+	c.evs = append(c.evs, ev)
+}
+
+// sort orders the events by key, keeping equal keys in draw order. Small
+// event sets (the overwhelmingly common case) use an insertion sort; dense
+// draws (high BERs, stuck PEs, bursts) fall back to sort.Stable to stay
+// O(k·log²k). Neither allocates.
+func (c *eventCursor) sort() {
+	if len(c.key) > 32 {
+		sort.Stable(c)
+		return
+	}
+	for i := 1; i < len(c.key); i++ {
+		for j := i; j > 0 && c.key[j-1] > c.key[j]; j-- {
+			c.Swap(j-1, j)
+		}
+	}
+}
+
+func (c *eventCursor) Len() int           { return len(c.key) }
+func (c *eventCursor) Less(i, j int) bool { return c.key[i] < c.key[j] }
+func (c *eventCursor) Swap(i, j int) {
+	c.key[i], c.key[j] = c.key[j], c.key[i]
+	c.evs[i], c.evs[j] = c.evs[j], c.evs[i]
+}
+
+// below reports whether the next unconsumed event's key is below end.
+func (c *eventCursor) below(end int64) bool {
+	return c.next < len(c.key) && c.key[c.next] < end
+}
+
+// peek returns the next unconsumed event's key; valid only after below.
+func (c *eventCursor) peek() int64 { return c.key[c.next] }
+
+// at consumes and returns the events keyed key: empty when the next event
+// has another key. Walks call it with increasing keys and consume every key
+// below the ones they ask for.
+func (c *eventCursor) at(key int64) []fault.Event {
+	i := c.next
+	for c.next < len(c.key) && c.key[c.next] == key {
+		c.next++
+	}
+	return c.evs[i:c.next]
+}
+
+// siteLayout keys every event of one pass by the site that replays it:
+// tile nt owns keys [nt·span, (nt+1)·span), laid out as the tile's itPer
+// input-transform adds (channel-major, in add order), then its Hadamard
+// chains (chain o·T²+pos owns 2·InC keys: operation c's product at 2c, its
+// accumulation add at 2c+1), then its output-transform adds from otOff on
+// (channel-major, in add order). A stable key sort therefore lines events up
+// in exactly the order the tile walk replays them.
+type siteLayout struct {
+	ntTotal, t2, inC int64
+	itAdds, otAdds   int64 // adds of one input / output transform
+	mulPer           int64 // census muls per tile
+	itPer, caPer     int64 // census IT / CA adds per tile
+	itTotal, caTotal int64 // census adds of the IT / CA segments
+	otOff            int64 // site-key offset of the output transforms
+	span             int64 // site keys per tile
+}
+
+func (p *Params) siteLayout(ntTotal int64) siteLayout {
+	t2, inC, outC := int64(p.Tile.MulsPerTileChannel()), int64(p.InC), int64(p.OutC)
+	s := siteLayout{
+		ntTotal: ntTotal, t2: t2, inC: inC,
+		itAdds: int64(p.Tile.InputAdds()),
+		otAdds: int64(p.Tile.OutputAdds()),
+		mulPer: outC * inC * t2,
+		caPer:  outC * (inC - 1) * t2,
+	}
+	s.itPer = inC * s.itAdds
+	s.itTotal, s.caTotal = ntTotal*s.itPer, ntTotal*s.caPer
+	s.otOff = s.itPer + outC*t2*2*inC
+	s.span = s.otOff + outC*s.otAdds
+	return s
+}
+
+// key decodes an event's census index (the contract in core.go) into its
+// site key. An event beyond the census panics: no tile would replay it.
+func (s *siteLayout) key(ev fault.Event) int64 {
+	var nt, key int64
+	switch op := ev.Op; {
+	case ev.Class == fault.OpMul:
+		// local = (o·C + c)·T² + pos
+		local := op % s.mulPer
+		oc, pos := local/s.t2, local%s.t2
+		nt, key = op/s.mulPer, s.itPer+((oc/s.inC*s.t2+pos)*s.inC+oc%s.inC)*2
+	case op < s.itTotal:
+		nt, key = op/s.itPer, op%s.itPer
+	case op < s.itTotal+s.caTotal:
+		// local = (o·(C−1) + c−1)·T² + pos
+		op -= s.itTotal
+		local := op % s.caPer
+		oc, pos := local/s.t2, local%s.t2
+		o, c := oc/(s.inC-1), oc%(s.inC-1)+1
+		nt, key = op/s.caPer, s.itPer+((o*s.t2+pos)*s.inC+c)*2+1
+	default:
+		op -= s.itTotal + s.caTotal
+		otPer := s.span - s.otOff
+		nt, key = op/otPer, s.otOff+op%otPer
+	}
+	if nt >= s.ntTotal {
+		panic(fmt.Sprintf("winograd: %v event index %d beyond census", ev.Class, ev.Op))
+	}
+	return nt*s.span + key
+}
+
 // matTransformReplay is the scalar twin of matTransform that walks the adds
-// in census order, consuming steps from evs (keyed by absolute add index).
-// step is the absolute index of the next add; the final value is returned.
-func matTransformReplay(mat [][]int64, rows, t int, in, out []int64, evs map[int64][]fault.Event, step int64) int64 {
-	scratch := make([]int64, rows*t)
+// in census order: add step s applies the cursor's events keyed key+s.
+// scratch holds the rows x t intermediate.
+func matTransformReplay(mat [][]int64, rows, t int, in, out, scratch []int64, evs *eventCursor, key int64) {
 	for r := 0; r < rows; r++ {
 		row := mat[r]
 		for col := 0; col < t; col++ {
@@ -26,8 +172,8 @@ func matTransformReplay(mat [][]int64, rows, t int, in, out []int64, evs map[int
 					first = false
 					continue
 				}
-				acc = fault.Add(acc, term, evs[step])
-				step++
+				acc = fault.Add(acc, term, evs.at(key))
+				key++
 			}
 			scratch[r*t+col] = acc
 		}
@@ -48,98 +194,26 @@ func matTransformReplay(mat [][]int64, rows, t int, in, out []int64, evs map[int
 					first = false
 					continue
 				}
-				acc = fault.Add(acc, term, evs[step])
-				step++
+				acc = fault.Add(acc, term, evs.at(key))
+				key++
 			}
 			out[r*rows+c2] = acc
 		}
 	}
-	return step
 }
 
-// replayTile recomputes one tile in census op order with its fault events
-// applied, writing accumulator-domain outputs.
-func (p *Params) replayTile(ext *tensor.QTensor, acc []int64, outShape tensor.Shape, n, ty, tx int, nt, ntTotal int64, evs []fault.Event) {
-	t, m, T := p.Tile, p.Tile.M, p.Tile.T()
-	t2 := T * T
-	itPer, caPer, otPer := p.segments()
-	itTotal := ntTotal * itPer
-	caTotal := ntTotal * caPer
-	mulPerTile := int64(p.OutC) * int64(p.InC) * int64(t2)
-
-	// Partition events into per-segment maps keyed by tile-local index.
-	mulEvs := map[int64][]fault.Event{}
-	itEvs := map[int64][]fault.Event{}
-	caEvs := map[int64][]fault.Event{}
-	otEvs := map[int64][]fault.Event{}
-	for _, ev := range evs {
-		if ev.Class == fault.OpMul {
-			mulEvs[ev.Op-nt*mulPerTile] = append(mulEvs[ev.Op-nt*mulPerTile], ev)
-			continue
-		}
-		switch {
-		case ev.Op < itTotal:
-			local := ev.Op - nt*itPer
-			itEvs[local] = append(itEvs[local], ev)
-		case ev.Op < itTotal+caTotal:
-			local := ev.Op - itTotal - nt*caPer
-			caEvs[local] = append(caEvs[local], ev)
-		default:
-			local := ev.Op - itTotal - caTotal - nt*otPer
-			otEvs[local] = append(otEvs[local], ev)
-		}
+// replayChain recomputes Hadamard chain (o, pos) of a tile in census op
+// order from the tile's transformed input v ([c][T²]), applying the cursor's
+// events from the chain's first site key on. Operand 0 of a product is the
+// transformed activation, operand 1 the transformed weight; operand 0 of an
+// accumulation add is the running sum.
+func (p *Params) replayChain(evs *eventCursor, v []int64, o, pos, t2 int, key int64) int64 {
+	u := p.UT[(pos*p.OutC+o)*p.InC:]
+	sum := fault.Mul(v[pos], int64(u[0]), evs.at(key))
+	for c := 1; c < p.InC; c++ {
+		k := key + 2*int64(c)
+		prod := fault.Mul(v[c*t2+pos], int64(u[c]), evs.at(k))
+		sum = fault.Add(sum, prod, evs.at(k+1))
 	}
-
-	// Input transform with IT faults, channel-major census order.
-	d := make([]int64, t2)
-	v := make([]int64, p.InC*t2)
-	for c := 0; c < p.InC; c++ {
-		for i := 0; i < T; i++ {
-			base := ext.Shape.Index(n, c, ty*m+i, tx*m)
-			for j := 0; j < T; j++ {
-				d[i*T+j] = int64(ext.Data[base+j])
-			}
-		}
-		matTransformReplay(t.BT, T, T, d, v[c*t2:(c+1)*t2], itEvs, int64(c)*int64(t.InputAdds()))
-	}
-
-	msum := make([]int64, t2)
-	y := make([]int64, m*m)
-	for o := 0; o < p.OutC; o++ {
-		uBase := o * p.InC * t2
-		mulBase := int64(o) * int64(p.InC) * int64(t2)
-		caBase := int64(o) * int64(p.InC-1) * int64(t2)
-		for i := 0; i < t2; i++ {
-			msum[i] = p.hadamard(uBase, 0, i, t2, v, mulEvs[mulBase+int64(i)])
-		}
-		for c := 1; c < p.InC; c++ {
-			for i := 0; i < t2; i++ {
-				prod := p.hadamard(uBase, c, i, t2, v, mulEvs[mulBase+int64(c*t2+i)])
-				msum[i] = fault.Add(msum[i], prod, caEvs[caBase+int64((c-1)*t2+i)])
-			}
-		}
-		matTransformReplay(t.AT, m, T, msum, y, otEvs, int64(o)*int64(t.OutputAdds()))
-		for i := 0; i < m; i++ {
-			oy := ty*m + i
-			if oy >= outShape.H {
-				continue
-			}
-			rowBase := outShape.Index(n, o, oy, 0)
-			for j := 0; j < m; j++ {
-				ox := tx*m + j
-				if ox >= outShape.W {
-					continue
-				}
-				acc[rowBase+ox] = y[i*m+j]
-			}
-		}
-	}
-}
-
-// hadamard computes one transform-domain product U[oc,c,pos] * V[c,pos] with
-// any fault events applied: operand 0 is the transformed activation, operand
-// 1 the transformed weight, both modelled as WBits-wide registers; result
-// flips hit the 2·WBits product register.
-func (p *Params) hadamard(uBase, c, pos, t2 int, v []int64, evs []fault.Event) int64 {
-	return fault.Mul(v[c*t2+pos], int64(p.U[uBase+c*t2+pos]), evs)
+	return sum
 }

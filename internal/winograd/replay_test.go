@@ -2,11 +2,14 @@ package winograd
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/conv"
 	"repro/internal/fault"
 	"repro/internal/fixed"
+	"repro/internal/kernel"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -206,7 +209,7 @@ func TestHadamardResultFlipPredictedDelta(t *testing.T) {
 			v := make([]int64, T*T)
 			scratch := make([]int64, T*T)
 			matTransform(F2.BT, T, T, d, v, scratch)
-			prod := v[pos] * int64(p.U[pos])
+			prod := v[pos] * int64(p.UT[pos])
 			delta := fixed.FlipBit(prod, uint(bit)) - prod
 
 			pi, pj := pos/T, pos%T
@@ -302,4 +305,140 @@ func ExampleLayer_Units() {
 	l := NewLayer(w, nil, 2, 3, F2, fixed.Int16, fixed.Int16)
 	fmt.Println(l.Units())
 	// Output: 9
+}
+
+// TestEventBeyondCensusPanics: an event past the layer's census has no op to
+// land on, so routing must refuse it for either class, with or without bias
+// and for one unit or a DWM decomposition, and so must a bare core. The last
+// op of each class is still inside the census and must replay.
+func TestEventBeyondCensusPanics(t *testing.T) {
+	for _, bias := range []bool{true, false} {
+		for _, geom := range []struct {
+			name           string
+			k, stride, pad int
+		}{{"one-unit", 3, 1, 1}, {"dwm", 5, 2, 2}} {
+			for _, cl := range []fault.OpClass{fault.OpMul, fault.OpAdd} {
+				t.Run(fmt.Sprintf("bias=%t/%s/%v", bias, geom.name, cl), func(t *testing.T) {
+					l, in := mkLayer(12, F2, geom.k, geom.stride, geom.pad)
+					if !bias {
+						l.BiasF = nil
+					}
+					census := l.Census(in.Shape)
+					last := fault.Event{Class: cl, Op: census.Class(cl) - 1, Bit: 3, Operand: fault.ResultReg}
+					l.ForwardFaulty(in, []fault.Event{last})
+					wantBeyondCensus(t, func() {
+						l.ForwardFaulty(in, []fault.Event{{Class: cl, Op: census.Class(cl) + 5, Bit: 3}})
+					})
+				})
+			}
+		}
+	}
+	for _, cl := range []fault.OpClass{fault.OpMul, fault.OpAdd} {
+		t.Run(fmt.Sprintf("core/%v", cl), func(t *testing.T) {
+			l, in := mkLayer(12, F2, 3, 1, 0)
+			p := l.units[0].p
+			wantBeyondCensus(t, func() {
+				p.ForwardAcc(in, []fault.Event{{Class: cl, Op: p.Census(in.Shape).Class(cl), Bit: 3}})
+			})
+		})
+	}
+}
+
+// wantBeyondCensus requires fn to panic with a beyond-census message.
+func wantBeyondCensus(t *testing.T, fn func()) {
+	t.Helper()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "beyond census") {
+			t.Errorf("recovered %q, want a beyond-census panic", msg)
+		}
+	}()
+	fn()
+}
+
+// faultyLayerEvents returns events of l on input in that land in unit 0's
+// mul, input-transform, channel-accumulation and output-transform segments
+// (tile 0) and in the summation segment, plus a dense run of result flips
+// over unit 0's products that is long enough to take the sort.Stable path.
+func faultyLayerEvents(l *Layer, in tensor.Shape) []fault.Event {
+	p := l.units[0].p
+	uin := l.unitInShape(in)
+	tilesY, tilesX := p.tileGrid(p.OutShape(uin))
+	ntTotal := int64(uin.N) * int64(tilesY) * int64(tilesX)
+	itPer, caPer, _ := p.segments()
+	var unitAdds int64
+	for _, u := range l.units {
+		unitAdds += u.p.Census(uin).Add
+	}
+	evs := []fault.Event{
+		{Class: fault.OpMul, Op: 5, Bit: 20, Operand: fault.ResultReg},
+		{Class: fault.OpAdd, Op: 3, Bit: 9, Operand: 0},
+		{Class: fault.OpAdd, Op: ntTotal*itPer + 4, Bit: 11, Operand: 1},
+		{Class: fault.OpAdd, Op: ntTotal*(itPer+caPer) + 2, Bit: 13, Operand: fault.ResultReg},
+		{Class: fault.OpAdd, Op: unitAdds + 5, Bit: 14, Operand: fault.ResultReg},
+	}
+	for i := int64(0); i < 40; i++ {
+		evs = append(evs, fault.Event{Class: fault.OpMul, Op: i * 37 % p.Census(uin).Mul, Bit: 18, Operand: fault.ResultReg})
+	}
+	return evs
+}
+
+// TestForwardFaultyAllocFree: with a warm Scratch, an event round allocates
+// nothing — routing, the summation cursor, per-site replay and the dense
+// sort fallback all run on recycled buffers — under both backends.
+func TestForwardFaultyAllocFree(t *testing.T) {
+	for _, geom := range []struct {
+		name           string
+		k, stride, pad int
+	}{{"3x3-s1", 3, 1, 1}, {"5x5-s2", 5, 2, 2}} {
+		for _, name := range []string{"scalar", "blocked"} {
+			bk, err := kernel.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, in := mkLayer(13, F2, geom.k, geom.stride, geom.pad)
+			evs := faultyLayerEvents(l, in.Shape)
+			sc := &Scratch{Backend: bk}
+			golden := append([]int32(nil), l.ForwardFaultyCtx(sc, in, nil).Data...)
+			if out := l.ForwardFaultyCtx(sc, in, evs[:5]); slices.Equal(out.Data, golden) {
+				t.Fatalf("%s/%s: the segment events left the output golden", geom.name, name)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				l.ForwardFaultyCtx(sc, in, evs[:5])
+				l.ForwardFaultyCtx(sc, in, evs)
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%s: a faulty pass allocates %v times, want 0", geom.name, name, allocs)
+			}
+		}
+	}
+}
+
+var sinkQ *tensor.QTensor
+
+// BenchmarkForwardFaulty times one faulty pass of a 64→64-channel 3x3 layer
+// on a 16x16 input with about one result-flip event per four tiles, drawn
+// uniformly over the layer's mul and add census.
+func BenchmarkForwardFaulty(b *testing.B) {
+	for _, tile := range Tiles {
+		b.Run(tile.Name, func(b *testing.B) {
+			r := rng.New(1)
+			w := tensor.New(tensor.Shape{N: 64, C: 64, H: 3, W: 3}).Random(r, 0.1)
+			l := NewLayer(w, nil, 1, 1, tile, fixed.Int16, fixed.Int16)
+			in := tensor.Quantize(tensor.New(tensor.Shape{N: 1, C: 64, H: 16, W: 16}).Random(r, 1), fixed.Int16)
+			census := l.Census(in.Shape)
+			tiles := (16 / tile.M) * (16 / tile.M)
+			evs := make([]fault.Event, tiles/4)
+			for i := range evs {
+				cl := fault.OpClass(i % 2)
+				evs[i] = fault.Event{Class: cl, Op: r.Int63n(census.Class(cl)), Bit: uint8(r.Intn(32)), Operand: fault.ResultReg}
+			}
+			sc := &Scratch{}
+			l.ForwardFaultyCtx(sc, in, evs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkQ = l.ForwardFaultyCtx(sc, in, evs)
+			}
+		})
+	}
 }

@@ -39,8 +39,8 @@ type Tile struct {
 // constant BT/AT (shift-add networks, exactly as hardware implements them).
 // int64 addition and multiplication form a commutative ring, so their
 // reassociated sums are bit-identical to the generic loops'. Unmapped tiles
-// fall back to matTransform; the fault-replay path always uses the generic
-// census-ordered walk regardless.
+// fall back to matTransform. Faulty tiles use these kernels too; only the
+// transforms that carry events replay on the generic census-ordered walk.
 func (t *Tile) kernelTile() (kernel.Tile, bool) {
 	switch t {
 	case F2:
