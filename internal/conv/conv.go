@@ -11,6 +11,12 @@
 // where K = IC·KH·KW products feed each output, and A = K-1 accumulation adds
 // plus one bias add when a bias is present. Add step s<K-1 merges product s+1
 // into the running partial; the final step adds the bias.
+//
+// Replay keys (the fault.Cursor layout): output element e, the flat index
+// both op indices above start with, owns keys [e·(2K+2), (e+1)·(2K+2)):
+// product s at 2s, the add that merges product s (s ≥ 1) at 2s+1, and the
+// bias add at 2K+1. Add step s therefore keys 2s+3, and the walk replays
+// touched outputs in key order.
 package conv
 
 import (
@@ -120,6 +126,7 @@ type Scratch struct {
 	bias    []int64
 	biasFmt fixed.Format
 	biasOK  bool
+	cur     fault.Cursor // this pass's events, keyed by replay site
 }
 
 // cachedBias returns accumBias through the scratch cache (the scale depends
@@ -246,92 +253,69 @@ func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault
 		}
 	}
 
-	if len(events) > 0 {
-		p.replayFaults(padded, in.Fmt, out, bias, shift, events)
-	}
+	p.replayFaults(sc, padded, out, bias, shift, events)
 	return out
 }
 
-// outputOfEvent maps a fault event to the flat index of the output element it
-// corrupts.
-func (p *Params) outputOfEvent(ev fault.Event, outShape tensor.Shape) int {
+// replayFaults keys every event by its replay site, panicking on an event
+// beyond the census, and recomputes each touched output in key order.
+func (p *Params) replayFaults(sc *Scratch, padded, out *tensor.QTensor, bias []int64, shift int, events []fault.Event) {
 	k := int64(p.Weight.Shape.C) * int64(p.Weight.Shape.H) * int64(p.Weight.Shape.W)
-	if ev.Class == fault.OpMul {
-		return int(ev.Op / k)
-	}
-	adds := k - 1
+	span, outs, adds := 2*k+2, int64(out.Shape.Elems()), k-1
 	if p.BiasF != nil {
 		adds++
 	}
-	return int(ev.Op / adds)
-}
-
-func (p *Params) replayFaults(padded *tensor.QTensor, inFmt fixed.Format, out *tensor.QTensor, bias []int64, shift int, events []fault.Event) {
-	outShape := out.Shape
-	byOutput := make(map[int][]fault.Event)
+	cur := &sc.cur
+	cur.Reset()
 	for _, ev := range events {
-		o := p.outputOfEvent(ev, outShape)
-		byOutput[o] = append(byOutput[o], ev)
+		if ev.Class == fault.OpMul && ev.Op < outs*k {
+			cur.Push(ev.Op/k*span+ev.Op%k*2, ev)
+		} else if ev.Class == fault.OpAdd && ev.Op < outs*adds {
+			cur.Push(ev.Op/adds*span+ev.Op%adds*2+3, ev)
+		} else {
+			panic(fmt.Sprintf("conv: %v event index %d beyond census", ev.Class, ev.Op))
+		}
 	}
-	for flat, evs := range byOutput {
-		ox := flat % outShape.W
-		oy := (flat / outShape.W) % outShape.H
-		o := (flat / (outShape.W * outShape.H)) % outShape.C
-		n := flat / (outShape.W * outShape.H * outShape.C)
-		out.Data[flat] = p.replayOutput(padded, inFmt, bias, shift, n, o, oy, ox, flat, evs)
+	cur.Sort()
+	os := out.Shape
+	for cur.Below(outs * span) {
+		flat := int(cur.Peek() / span)
+		ox, oy := flat%os.W, flat/os.W%os.H
+		o, n := flat/(os.W*os.H)%os.C, flat/(os.W*os.H*os.C)
+		out.Data[flat] = p.replayOutput(padded, bias, shift, n, o, oy, ox, cur, int64(flat)*span)
 	}
+	cur.Done()
 }
 
 // replayOutput recomputes one output element executing the MAC chain in op
-// order, applying the events that target it. Events are matched by their
-// local op step; what an event does to its operation (operand or result
-// flip, as marked where the event was created) is fault.Mul's and
-// fault.Add's rule.
-func (p *Params) replayOutput(padded *tensor.QTensor, inFmt fixed.Format, bias []int64, shift int, n, o, oy, ox, flat int, evs []fault.Event) int32 {
+// order, consuming the cursor's events from the output's first key on; what
+// an event does to its operation (operand or result flip, as marked where
+// the event was created) is fault.Mul's and fault.Add's rule.
+func (p *Params) replayOutput(padded *tensor.QTensor, bias []int64, shift int, n, o, oy, ox int, cur *fault.Cursor, key int64) int32 {
 	ws := p.Weight.Shape
 	ic, kh, kw := ws.C, ws.H, ws.W
-	k := ic * kh * kw
-	addsPerOut := k - 1
-	if p.BiasF != nil {
-		addsPerOut++
-	}
-	mulBase := int64(flat) * int64(k)
-	addBase := int64(flat) * int64(addsPerOut)
-
-	// Index events by local step for O(1) lookup during the chain walk.
-	mulEvents := make(map[int64][]fault.Event)
-	addEvents := make(map[int64][]fault.Event)
-	for _, ev := range evs {
-		if ev.Class == fault.OpMul {
-			mulEvents[ev.Op-mulBase] = append(mulEvents[ev.Op-mulBase], ev)
-		} else {
-			addEvents[ev.Op-addBase] = append(addEvents[ev.Op-addBase], ev)
-		}
-	}
-
 	w := p.Weight
 	iy0, ix0 := oy*p.Stride, ox*p.Stride
 	ph, pw := padded.Shape.H, padded.Shape.W
 
 	var acc int64
-	step := int64(0) // product index
 	for c := 0; c < ic; c++ {
 		for ky := 0; ky < kh; ky++ {
 			for kx := 0; kx < kw; kx++ {
 				a := int64(padded.Data[((n*padded.Shape.C+c)*ph+iy0+ky)*pw+ix0+kx])
 				b := int64(w.Data[((o*ic+c)*kh+ky)*kw+kx])
-				prod := fault.Mul(a, b, mulEvents[step])
-				if step == 0 {
+				prod := fault.Mul(a, b, cur.At(key))
+				if c == 0 && ky == 0 && kx == 0 {
 					acc = prod
 				} else {
-					acc = fault.Add(acc, prod, addEvents[step-1])
+					acc = fault.Add(acc, prod, cur.At(key+1))
 				}
-				step++
+				key += 2
 			}
 		}
 	}
 	if p.BiasF != nil {
-		acc = fault.Add(acc, bias[o], addEvents[int64(k-1)])
+		acc = fault.Add(acc, bias[o], cur.At(key+1))
 	}
 	return p.OutFmt.RequantizeShift(acc, shift)
 }

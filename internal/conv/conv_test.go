@@ -1,11 +1,14 @@
 package conv
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/fixed"
+	"repro/internal/kernel"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -372,5 +375,133 @@ func TestCensusForMatchesParamsCensus(t *testing.T) {
 				t.Errorf("k%d s%d bias=%v: CensusFor %v != Census %v", c.k, c.s, bias, got, p.Census(in))
 			}
 		}
+	}
+}
+
+// faultyGeoms are the layers of the replay allocation and census tests: a
+// 3x3 stride-1 layer with bias, a 5x5 stride-2 layer without, an FC layer
+// and a bias-free 1x1 layer over one input channel, which has no adds.
+var faultyGeoms = []struct {
+	name                      string
+	inC, outC, k, stride, pad int
+	h                         int
+	bias                      bool
+}{
+	{"3x3-s1-bias", 3, 4, 3, 1, 1, 8, true},
+	{"5x5-s2", 3, 4, 5, 2, 2, 9, false},
+	{"fc", 16, 10, 1, 1, 0, 1, true},
+	{"1x1-one-channel", 1, 3, 1, 1, 0, 5, false},
+}
+
+// TestEventBeyondCensusPanics: an event past the layer's census has no op to
+// land on, so keying must refuse it for either class; the last op of each
+// class is still inside the census and must replay.
+func TestEventBeyondCensusPanics(t *testing.T) {
+	for _, g := range faultyGeoms {
+		for _, cl := range []fault.OpClass{fault.OpMul, fault.OpAdd} {
+			t.Run(g.name+"/"+cl.String(), func(t *testing.T) {
+				p, _, _ := buildLayer(t, 50, g.inC, g.outC, g.k, g.k, g.stride, g.pad, g.bias)
+				_, inQ := randInput(51, 2, g.inC, g.h, g.h)
+				n := p.Census(inQ.Shape).Class(cl)
+				if n > 0 {
+					last := fault.Event{Class: cl, Op: n - 1, Bit: 14, Operand: fault.ResultReg}
+					got, golden := ForwardFaulty(inQ, p, []fault.Event{last}).Data, Forward(inQ, p).Data
+					if got[len(got)-1] == golden[len(golden)-1] {
+						t.Errorf("the last %v op did not replay", cl)
+					}
+				}
+				defer func() {
+					want := fmt.Sprintf("conv: %v event index %d beyond census", cl, n)
+					if msg, _ := recover().(string); msg != want {
+						t.Errorf("recovered %q, want %q", msg, want)
+					}
+				}()
+				ForwardFaulty(inQ, p, []fault.Event{{Class: cl, Op: n, Bit: 3}})
+			})
+		}
+	}
+}
+
+// faultyEvents returns events on the first and the last product, on the
+// mid-census add (a chain add in faultyGeoms) and, with a bias, on output
+// 0's bias add, plus a 100-event dense run that takes the sort.Stable path.
+func faultyEvents(p *Params, in tensor.Shape) []fault.Event {
+	c := p.Census(in)
+	k := c.Mul / int64(p.OutShape(in).Elems())
+	evs := []fault.Event{
+		{Class: fault.OpMul, Op: 0, Bit: 20, Operand: fault.ResultReg},
+		{Class: fault.OpMul, Op: c.Mul - 1, Bit: 9, Operand: 0},
+	}
+	if c.Add > 0 {
+		evs = append(evs, fault.Event{Class: fault.OpAdd, Op: c.Add / 2, Bit: 11, Operand: 1})
+	}
+	if p.BiasF != nil {
+		evs = append(evs, fault.Event{Class: fault.OpAdd, Op: k - 1, Bit: 13, Operand: fault.ResultReg})
+	}
+	for i := int64(0); i < 100; i++ {
+		cl := fault.OpClass(i % 2)
+		if c.Class(cl) == 0 {
+			cl = fault.OpMul
+		}
+		evs = append(evs, fault.Event{Class: cl, Op: i * 37 % c.Class(cl), Bit: 18, Operand: fault.ResultReg})
+	}
+	return evs
+}
+
+// TestForwardFaultyAllocFree: with a warm Scratch, an event round allocates
+// nothing — keying, sorting (both paths) and replay all run on recycled
+// buffers — under both backends.
+func TestForwardFaultyAllocFree(t *testing.T) {
+	for _, g := range faultyGeoms[:3] {
+		for _, name := range []string{"scalar", "blocked"} {
+			bk, err := kernel.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, _, _ := buildLayer(t, 52, g.inC, g.outC, g.k, g.k, g.stride, g.pad, g.bias)
+			_, inQ := randInput(53, 2, g.inC, g.h, g.h)
+			evs := faultyEvents(p, inQ.Shape)
+			sc := &Scratch{Backend: bk}
+			golden := append([]int32(nil), ForwardFaultyCtx(sc, inQ, p, nil).Data...)
+			if out := ForwardFaultyCtx(sc, inQ, p, evs); slices.Equal(out.Data, golden) {
+				t.Fatalf("%s/%s: the events left the output golden", g.name, name)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				ForwardFaultyCtx(sc, inQ, p, evs[:4])
+				ForwardFaultyCtx(sc, inQ, p, evs)
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%s: a faulty pass allocates %v times, want 0", g.name, name, allocs)
+			}
+		}
+	}
+}
+
+var sinkQ *tensor.QTensor
+
+// BenchmarkForwardFaulty times one faulty pass of a 64→64-channel layer on a
+// 16x16 input with 16 result-flip events, drawn uniformly over the layer's
+// mul and add census.
+func BenchmarkForwardFaulty(b *testing.B) {
+	for _, k := range []int{3, 1} {
+		b.Run(fmt.Sprintf("%dx%d", k, k), func(b *testing.B) {
+			r := rng.New(1)
+			w := tensor.New(tensor.Shape{N: 64, C: 64, H: k, W: k}).Random(r, 0.1)
+			p := NewParams(w, nil, 1, k/2, fixed.Int16, fixed.Int16)
+			in := tensor.Quantize(tensor.New(tensor.Shape{N: 1, C: 64, H: 16, W: 16}).Random(r, 1), fixed.Int16)
+			census := p.Census(in.Shape)
+			evs := make([]fault.Event, 16)
+			for i := range evs {
+				cl := fault.OpClass(i % 2)
+				evs[i] = fault.Event{Class: cl, Op: r.Int63n(census.Class(cl)), Bit: uint8(r.Intn(32)), Operand: fault.ResultReg}
+			}
+			sc := &Scratch{}
+			ForwardFaultyCtx(sc, in, p, evs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkQ = ForwardFaultyCtx(sc, in, p, evs)
+			}
+		})
 	}
 }

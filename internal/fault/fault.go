@@ -2,8 +2,9 @@
 // bit-error-rate metric, the three injection semantics (operand-level,
 // result-level, neuron-level), the statistical sampler that converts a
 // per-bit Bernoulli process over billions of executed operations into a small
-// set of exactly-placed fault events, and the one rule (Mul, Add) by which
-// every engine applies an event to the operation it lands in.
+// set of exactly-placed fault events, the one rule (Mul, Add) by which
+// every engine applies an event to the operation it lands in, and the one
+// Cursor through which every engine routes events to those operations.
 //
 // The paper's operation-level platform injects "random soft errors ... to the
 // results of primitive operations i.e. multiplication and addition", with the
@@ -15,6 +16,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/fixed"
 	"repro/internal/rng"
@@ -183,17 +185,6 @@ func Add(a, b int64, evs []Event) int64 {
 	return flipResult(a+b, evs)
 }
 
-// At returns the events of evs that address op, in their original order.
-func At(evs []Event, op int64) []Event {
-	var out []Event
-	for _, ev := range evs {
-		if ev.Op == op {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
 func flipOperands(a, b int64, evs []Event) (int64, int64) {
 	for _, ev := range evs {
 		switch ev.Operand {
@@ -214,6 +205,100 @@ func flipResult(v int64, evs []Event) int64 {
 		}
 	}
 	return v
+}
+
+// Cursor is the one way fault events reach the operations they address. An
+// engine pass keys every event by the site that replays it (each engine
+// documents its key layout beside its op-ordering contract), sorts once, and
+// walks its sites in key order, consuming the events front to back. The
+// zero value is ready to use; buffers are recycled across passes.
+type Cursor struct {
+	key    []int64
+	evs    []Event // evs[i] is keyed key[i]
+	next   int     // first unconsumed event
+	peeked int     // next+1 at the last Peek, 0 if none
+}
+
+// Reset empties the cursor for a new pass. Recycled buffers still hold the
+// previous round, which must not leak into this one.
+func (c *Cursor) Reset() {
+	c.key, c.evs, c.next, c.peeked = c.key[:0], c.evs[:0], 0, 0
+}
+
+// Push adds ev under key.
+func (c *Cursor) Push(key int64, ev Event) {
+	c.key = append(c.key, key)
+	c.evs = append(c.evs, ev)
+}
+
+// Sort orders the events by key, keeping equal keys in push order. Small
+// event sets (the overwhelmingly common case) use an insertion sort; dense
+// draws (high BERs, stuck PEs, bursts) fall back to sort.Stable to stay
+// O(k·log²k). Neither allocates.
+func (c *Cursor) Sort() {
+	if len(c.key) > 32 {
+		sort.Stable((*byKey)(c))
+		return
+	}
+	for i := 1; i < len(c.key); i++ {
+		for j := i; j > 0 && c.key[j-1] > c.key[j]; j-- {
+			(*byKey)(c).Swap(j-1, j)
+		}
+	}
+}
+
+type byKey Cursor
+
+func (c *byKey) Len() int           { return len(c.key) }
+func (c *byKey) Less(i, j int) bool { return c.key[i] < c.key[j] }
+func (c *byKey) Swap(i, j int) {
+	c.key[i], c.key[j] = c.key[j], c.key[i]
+	c.evs[i], c.evs[j] = c.evs[j], c.evs[i]
+}
+
+// Below reports whether the next unconsumed event's key is below end.
+func (c *Cursor) Below(end int64) bool {
+	return c.next < len(c.key) && c.key[c.next] < end
+}
+
+// Peek returns the next unconsumed event's key; valid only after Below. A
+// walk peeks to find the site that owns that key and replays it, which
+// consumes the event. Peek panics when nothing was consumed since the last
+// Peek, so a site loop whose site misses its own key fails instead of
+// spinning.
+func (c *Cursor) Peek() int64 {
+	if c.peeked == c.next+1 {
+		panic(fmt.Sprintf("fault: no site consumed the event keyed %d", c.key[c.next]))
+	}
+	c.peeked = c.next + 1
+	return c.key[c.next]
+}
+
+// At consumes and returns the events keyed key: empty when the next event
+// has another key. Walks call it with increasing keys and consume every key
+// below the ones they ask for.
+func (c *Cursor) At(key int64) []Event {
+	i := c.next
+	for c.next < len(c.key) && c.key[c.next] == key {
+		c.next++
+	}
+	return c.evs[i:c.next]
+}
+
+// cursorCap is the largest buffer, in events, a Cursor keeps across passes,
+// so a long-lived Scratch does not hold its last dense round's keyed copy.
+const cursorCap = 256
+
+// Done ends a pass. It panics if an event was left unconsumed, because no
+// site the walk visits owns its key, and it drops buffers above cursorCap.
+func (c *Cursor) Done() {
+	if c.next < len(c.key) {
+		ev := c.evs[c.next]
+		panic(fmt.Sprintf("fault: %v event index %d (key %d) was not replayed", ev.Class, ev.Op, c.key[c.next]))
+	}
+	if cap(c.key) > cursorCap {
+		c.key, c.evs = nil, nil
+	}
 }
 
 // Protection describes the fraction of operations of each class in a layer

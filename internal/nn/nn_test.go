@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -366,6 +367,83 @@ func TestBatchedForwardMatchesPerSample(t *testing.T) {
 				t.Fatalf("sample %d class %d: batched %d != single %d",
 					s, c, outB.At(s, c, 0, 0), outS.At(0, c, 0, 0))
 			}
+		}
+	}
+}
+
+// addingOps are the nn ops whose adds replay fault events, each with inputs;
+// the 1x1 window and 1x1 plane have no adds at all.
+func addingOps() []struct {
+	name string
+	op   Op
+	ins  []*tensor.QTensor
+} {
+	x := qIn(60, 2, 3, 7, 7, fixed.Int16)
+	return []struct {
+		name string
+		op   Op
+		ins  []*tensor.QTensor
+	}{
+		{"avgpool", AvgPool{K: 3, Stride: 2, Pad: 1}, []*tensor.QTensor{x}},
+		{"avgpool-1x1", AvgPool{K: 1, Stride: 1}, []*tensor.QTensor{x}},
+		{"gap", GlobalAvgPool{}, []*tensor.QTensor{x}},
+		{"gap-1x1-plane", GlobalAvgPool{}, []*tensor.QTensor{qIn(61, 2, 3, 1, 1, fixed.Int16)}},
+		{"add", Add{}, []*tensor.QTensor{x, qIn(62, 2, 3, 7, 7, fixed.Int16)}},
+	}
+}
+
+// TestAddingOpEventBeyondCensusPanics: the last add of AvgPool,
+// GlobalAvgPool and Add still replays, for an event of either class, and an
+// event one past the census panics while the events are keyed.
+func TestAddingOpEventBeyondCensusPanics(t *testing.T) {
+	for _, tc := range addingOps() {
+		for _, cl := range []fault.OpClass{fault.OpMul, fault.OpAdd} {
+			t.Run(tc.name+"/"+cl.String(), func(t *testing.T) {
+				shapes := []tensor.Shape{tc.ins[0].Shape}
+				n := tc.op.Census(shapes).Add
+				if n > 0 {
+					last := []fault.Event{{Class: cl, Op: n - 1, Bit: 14, Operand: fault.ResultReg}}
+					got, golden := tc.op.Forward(nil, tc.ins, last).Data, tc.op.Forward(nil, tc.ins, nil).Data
+					if got[len(got)-1] == golden[len(golden)-1] {
+						t.Error("the last add did not replay")
+					}
+				}
+				defer func() {
+					want := fmt.Sprintf("nn: %s event index %d beyond census", tc.op.Kind(), n)
+					if msg, _ := recover().(string); msg != want {
+						t.Errorf("recovered %q, want %q", msg, want)
+					}
+				}()
+				tc.op.Forward(nil, tc.ins, []fault.Event{{Class: cl, Op: n, Bit: 14}})
+			})
+		}
+	}
+}
+
+// TestAddingOpFaultyAllocFree: through a warm Scratch, a faulty AvgPool,
+// GlobalAvgPool or Add pass allocates nothing, with a few events or a dense
+// list that takes the sort.Stable path.
+func TestAddingOpFaultyAllocFree(t *testing.T) {
+	for _, tc := range addingOps() {
+		n := tc.op.Census([]tensor.Shape{tc.ins[0].Shape}).Add
+		if n == 0 {
+			continue
+		}
+		var evs []fault.Event
+		for i := int64(0); i < 100; i++ {
+			evs = append(evs, fault.Event{Class: fault.OpClass(i % 2), Op: i * 37 % n, Bit: 14, Operand: fault.ResultReg})
+		}
+		sc := &Scratch{}
+		golden := append([]int32(nil), tc.op.Forward(sc, tc.ins, nil).Data...)
+		if equalQ(tc.op.Forward(sc, tc.ins, evs[:3]), &tensor.QTensor{Data: golden}) {
+			t.Fatalf("%s: the events left the output golden", tc.name)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			tc.op.Forward(sc, tc.ins, evs[:3])
+			tc.op.Forward(sc, tc.ins, evs)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a faulty pass allocates %v times, want 0", tc.name, allocs)
 		}
 	}
 }

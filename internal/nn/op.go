@@ -107,6 +107,9 @@ func (p MaxPool) Forward(sc *Scratch, ins []*tensor.QTensor, _ []fault.Event) *t
 // AvgPool is average pooling (padding counts as zeros, divisor is K²).
 // The window summation is counted arithmetic: K²-1 adds per output.
 // Op ordering: add index = flatOut·(K²-1) + s, window walked row-major.
+// AvgPool, GlobalAvgPool and Add walk their adds in census order, so an
+// event's replay key (the fault.Cursor layout) is its op index, whatever
+// its class.
 type AvgPool struct {
 	K, Stride, Pad int
 }
@@ -132,14 +135,13 @@ func (p AvgPool) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Even
 	os := p.OutShape([]tensor.Shape{in.Shape})
 	out := sc.Output(os, in.Fmt)
 	perOut := int64(p.K*p.K - 1)
-	byOut := groupByOutput(events, perOut)
+	cur := sc.cursor("avgpool", int64(os.Elems())*perOut, events)
 	div := int64(p.K * p.K)
 	for n := 0; n < os.N; n++ {
 		for c := 0; c < os.C; c++ {
 			for oy := 0; oy < os.H; oy++ {
 				for ox := 0; ox < os.W; ox++ {
 					flat := os.Index(n, c, oy, ox)
-					evs := byOut[int64(flat)]
 					var acc int64
 					step := int64(flat) * perOut
 					first := true
@@ -156,7 +158,7 @@ func (p AvgPool) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Even
 								first = false
 								continue
 							}
-							acc = fault.Add(acc, v, fault.At(evs, step))
+							acc = fault.Add(acc, v, cur.At(step))
 							step++
 						}
 					}
@@ -165,6 +167,7 @@ func (p AvgPool) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Even
 			}
 		}
 	}
+	cur.Done()
 	return out
 }
 
@@ -190,21 +193,21 @@ func (GlobalAvgPool) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.
 	out := sc.Output(os, in.Fmt)
 	hw := in.Shape.H * in.Shape.W
 	perOut := int64(hw - 1)
-	byOut := groupByOutput(events, perOut)
+	cur := sc.cursor("gap", int64(os.Elems())*perOut, events)
 	for n := 0; n < os.N; n++ {
 		for c := 0; c < os.C; c++ {
 			flat := os.Index(n, c, 0, 0)
-			evs := byOut[int64(flat)]
 			base := in.Shape.Index(n, c, 0, 0)
 			acc := int64(in.Data[base])
 			step := int64(flat) * perOut
 			for i := 1; i < hw; i++ {
-				acc = fault.Add(acc, int64(in.Data[base+i]), fault.At(evs, step))
+				acc = fault.Add(acc, int64(in.Data[base+i]), cur.At(step))
 				step++
 			}
 			out.Data[flat] = in.Fmt.Saturate(roundDiv(acc, int64(hw)))
 		}
 	}
+	cur.Done()
 	return out
 }
 
@@ -231,11 +234,12 @@ func (Add) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event) *te
 		panic("nn: residual add shape mismatch")
 	}
 	out := sc.Output(a.Shape, a.Fmt)
-	byOut := groupByOutput(events, 1)
+	cur := sc.cursor("add", int64(len(a.Data)), events)
 	for i := range a.Data {
-		s := fault.Add(int64(a.Data[i]), int64(b.Data[i]), byOut[int64(i)])
+		s := fault.Add(int64(a.Data[i]), int64(b.Data[i]), cur.At(int64(i)))
 		out.Data[i] = a.Fmt.Saturate(s)
 	}
+	cur.Done()
 	return out
 }
 
@@ -316,16 +320,4 @@ func roundDiv(v, n int64) int64 {
 		return (v + n/2) / n
 	}
 	return -((-v + n/2) / n)
-}
-
-// groupByOutput buckets events by op-index/perOut (the output element).
-func groupByOutput(events []fault.Event, perOut int64) map[int64][]fault.Event {
-	if len(events) == 0 {
-		return nil
-	}
-	m := make(map[int64][]fault.Event)
-	for _, ev := range events {
-		m[ev.Op/perOut] = append(m[ev.Op/perOut], ev)
-	}
-	return m
 }

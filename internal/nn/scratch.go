@@ -1,7 +1,10 @@
 package nn
 
 import (
+	"fmt"
+
 	"repro/internal/conv"
+	"repro/internal/fault"
 	"repro/internal/fixed"
 	"repro/internal/kernel"
 	"repro/internal/tensor"
@@ -22,6 +25,7 @@ type Scratch struct {
 	conv *conv.Scratch     // direct-convolution arena
 	wg   *winograd.Scratch // winograd-layer arena
 	kb   kernel.Backend    // compute backend stamped onto the engine arenas
+	cur  fault.Cursor      // events of an adding op, keyed by op index
 }
 
 // Output returns a recycled output tensor of the given shape and format.
@@ -35,6 +39,25 @@ func (s *Scratch) Output(sh tensor.Shape, f fixed.Format) *tensor.QTensor {
 		s.out = tensor.NewQ(sh, f)
 	}
 	return s.out
+}
+
+// cursor loads events into the node's cursor (a fresh one for a nil
+// scratch) keyed by op index, for an op of the given kind with adds adding
+// operations, panicking on an event beyond that census.
+func (s *Scratch) cursor(kind string, adds int64, events []fault.Event) *fault.Cursor {
+	if s == nil {
+		s = new(Scratch)
+	}
+	cur := &s.cur
+	cur.Reset()
+	for _, ev := range events {
+		if ev.Op >= adds {
+			panic(fmt.Sprintf("nn: %s event index %d beyond census", kind, ev.Op))
+		}
+		cur.Push(ev.Op, ev)
+	}
+	cur.Sort()
+	return cur
 }
 
 // convScratch returns the node's direct-convolution arena (nil passes

@@ -22,7 +22,8 @@ import (
 //	  CA:   itTotal  + ((nt·OC+oc)·(C-1) + (c-1))·T² + pos   channel accumulation
 //	  OT:   +caTotal + (nt·OC + oc)·otAdds + s        output transform
 //
-// Bias is deliberately absent here: the composing layer owns it.
+// Bias is deliberately absent here: the composing layer owns it. Replay
+// keys (the fault.Cursor layout) are siteLayout's, in replay.go.
 type Params struct {
 	Tile  *Tile
 	OutC  int
@@ -90,6 +91,12 @@ func (p *Params) tileGrid(out tensor.Shape) (tilesY, tilesX int) {
 	return (out.H + m - 1) / m, (out.W + m - 1) / m
 }
 
+// tiles returns the number of tiles of one pass over in, all images.
+func (p *Params) tiles(in tensor.Shape) int64 {
+	tilesY, tilesX := p.tileGrid(p.OutShape(in))
+	return int64(in.N) * int64(tilesY) * int64(tilesX)
+}
+
 // Census returns the exact op counts of one forward pass over the given
 // (unpadded-by-us) input shape.
 func (p *Params) Census(in tensor.Shape) fault.Census {
@@ -125,8 +132,6 @@ type coreScratch struct {
 	msum []int64         // Hadamard sums, [oc][T²]
 	y    []int64         // one MxM output tile
 	tmp  []int64         // matTransform intermediate
-
-	evs eventCursor // this pass's events, sorted by replay site (replay.go)
 }
 
 // i64 returns a recycled []int64 of length n (contents unspecified).
@@ -143,16 +148,21 @@ func i64(buf *[]int64, n int) []int64 {
 // paths reach the scratch-reusing forwardAcc through Layer.ForwardFaultyCtx,
 // whose winograd.Scratch owns the core scratch.
 func (p *Params) ForwardAcc(in *tensor.QTensor, events []fault.Event) ([]int64, tensor.Shape) {
-	return p.forwardAcc(&coreScratch{}, kernel.Default(), in, events)
+	var cur fault.Cursor
+	p.loadCursor(&cur, in.Shape, events)
+	acc, s := p.forwardAcc(&coreScratch{}, kernel.Default(), in, &cur, 0)
+	cur.Done()
+	return acc, s
 }
 
-// forwardAcc is ForwardAcc against a caller-owned scratch and compute backend:
-// the returned slice aliases cs.acc and is valid until the next call with the
-// same scratch. Every tile runs through bk; a tile with events then replays
-// just the input transforms, Hadamard chains and output transforms its events
-// touch on the census-ordered scalar walk (replay.go), so a fault's effect
-// never depends on the backend.
-func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTensor, events []fault.Event) ([]int64, tensor.Shape) {
+// forwardAcc is ForwardAcc against a caller-owned scratch, compute backend
+// and loaded cursor, whose keys for this pass start at keyBase (siteLayout):
+// the returned slice aliases cs.acc and is valid until the next call with
+// the same scratch. Every tile runs through bk; a tile with events then
+// replays just the input transforms, Hadamard chains and output transforms
+// its events touch on the census-ordered scalar walk (replay.go), so a
+// fault's effect never depends on the backend.
+func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTensor, evs *fault.Cursor, keyBase int64) ([]int64, tensor.Shape) {
 	if in.Shape.C != p.InC {
 		panic(fmt.Sprintf("winograd: input channels %d != %d", in.Shape.C, p.InC))
 	}
@@ -161,7 +171,6 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 		panic(fmt.Sprintf("winograd: input %v too small for %s", in.Shape, p.Tile.Name))
 	}
 	tilesY, tilesX := p.tileGrid(outShape)
-	ntTotal := int64(in.Shape.N) * int64(tilesY) * int64(tilesX)
 
 	// Extend the input so every tile reads a full TxT window. The recycled
 	// buffer's overhang border is written only by NewQ's zeroing: interior
@@ -187,17 +196,10 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 		}
 	}
 
-	// Key every event by its replay site. The tile walk below visits nt in
-	// strictly increasing order and each tile's sites in key order, so the
-	// sorted events are consumed front to back and a fault-free tile pays
-	// only cursor comparisons.
-	sites := p.siteLayout(ntTotal)
-	evs := &cs.evs
-	evs.reset()
-	for _, ev := range events {
-		evs.push(sites.key(ev), ev)
-	}
-	evs.sort()
+	// The tile walk below visits nt in strictly increasing order and each
+	// tile's sites in key order, so the sorted events are consumed front to
+	// back and a fault-free tile pays only cursor comparisons.
+	sites := p.siteLayout(p.tiles(in.Shape))
 
 	t2 := T * T
 	acc := i64(&cs.acc, outShape.Elems())
@@ -225,7 +227,7 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 				mi = rest
 			}
 			for tx := 0; tx < tilesX; tx++ {
-				key := ((int64(n)*int64(tilesY)+int64(ty))*int64(tilesX) + int64(tx)) * sites.span
+				key := keyBase + ((int64(n)*int64(tilesY)+int64(ty))*int64(tilesX)+int64(tx))*sites.span
 				// Input transform per channel, then transpose to
 				// position-major for the Hadamard stage.
 				tileBase := extBatch + ty*m*extW + tx*m
@@ -246,8 +248,8 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 				}
 				// Replay the input transforms that carry events: each faulty
 				// V row feeds the backend Hadamard and every replayed chain.
-				for evs.below(key + sites.itPer) {
-					c := int((evs.peek() - key) / sites.itAdds)
+				for evs.Below(key + sites.itPer) {
+					c := int((evs.Peek() - key) / sites.itAdds)
 					base := tileBase + c*extChan
 					for i := 0; i < T; i++ {
 						for j := 0; j < T; j++ {
@@ -271,8 +273,8 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 				bk.Hadamard(msum, vT, p.UT, t2, outC, inC)
 				// Replay the chains that carry events; chain o·T²+pos is
 				// msum's element of the same index.
-				for evs.below(key + sites.otOff) {
-					chain := int((evs.peek() - key - sites.itPer) / (2 * sites.inC))
+				for evs.Below(key + sites.otOff) {
+					chain := int((evs.Peek() - key - sites.itPer) / (2 * sites.inC))
 					msum[chain] = p.replayChain(evs, v, chain/t2, chain%t2, t2,
 						key+sites.itPer+int64(chain)*2*sites.inC)
 				}
@@ -284,7 +286,7 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 				for o := 0; o < outC; o++ {
 					ot := key + sites.otOff + int64(o)*sites.otAdds
 					switch {
-					case evs.below(ot + sites.otAdds):
+					case evs.Below(ot + sites.otAdds):
 						matTransformReplay(t.AT, m, T, msum[o*t2:(o+1)*t2], y, tmp, evs, ot)
 					case fast:
 						bk.Output(kt, msum[o*t2:(o+1)*t2], y)

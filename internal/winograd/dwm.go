@@ -22,6 +22,12 @@ import (
 // Event routing: per op class, unit censuses are concatenated in unit order;
 // additions gain a final summation segment ordered (output element, step)
 // with units-1 partial-sum adds followed by one bias add when present.
+//
+// Replay keys (the fault.Cursor layout): every unit has the same census, so
+// keys come in blocks of tiles·span + elements, one per unit. Block ui holds
+// unit ui's tile sites (the core's siteLayout, offset by ui·block), then the
+// summation step that adds unit ui, keyed by output element; the bias step
+// is the summation part of the block after the last unit.
 type Layer struct {
 	Tile   *Tile
 	Stride int
@@ -209,9 +215,7 @@ type Scratch struct {
 	biasFmt fixed.Format      // input format the cached bias was scaled for
 	biasOK  bool              // bias cache valid
 	out     *tensor.QTensor   // recycled requantized output
-	unitEvs [][]fault.Event   // per-unit routed events (event rounds only)
-	spans   [2][]int64        // per-unit census spans by op class
-	sum     eventCursor       // summation-segment events, step-major
+	cur     fault.Cursor      // this pass's events, keyed by replay site
 }
 
 // gather materializes the unit's input view into g: subsample by stride at
@@ -299,57 +303,32 @@ func (l *Layer) accumBias(sc *Scratch, inFmt fixed.Format) []int64 {
 	return sc.bias
 }
 
-// routeEvents splits the layer's events into per-unit slices (rebased to the
-// unit's own op indexing) and the summation segment's cursor sc.sum, and
-// panics on an event beyond the layer's census. A summation add is indexed
-// element·perOut + step, but the sum runs step by step over all elements, so
-// its cursor key is step·elems + element. Both destinations recycle sc's
-// buffers.
-func (l *Layer) routeEvents(sc *Scratch, uin tensor.Shape, elems int64, events []fault.Event) [][]fault.Event {
-	sc.sum.reset()
-	if len(events) == 0 {
-		return nil
-	}
-	if len(sc.unitEvs) != len(l.units) {
-		sc.unitEvs = make([][]fault.Event, len(l.units))
-	}
-	for i := range sc.unitEvs {
-		sc.unitEvs[i] = sc.unitEvs[i][:0]
-	}
-	mulSpans := i64(&sc.spans[0], len(l.units))
-	addSpans := i64(&sc.spans[1], len(l.units))
-	for i, u := range l.units {
-		c := u.p.Census(uin)
-		mulSpans[i] = c.Mul
-		addSpans[i] = c.Add
-	}
+// loadCursor keys the layer's events by replay site (the layout in the Layer
+// doc) and sorts them, panicking on an event beyond the census. It returns
+// the key block of one unit and the offset of its summation step.
+func (l *Layer) loadCursor(cur *fault.Cursor, uin tensor.Shape, elems int64, events []fault.Event) (block, sumOff int64) {
+	p := l.units[0].p
+	sites := p.siteLayout(p.tiles(uin))
+	unit, units := p.Census(uin), int64(len(l.units))
+	sumOff = sites.ntTotal * sites.span
+	block = sumOff + elems
 	perOut := l.sumAddsPerOut()
+	cur.Reset()
 	for _, ev := range events {
-		spans := addSpans
-		if ev.Class == fault.OpMul {
-			spans = mulSpans
+		n := unit.Class(ev.Class)
+		if ui := ev.Op / n; ui < units {
+			cur.Push(ui*block+sites.key(ev.Class, ev.Op%n), ev)
+			continue
 		}
-		op := ev.Op
-		routed := false
-		for i, span := range spans {
-			if op < span {
-				rebased := ev
-				rebased.Op = op
-				sc.unitEvs[i] = append(sc.unitEvs[i], rebased)
-				routed = true
-				break
-			}
-			op -= span
+		op := ev.Op - units*n
+		if ev.Class != fault.OpAdd || op >= elems*perOut {
+			panic(fmt.Sprintf("winograd: %v event index %d beyond census", ev.Class, ev.Op))
 		}
-		if !routed {
-			if ev.Class != fault.OpAdd || op >= elems*perOut {
-				panic(fmt.Sprintf("winograd: %v event index %d beyond census", ev.Class, ev.Op))
-			}
-			sc.sum.push(op%perOut*elems+op/perOut, ev)
-		}
+		// Summation add op = element·perOut + step; step s adds unit s+1.
+		cur.Push((op%perOut+1)*block+sumOff+op/perOut, ev)
 	}
-	sc.sum.sort()
-	return sc.unitEvs
+	cur.Sort()
+	return block, sumOff
 }
 
 // ForwardFaultyCtx computes the layer with fault events applied bit-exactly,
@@ -371,11 +350,12 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 	}
 
 	elems := int64(outShape.Elems())
-	unitEvents := l.routeEvents(sc, uin, elems, events)
+	cur := &sc.cur
+	block, sumOff := l.loadCursor(cur, uin, elems, events)
 
-	// Run units and sum in the accumulator domain. Summation step s adds
-	// unit s+1 (or, after the last unit, the bias); a step with events walks
-	// every element through fault.Add, consuming its cursor keys in order.
+	// Run units and sum in the accumulator domain. The summation step of
+	// unit ui (or, after the last unit, the bias) with events walks every
+	// element through fault.Add, consuming its cursor keys in order.
 	acc := i64(&sc.acc, outShape.Elems())
 	shift := in.Fmt.Frac + l.WFrac + l.Tile.FracExtra - l.OutFmt.Frac
 	if len(sc.gather) != len(l.units) {
@@ -387,11 +367,7 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 			sc.gather[ui] = tensor.NewQ(uin, in.Fmt)
 		}
 		g := l.gather(in, u, uin, sc.gather[ui])
-		var uevs []fault.Event
-		if unitEvents != nil {
-			uevs = unitEvents[ui]
-		}
-		ua, us := u.p.forwardAcc(&sc.core, bk, g, uevs)
+		ua, us := u.p.forwardAcc(&sc.core, bk, g, cur, int64(ui)*block)
 		if us != outShape {
 			panic(fmt.Sprintf("winograd: unit output %v != layer output %v", us, outShape))
 		}
@@ -399,21 +375,21 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 			copy(acc, ua)
 			continue
 		}
-		key := int64(ui-1) * elems
-		if !sc.sum.below(key + elems) {
+		key := int64(ui)*block + sumOff
+		if !cur.Below(key + elems) {
 			for i, a := range ua {
 				acc[i] += a
 			}
 			continue
 		}
 		for i, a := range ua {
-			acc[i] = fault.Add(acc[i], a, sc.sum.at(key+int64(i)))
+			acc[i] = fault.Add(acc[i], a, cur.At(key+int64(i)))
 		}
 	}
 	if bias := l.accumBias(sc, in.Fmt); bias != nil {
 		outs := outShape.H * outShape.W
-		key := int64(len(l.units)-1) * elems
-		if !sc.sum.below(key + elems) {
+		key := int64(len(l.units))*block + sumOff
+		if !cur.Below(key + elems) {
 			i := 0
 			for n := 0; n < outShape.N; n++ {
 				for oc := 0; oc < outShape.C; oc++ {
@@ -427,10 +403,11 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 		} else {
 			for i := range acc {
 				oc := (i / outs) % outShape.C
-				acc[i] = fault.Add(acc[i], bias[oc], sc.sum.at(key+int64(i)))
+				acc[i] = fault.Add(acc[i], bias[oc], cur.At(key+int64(i)))
 			}
 		}
 	}
+	cur.Done()
 
 	if sc.out == nil || sc.out.Shape != outShape || sc.out.Fmt != l.OutFmt {
 		sc.out = tensor.NewQ(outShape, l.OutFmt)

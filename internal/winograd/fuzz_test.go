@@ -71,8 +71,8 @@ func decodeFuzzEvents(data []byte, p *Params, in tensor.Shape) []fault.Event {
 // output channels, batch 1–2, input up to 12x12) and up to 64 events over
 // its mul, input-transform, channel-accumulation and output-transform
 // segments, with repeated ops and operand 0, operand 1 and result flips. It
-// requires forwardAcc under both backends, on one recycled scratch, to equal
-// the whole-tile reference replay of every tile bit for bit.
+// requires forwardAcc under both backends, on one recycled scratch and
+// cursor, to equal the whole-tile reference replay of every tile bit for bit.
 func FuzzTileReplay(f *testing.F) {
 	var dense []byte
 	for i := 0; i < 64; i++ {
@@ -113,12 +113,15 @@ func FuzzTileReplay(f *testing.F) {
 
 		want, _ := referenceForwardAcc(p, in, evs)
 		var cs coreScratch
+		var cur fault.Cursor
 		for _, name := range []string{"scalar", "blocked"} {
 			bk, err := kernel.Get(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _ := p.forwardAcc(&cs, bk, in, evs)
+			p.loadCursor(&cur, shape, evs)
+			got, _ := p.forwardAcc(&cs, bk, in, &cur, 0)
+			cur.Done()
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s %s in %v out %d: acc[%d] = %d, reference %d (events %+v)",

@@ -2,9 +2,9 @@ package winograd
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/fault"
+	"repro/internal/tensor"
 )
 
 // A faulty tile runs the same fault-free backend path as a clean tile and
@@ -26,68 +26,6 @@ import (
 // backend seam's own argument). Chains are independent: chain (o, pos) reads
 // only V[·,pos] and U[o,·,pos]. Op order and the fault.Mul/fault.Add rule are
 // those of the census↔replay contract in core.go.
-
-// eventCursor is an event list stably sorted by a replay key (key[i] belongs
-// to evs[i]) and consumed front to back. The buffers are recycled across
-// passes, so steady-state event rounds do not allocate.
-type eventCursor struct {
-	key  []int64
-	evs  []fault.Event
-	next int // first unconsumed event
-}
-
-// reset empties the cursor. Recycled buffers still hold the previous event
-// round, which must not leak into this one.
-func (c *eventCursor) reset() {
-	c.key, c.evs, c.next = c.key[:0], c.evs[:0], 0
-}
-
-func (c *eventCursor) push(key int64, ev fault.Event) {
-	c.key = append(c.key, key)
-	c.evs = append(c.evs, ev)
-}
-
-// sort orders the events by key, keeping equal keys in draw order. Small
-// event sets (the overwhelmingly common case) use an insertion sort; dense
-// draws (high BERs, stuck PEs, bursts) fall back to sort.Stable to stay
-// O(k·log²k). Neither allocates.
-func (c *eventCursor) sort() {
-	if len(c.key) > 32 {
-		sort.Stable(c)
-		return
-	}
-	for i := 1; i < len(c.key); i++ {
-		for j := i; j > 0 && c.key[j-1] > c.key[j]; j-- {
-			c.Swap(j-1, j)
-		}
-	}
-}
-
-func (c *eventCursor) Len() int           { return len(c.key) }
-func (c *eventCursor) Less(i, j int) bool { return c.key[i] < c.key[j] }
-func (c *eventCursor) Swap(i, j int) {
-	c.key[i], c.key[j] = c.key[j], c.key[i]
-	c.evs[i], c.evs[j] = c.evs[j], c.evs[i]
-}
-
-// below reports whether the next unconsumed event's key is below end.
-func (c *eventCursor) below(end int64) bool {
-	return c.next < len(c.key) && c.key[c.next] < end
-}
-
-// peek returns the next unconsumed event's key; valid only after below.
-func (c *eventCursor) peek() int64 { return c.key[c.next] }
-
-// at consumes and returns the events keyed key: empty when the next event
-// has another key. Walks call it with increasing keys and consume every key
-// below the ones they ask for.
-func (c *eventCursor) at(key int64) []fault.Event {
-	i := c.next
-	for c.next < len(c.key) && c.key[c.next] == key {
-		c.next++
-	}
-	return c.evs[i:c.next]
-}
 
 // siteLayout keys every event of one pass by the site that replays it:
 // tile nt owns keys [nt·span, (nt+1)·span), laid out as the tile's itPer
@@ -122,12 +60,12 @@ func (p *Params) siteLayout(ntTotal int64) siteLayout {
 	return s
 }
 
-// key decodes an event's census index (the contract in core.go) into its
+// key decodes a class-cl census index op (the contract in core.go) into its
 // site key. An event beyond the census panics: no tile would replay it.
-func (s *siteLayout) key(ev fault.Event) int64 {
+func (s *siteLayout) key(cl fault.OpClass, op int64) int64 {
 	var nt, key int64
-	switch op := ev.Op; {
-	case ev.Class == fault.OpMul:
+	switch op := op; {
+	case cl == fault.OpMul:
 		// local = (o·C + c)·T² + pos
 		local := op % s.mulPer
 		oc, pos := local/s.t2, local%s.t2
@@ -147,15 +85,26 @@ func (s *siteLayout) key(ev fault.Event) int64 {
 		nt, key = op/otPer, s.otOff+op%otPer
 	}
 	if nt >= s.ntTotal {
-		panic(fmt.Sprintf("winograd: %v event index %d beyond census", ev.Class, ev.Op))
+		panic(fmt.Sprintf("winograd: %v event index %d beyond census", cl, op))
 	}
 	return nt*s.span + key
+}
+
+// loadCursor keys the events of one core pass over in by replay site and
+// sorts them, ready for forwardAcc at base key 0.
+func (p *Params) loadCursor(cur *fault.Cursor, in tensor.Shape, events []fault.Event) {
+	sites := p.siteLayout(p.tiles(in))
+	cur.Reset()
+	for _, ev := range events {
+		cur.Push(sites.key(ev.Class, ev.Op), ev)
+	}
+	cur.Sort()
 }
 
 // matTransformReplay is the scalar twin of matTransform that walks the adds
 // in census order: add step s applies the cursor's events keyed key+s.
 // scratch holds the rows x t intermediate.
-func matTransformReplay(mat [][]int64, rows, t int, in, out, scratch []int64, evs *eventCursor, key int64) {
+func matTransformReplay(mat [][]int64, rows, t int, in, out, scratch []int64, evs *fault.Cursor, key int64) {
 	for r := 0; r < rows; r++ {
 		row := mat[r]
 		for col := 0; col < t; col++ {
@@ -172,7 +121,7 @@ func matTransformReplay(mat [][]int64, rows, t int, in, out, scratch []int64, ev
 					first = false
 					continue
 				}
-				acc = fault.Add(acc, term, evs.at(key))
+				acc = fault.Add(acc, term, evs.At(key))
 				key++
 			}
 			scratch[r*t+col] = acc
@@ -194,7 +143,7 @@ func matTransformReplay(mat [][]int64, rows, t int, in, out, scratch []int64, ev
 					first = false
 					continue
 				}
-				acc = fault.Add(acc, term, evs.at(key))
+				acc = fault.Add(acc, term, evs.At(key))
 				key++
 			}
 			out[r*rows+c2] = acc
@@ -207,13 +156,13 @@ func matTransformReplay(mat [][]int64, rows, t int, in, out, scratch []int64, ev
 // events from the chain's first site key on. Operand 0 of a product is the
 // transformed activation, operand 1 the transformed weight; operand 0 of an
 // accumulation add is the running sum.
-func (p *Params) replayChain(evs *eventCursor, v []int64, o, pos, t2 int, key int64) int64 {
+func (p *Params) replayChain(evs *fault.Cursor, v []int64, o, pos, t2 int, key int64) int64 {
 	u := p.UT[(pos*p.OutC+o)*p.InC:]
-	sum := fault.Mul(v[pos], int64(u[0]), evs.at(key))
+	sum := fault.Mul(v[pos], int64(u[0]), evs.At(key))
 	for c := 1; c < p.InC; c++ {
 		k := key + 2*int64(c)
-		prod := fault.Mul(v[c*t2+pos], int64(u[c]), evs.at(k))
-		sum = fault.Add(sum, prod, evs.at(k+1))
+		prod := fault.Mul(v[c*t2+pos], int64(u[c]), evs.At(k))
+		sum = fault.Add(sum, prod, evs.At(k+1))
 	}
 	return sum
 }

@@ -442,3 +442,26 @@ func BenchmarkForwardFaulty(b *testing.B) {
 		})
 	}
 }
+
+// TestSummationEventHitsItsElement: a result flip on the summation add of
+// output element e (step s adds unit s+1, the last step the bias) changes
+// element e and nothing else, so the layer's keys line summation events up
+// with the elements the walk adds them to.
+func TestSummationEventHitsItsElement(t *testing.T) {
+	l, in := mkLayer(14, F2, 5, 2, 2)
+	golden := l.Forward(in)
+	uin := l.unitInShape(in.Shape)
+	sumBase := int64(l.Units()) * l.units[0].p.Census(uin).Add
+	perOut := l.sumAddsPerOut()
+	for _, e := range []int{0, 1, len(golden.Data) / 2, len(golden.Data) - 1} {
+		for s := int64(0); s < perOut; s++ {
+			ev := fault.Event{Class: fault.OpAdd, Op: sumBase + int64(e)*perOut + s, Bit: 30, Operand: fault.ResultReg}
+			out := l.ForwardFaulty(in, []fault.Event{ev})
+			for i := range out.Data {
+				if changed := out.Data[i] != golden.Data[i]; changed != (i == e) {
+					t.Fatalf("element %d step %d: output %d changed=%t", e, s, i, changed)
+				}
+			}
+		}
+	}
+}
