@@ -71,10 +71,11 @@ type CampaignRequest struct {
 	// "deltaExec": false addresses the same cache entry as one omitting it.
 	DeltaExec *bool `json:"deltaExec,omitempty"`
 	// Backend names the compute backend that runs the fault-free hot paths
-	// on the serving process: "scalar" or "blocked" ("" = process default).
-	// Backends are bit-identical by contract, so like Workers and DeltaExec
-	// it is excluded from the cache key; unknown names are rejected at
-	// submission time.
+	// on the serving process: "blocked" or "scalar", the bit-exactness
+	// reference ("" = the process default, blocked unless WF_BACKEND names
+	// another). Backends are bit-identical by contract, so like Workers and
+	// DeltaExec it is excluded from the cache key; unknown names are
+	// rejected at submission time.
 	Backend string `json:"backend,omitempty"`
 	// Priority orders this campaign within the submitting tenant's queue
 	// (0 = lowest and default, 9 = highest; out-of-range values clamp).

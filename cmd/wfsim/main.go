@@ -34,7 +34,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "root seed")
 	workers := flag.Int("workers", 0, "campaign worker count (0 = GOMAXPROCS; results are identical for any value)")
 	delta := flag.Bool("delta", true, "fault-cone delta execution: recompute only dirty nodes per round (results are identical on or off)")
-	backend := flag.String("backend", "", "compute backend: scalar|blocked (\"\" = process default; results are identical for every backend)")
+	backend := flag.String("backend", "", "compute backend: blocked|scalar (\"\" = process default: blocked, or WF_BACKEND; results are identical for every backend)")
 	layers := flag.Bool("layers", false, "also print per-layer sensitivity at the middle BER")
 	scenario := flag.String("scenario", "", "hardware-located faults: stuckpe|burst|voltregion (default: statistical model)")
 	pe := flag.String("pe", "0,0", "stuckpe: \"row,col\" of the stuck PE (-1 = sampled from the seed)")

@@ -228,10 +228,17 @@ func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault
 			}
 		}
 	} else {
-		if cap(sc.accRow) < ow {
-			sc.accRow = make([]int64, ow)
+		rows, cols := oh, ow
+		if kh == 1 && kw == 1 && p.Stride == 1 {
+			// The output plane has the padded input plane's shape and
+			// output (y, x) reads input (y, x), so the two share one flat
+			// layout: each output plane is a single row of oh·ow columns.
+			rows, cols = 1, oh*ow
 		}
-		accRow := sc.accRow[:ow]
+		if cap(sc.accRow) < cols {
+			sc.accRow = make([]int64, cols)
+		}
+		accRow := sc.accRow[:cols]
 		chanStride := ph * pw
 		for n := 0; n < outShape.N; n++ {
 			for o := 0; o < oc; o++ {
@@ -241,11 +248,11 @@ func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault
 				}
 				wBase := o * ic * kh * kw
 				wRow := p.Weight.Data[wBase : wBase+ic*kh*kw]
-				for oy := 0; oy < oh; oy++ {
+				for oy := 0; oy < rows; oy++ {
 					inBase := (n*in.Shape.C*ph + oy*p.Stride) * pw
 					bk.ConvRow(accRow, padded.Data, wRow, b, inBase, p.Stride, ic, kh, kw, chanStride, pw)
 					outRow := outShape.Index(n, o, oy, 0)
-					for ox := 0; ox < ow; ox++ {
+					for ox := 0; ox < cols; ox++ {
 						out.Data[outRow+ox] = p.OutFmt.RequantizeShift(accRow[ox], shift)
 					}
 				}

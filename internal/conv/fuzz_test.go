@@ -69,6 +69,21 @@ func FuzzDirectReplay(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(0), uint8(1), uint8(4), uint8(1), uint8(6), uint8(6), false, uint64(4),
 		append(fuzzEvent(fault.OpAdd, 2, false, 100, 7), fuzzEvent(fault.OpMul, 1, false, 9000, 5)...))
 	f.Add(uint8(3), uint8(2), uint8(0), uint8(6), uint8(6), uint8(1), uint8(5), uint8(5), false, uint64(5), dense)
+	// 1x1 layers: stride 1 over a 5x6 plane and two images (each output
+	// plane one kernel row), then stride 2 (row by row), then pad 1 (the
+	// output plane is the padded plane, again one row).
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(3), uint8(4), uint8(2), uint8(4), uint8(5), true, uint64(6),
+		append(fuzzEvent(fault.OpMul, 0, false, 40000, 14), fuzzEvent(fault.OpAdd, 2, false, 60000, 22)...))
+	f.Add(uint8(1), uint8(2), uint8(0), uint8(4), uint8(3), uint8(1), uint8(6), uint8(8), true, uint64(7),
+		fuzzEvent(fault.OpMul, 1, false, 20000, 11))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(2), uint8(3), uint8(2), uint8(3), uint8(4), true, uint64(8),
+		fuzzEvent(fault.OpAdd, 0, false, 30000, 17))
+	// 3x3 stride-1 pad-1 layers on 1x1, 2x2 and 3x3 planes: rows narrower
+	// than one 4-wide block.
+	for hw := uint8(0); hw < 3; hw++ {
+		f.Add(uint8(3), uint8(1), uint8(1), uint8(5), uint8(3), uint8(2), hw, hw, true, uint64(9+hw),
+			fuzzEvent(fault.OpMul, 2, false, 50000, 19))
+	}
 	f.Fuzz(func(t *testing.T, k, stride, pad, inC, outC, n, h, w uint8, bias bool, seed uint64, data []byte) {
 		// In-range values decode to themselves; the rest wrap into range.
 		kk, s, pd := 1+int((k-1)%5), 1+int((stride-1)%2), int(pad%3)

@@ -80,7 +80,7 @@ type Options struct {
 	// bound their cone.
 	DeltaExec *bool
 	// Backend names the registered compute backend (internal/kernel) that
-	// runs the fault-free hot paths; "" means the process default (scalar,
+	// runs the fault-free hot paths; "" means the process default (blocked,
 	// unless overridden by the WF_BACKEND environment variable). Backends
 	// are bit-identical by contract — like Workers and DeltaExec this is a
 	// scheduling/performance knob, never a result-affecting one, and the

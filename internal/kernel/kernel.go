@@ -134,16 +134,17 @@ func Names() []string {
 	return names
 }
 
-// Default returns the process-default backend: scalar — the bit-exactness
-// reference — unless the WF_BACKEND environment variable names another
-// registered backend. The env override is the forcing seam CI's
-// backend-matrix job uses to run the whole test suite through an alternate
-// backend without touching any call site; because every backend is
-// bit-identical, the suite must pass unchanged. A WF_BACKEND naming no
+// Default returns the process-default backend: blocked, unless the
+// WF_BACKEND environment variable names another registered backend. scalar
+// stays registered as the bit-exactness reference that every differential
+// test compares against. The env override is the forcing seam CI's
+// backend-matrix job uses to run the whole test suite through the reference
+// (WF_BACKEND=scalar) without touching any call site; because every backend
+// is bit-identical, the suite must pass unchanged. A WF_BACKEND naming no
 // registered backend panics: silently falling back would defeat the forcing.
 func Default() Backend {
 	defaultOnce.Do(func() {
-		defaultBk = scalar{}
+		defaultBk = blocked{}
 		if name := os.Getenv("WF_BACKEND"); name != "" {
 			regMu.RLock()
 			b, ok := backends[name]

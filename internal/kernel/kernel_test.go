@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -152,5 +153,17 @@ func TestTransformsShared(t *testing.T) {
 				t.Fatalf("tile %v: Output[%d] %d != %d", tc.tile, i, ya[i], yb[i])
 			}
 		}
+	}
+}
+
+// TestDefault pins the process default: blocked, unless WF_BACKEND names
+// another backend.
+func TestDefault(t *testing.T) {
+	want := os.Getenv("WF_BACKEND")
+	if want == "" {
+		want = "blocked"
+	}
+	if got := Default().Name(); got != want {
+		t.Errorf("Default().Name() = %q with WF_BACKEND=%q, want %q", got, os.Getenv("WF_BACKEND"), want)
 	}
 }

@@ -15,7 +15,7 @@ func (scalar) ConvRow(acc []int64, in, w []int32, bias int64, inBase, stride, ic
 }
 
 // convOne is the scalar MAC chain of one output element, shared with the
-// blocked backend's remainder columns.
+// remainder columns of the blocked backend's generic path.
 func convOne(in, w []int32, bias int64, base, ic, kh, kw, chanStride, rowStride int) int64 {
 	acc := bias
 	wi := 0

@@ -108,10 +108,11 @@ type Config struct {
 	// Neuron-flip semantics always run the full path.
 	DeltaExec *bool
 	// Backend names the compute backend for the fault-free hot paths:
-	// "scalar" (the bit-exactness reference) or "blocked" (hand-blocked
-	// kernels); "" means the process default. Backends are bit-identical by
-	// contract, so like Workers and DeltaExec this only changes wall-clock
-	// time. Unknown names are rejected by New.
+	// "blocked" (hand-blocked kernels) or "scalar" (the bit-exactness
+	// reference); "" means the process default, which is blocked unless the
+	// WF_BACKEND environment variable names another. Backends are
+	// bit-identical by contract, so like Workers and DeltaExec this only
+	// changes wall-clock time. Unknown names are rejected by New.
 	Backend string
 	// Scenario optionally locates the campaign's faults on the DNN-Engine
 	// PE array (stuck PE, SEU burst, voltage-stressed region) instead of
