@@ -61,7 +61,7 @@ func TestBackendSweepBitIdentical(t *testing.T) {
 	}
 
 	// Workers x delta: the backend stamp must survive context pooling and
-	// the delta-execution golden planes at every parallelism level.
+	// the delta-execution golden plane at every parallelism level.
 	t.Run("vgg19/workers-delta", func(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			for _, delta := range []bool{true, false} {

@@ -175,7 +175,7 @@ func (noEventInjector) Neuron(int, *tensor.QTensor)              {}
 // with an empty event stream: the pass reduces to collecting events, scanning
 // the dirty set and returning the cached golden logits. This is the unit the
 // campaign scheduler runs thousands of times per sweep at low BERs; allocs/op
-// must stay 0 (the golden-snapshot plane is part of the arena contract,
+// must stay 0 (the delta working set is part of the arena contract,
 // enforced by TestForwardDeltaAllocFree).
 func BenchmarkForwardCtxDelta(b *testing.B) {
 	arch := models.VGG19(models.Tiny)
@@ -187,11 +187,56 @@ func BenchmarkForwardCtxDelta(b *testing.B) {
 		fixed.Int16)
 	ctx := net.NewExecContext()
 	inj := nn.Injector(noEventInjector{})
-	net.ForwardDelta(ctx, in, inj) // capture the golden plane
+	plane := net.CapturePlane(ctx, in)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ForwardDelta(ctx, in, inj)
+		net.ForwardDelta(ctx, plane, inj)
+	}
+}
+
+// oneEventInjector places the same events on one node every round.
+type oneEventInjector struct {
+	node int
+	evs  []fault.Event
+}
+
+func (o oneEventInjector) OpEvents(li int, _ fault.Census) []fault.Event {
+	if li == o.node {
+		return o.evs
+	}
+	return nil
+}
+func (oneEventInjector) Neuron(int, *tensor.QTensor) {}
+
+// BenchmarkForwardCtxDeltaSparse measures a steady-state delta round whose
+// one event lands on one image of a 24-image batch: a result flip at the
+// first convolution of winograd VGG19-tiny. The round recomputes that
+// image's fault cone and serves the other 23 images from the golden plane.
+func BenchmarkForwardCtxDeltaSparse(b *testing.B) {
+	arch := models.VGG19(models.Tiny)
+	net := models.Build(arch, nn.Config{
+		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
+	})
+	const images = 24
+	in := tensor.Quantize(
+		tensor.New(tensor.Shape{N: images, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
+		fixed.Int16)
+	first := net.ConvNodes()[0]
+	muls := net.LayerCensus(in.Shape)[first].Mul
+	inj := nn.Injector(oneEventInjector{node: first, evs: []fault.Event{
+		{Class: fault.OpMul, Op: muls / images * 11, Bit: 27, Operand: fault.ResultReg},
+	}})
+	ctx := net.NewExecContext()
+	plane := net.CapturePlane(ctx, in)
+	net.ForwardDelta(ctx, plane, inj) // warm the arena
+	if ctx.DirtyCount() < len(net.Nodes)/2 {
+		b.Fatalf("the event's cone re-converged after %d node-images", ctx.DirtyCount())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.ForwardDelta(ctx, plane, inj)
 	}
 }
 
@@ -232,10 +277,11 @@ func BenchmarkSweepWorkersMax(b *testing.B) { benchSweepWorkers(b, 0) }
 // fault-cone delta path on (the default) versus forced-off full execution.
 // The Delta/DeltaOff ratio is the headline win of delta execution; accuracies
 // are bit-identical between the two (see TestDeltaMatchesFullExecution).
-// allocs/op of the delta variant pins the steady state: the golden plane and
-// scratch arenas are recycled across rounds, so allocations stay a small
-// per-unit constant (injector + reduction bookkeeping) instead of scaling
-// with the node count or the round's recompute work.
+// allocs/op of the delta variant pins the steady state: the golden plane is
+// captured once and the scratch arenas are recycled across rounds, so
+// allocations stay a small per-unit constant (injector + reduction
+// bookkeeping) instead of scaling with the node count or the round's
+// recompute work.
 func benchSweepDelta(b *testing.B, enabled bool) {
 	arch := models.VGG19(models.Tiny)
 	net := models.Build(arch, nn.Config{

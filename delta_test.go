@@ -39,8 +39,8 @@ func TestDeltaMatchesFullExecution(t *testing.T) {
 }
 
 // TestDeltaWorkerCountInvariant: the delta path keeps the scheduler's
-// bit-identical-for-any-worker-count guarantee — per-worker golden planes
-// cannot leak state between units.
+// bit-identical-for-any-worker-count guarantee — the shared golden plane
+// and per-worker contexts cannot leak state between units.
 func TestDeltaWorkerCountInvariant(t *testing.T) {
 	bers := []float64{3e-10, 1e-9}
 	var want []Point

@@ -17,6 +17,11 @@
 // product s at 2s, the add that merges product s (s ≥ 1) at 2s+1, and the
 // bias add at 2K+1. Add step s therefore keys 2s+3, and the walk replays
 // touched outputs in key order.
+//
+// Image of an event: both op indices start with n, so each class's census
+// is N equal image-major runs and an event of class cl lands on image
+// op ÷ (census(cl) ÷ N). A pass may compute a subset of its batch's
+// images; events land only on the images it computes.
 package conv
 
 import (
@@ -146,9 +151,9 @@ func (p *Params) cachedBias(sc *Scratch, inFmt fixed.Format) []int64 {
 // padInput returns the input extended by p.Pad zero rows/columns on every
 // spatial side, recycled from sc. For Pad == 0 the input itself is returned
 // (it is only ever read). The recycled buffer's zero border is written only
-// at allocation: interior rows are refreshed every pass and the border is
-// geometry-dependent only.
-func (p *Params) padInput(sc *Scratch, in *tensor.QTensor) *tensor.QTensor {
+// at allocation: interior rows of the selected images are refreshed every
+// pass and the border is geometry-dependent only.
+func (p *Params) padInput(sc *Scratch, in *tensor.QTensor, images tensor.ImageSet) *tensor.QTensor {
 	if p.Pad == 0 {
 		return in
 	}
@@ -159,6 +164,9 @@ func (p *Params) padInput(sc *Scratch, in *tensor.QTensor) *tensor.QTensor {
 	}
 	dst := sc.padded
 	for n := 0; n < s.N; n++ {
+		if !images.Has(n) {
+			continue
+		}
 		for c := 0; c < s.C; c++ {
 			for h := 0; h < s.H; h++ {
 				srcBase := s.Index(n, c, h, 0)
@@ -179,16 +187,18 @@ func Forward(in *tensor.QTensor, p *Params) *tensor.QTensor {
 // bit-exactly at their op sites, allocating fresh buffers. Hot paths use
 // ForwardFaultyCtx with a reusable Scratch.
 func ForwardFaulty(in *tensor.QTensor, p *Params, events []fault.Event) *tensor.QTensor {
-	return ForwardFaultyCtx(&Scratch{}, in, p, events)
+	return ForwardFaultyCtx(&Scratch{}, in, p, events, nil)
 }
 
-// ForwardFaultyCtx is ForwardFaulty drawing every buffer from sc. The fast
-// path computes the whole layer through sc's compute backend (see
-// internal/kernel; every backend is bit-identical), then every output
-// element touched by an event is recomputed through the scalar replay path
-// with its events applied in op order. The returned tensor aliases sc and is
+// ForwardFaultyCtx is ForwardFaulty drawing every buffer from sc, computing
+// only the images in images (nil: all). The fast path computes the selected
+// images through sc's compute backend (see internal/kernel; every backend is
+// bit-identical), then every output element touched by an event is
+// recomputed through the scalar replay path with its events applied in op
+// order; every event must land on a selected image. The output of an
+// unselected image is unspecified. The returned tensor aliases sc and is
 // valid until the next call with the same scratch.
-func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault.Event) *tensor.QTensor {
+func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault.Event, images tensor.ImageSet) *tensor.QTensor {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -200,7 +210,7 @@ func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault
 	if in.Shape.C != ws.C {
 		panic(fmt.Sprintf("conv: input channels %d != weight channels %d", in.Shape.C, ws.C))
 	}
-	padded := p.padInput(sc, in)
+	padded := p.padInput(sc, in, images)
 	outShape := p.OutShape(in.Shape)
 	if sc.out == nil || sc.out.Shape != outShape || sc.out.Fmt != p.OutFmt {
 		sc.out = tensor.NewQ(outShape, p.OutFmt)
@@ -217,6 +227,9 @@ func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault
 		// Fully-connected case (1x1 kernel over a 1x1 plane): both operand
 		// rows are contiguous, so the whole output element is one dot.
 		for n := 0; n < outShape.N; n++ {
+			if !images.Has(n) {
+				continue
+			}
 			a := padded.Data[n*ic : (n+1)*ic]
 			for o := 0; o < oc; o++ {
 				var b int64
@@ -241,6 +254,9 @@ func ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, p *Params, events []fault
 		accRow := sc.accRow[:cols]
 		chanStride := ph * pw
 		for n := 0; n < outShape.N; n++ {
+			if !images.Has(n) {
+				continue
+			}
 			for o := 0; o < oc; o++ {
 				var b int64
 				if bias != nil {

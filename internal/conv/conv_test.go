@@ -462,13 +462,13 @@ func TestForwardFaultyAllocFree(t *testing.T) {
 			_, inQ := randInput(53, 2, g.inC, g.h, g.h)
 			evs := faultyEvents(p, inQ.Shape)
 			sc := &Scratch{Backend: bk}
-			golden := append([]int32(nil), ForwardFaultyCtx(sc, inQ, p, nil).Data...)
-			if out := ForwardFaultyCtx(sc, inQ, p, evs); slices.Equal(out.Data, golden) {
+			golden := append([]int32(nil), ForwardFaultyCtx(sc, inQ, p, nil, nil).Data...)
+			if out := ForwardFaultyCtx(sc, inQ, p, evs, nil); slices.Equal(out.Data, golden) {
 				t.Fatalf("%s/%s: the events left the output golden", g.name, name)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				ForwardFaultyCtx(sc, inQ, p, evs[:4])
-				ForwardFaultyCtx(sc, inQ, p, evs)
+				ForwardFaultyCtx(sc, inQ, p, evs[:4], nil)
+				ForwardFaultyCtx(sc, inQ, p, evs, nil)
 			})
 			if allocs != 0 {
 				t.Errorf("%s/%s: a faulty pass allocates %v times, want 0", g.name, name, allocs)
@@ -496,11 +496,45 @@ func BenchmarkForwardFaulty(b *testing.B) {
 				evs[i] = fault.Event{Class: cl, Op: r.Int63n(census.Class(cl)), Bit: uint8(r.Intn(32)), Operand: fault.ResultReg}
 			}
 			sc := &Scratch{}
-			ForwardFaultyCtx(sc, in, p, evs)
+			ForwardFaultyCtx(sc, in, p, evs, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkQ = ForwardFaultyCtx(sc, in, p, evs)
+				sinkQ = ForwardFaultyCtx(sc, in, p, evs, nil)
+			}
+		})
+	}
+}
+
+// TestEventImage pins the package doc's image rule: a high-bit result flip
+// on the first or last op of image n's run of either class — the ops with
+// op ÷ (census ÷ N) = n — changes only image n, for a 3×3 layer with a bias
+// (whose add closes each output's run) and for an FC layer.
+func TestEventImage(t *testing.T) {
+	const images = 3
+	for _, g := range []struct {
+		name                 string
+		inC, outC, k, pad, h int
+	}{{"3x3-bias", 2, 3, 3, 1, 5}, {"fc", 6, 4, 1, 0, 1}} {
+		t.Run(g.name, func(t *testing.T) {
+			p, _, _ := buildLayer(t, 52, g.inC, g.outC, g.k, g.k, 1, g.pad, true)
+			_, in := randInput(53, images, g.inC, g.h, g.h)
+			golden := Forward(in, p)
+			per := len(golden.Data) / images
+			for _, cl := range []fault.OpClass{fault.OpMul, fault.OpAdd} {
+				run := p.Census(in.Shape).Class(cl) / images
+				for img := 0; img < images; img++ {
+					for _, op := range []int64{int64(img) * run, int64(img+1)*run - 1} {
+						ev := fault.Event{Class: cl, Op: op, Bit: 30, Operand: fault.ResultReg}
+						out := ForwardFaulty(in, p, []fault.Event{ev})
+						for n := 0; n < images; n++ {
+							changed := !slices.Equal(out.Data[n*per:(n+1)*per], golden.Data[n*per:(n+1)*per])
+							if changed != (n == img) {
+								t.Errorf("%v op %d: image %d changed=%t, want only image %d", cl, op, n, changed, img)
+							}
+						}
+					}
+				}
 			}
 		})
 	}

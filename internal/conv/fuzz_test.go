@@ -108,7 +108,7 @@ func FuzzDirectReplay(f *testing.F) {
 				t.Fatal(err)
 			}
 			sc.Backend = bk
-			got := ForwardFaultyCtx(&sc, in, p, evs)
+			got := ForwardFaultyCtx(&sc, in, p, evs, nil)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("%s k=%d s=%d p=%d in %v out %d: out[%d] = %d, reference %d (events %+v)",

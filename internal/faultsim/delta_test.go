@@ -2,6 +2,8 @@ package faultsim
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -123,4 +125,62 @@ func TestDeltaProtectionThinsToNothing(t *testing.T) {
 			t.Errorf("%s: full-execution accuracy = %v, want exactly 1", name, acc)
 		}
 	}
+}
+
+// TestGoldenPlaneSharedReadOnly: one plane serves every worker of a
+// Workers: 4 campaign on both engines — no worker captures a second while
+// it is alive — and its bytes are unchanged afterwards (the race detector
+// covers the concurrent reads).
+func TestGoldenPlaneSharedReadOnly(t *testing.T) {
+	st, wg, stInt, wgInt := testRig(t, 6)
+	for _, rig := range []struct {
+		name string
+		r    *Runner
+		in   []fault.Census
+	}{{"direct", st, stInt}, {"winograd", wg, wgInt}} {
+		plane := rig.r.goldenPlane(&worker{ec: rig.r.Net.NewExecContext()})
+		var before [][]int32
+		for i := range rig.r.Net.Nodes {
+			before = append(before, slices.Clone(plane.Act(i).Data))
+		}
+		opts := Options{Seed: 13, Intensity: rig.in, Workers: 4}
+		rig.r.AccuracyBatch(context.Background(), SweepCampaigns([]float64{3e-10, 1e-9, 1e-8}, opts), 3)
+		if rig.r.goldenPlane(&worker{ec: rig.r.Net.NewExecContext()}) != plane {
+			t.Errorf("%s: the runner captured a second plane", rig.name)
+		}
+		for i := range rig.r.Net.Nodes {
+			if !slices.Equal(plane.Act(i).Data, before[i]) {
+				t.Errorf("%s: node %s of the golden plane changed during the campaign", rig.name, rig.r.Net.Nodes[i].Name)
+			}
+		}
+	}
+}
+
+// TestPlaneLifetime: a runner left idle until the GC empties its pool
+// holds no plane — so cached idle runners pin none — a full-execution
+// campaign does not capture one, and a delta campaign does.
+func TestPlaneLifetime(t *testing.T) {
+	st, _, stInt, _ := testRig(t, 4)
+	// The first GC moves the pooled workers to the pool's victim cache,
+	// the second drops them, and with them the last strong reference.
+	idle := func(when string) {
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+		}
+		if st.plane.Value() != nil {
+			t.Errorf("%s: an idle runner still holds its plane after the GC emptied its pool", when)
+		}
+	}
+	idle("after New")
+	opts := Options{Seed: 5, Intensity: stInt, Workers: 2, DeltaExec: boolPtr(false)}
+	st.Accuracy(context.Background(), 1e-9, opts, 2)
+	if st.plane.Value() != nil {
+		t.Error("a full-execution campaign captured a plane")
+	}
+	opts.DeltaExec = nil
+	st.Accuracy(context.Background(), 1e-9, opts, 2)
+	if st.plane.Value() == nil {
+		t.Fatal("a delta campaign captured no plane")
+	}
+	idle("after a delta campaign")
 }

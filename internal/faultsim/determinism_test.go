@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/nn"
 )
 
 // workerCounts are the schedules every determinism test compares. Workers=8
@@ -146,8 +145,8 @@ func TestRunUnitsCoversAllUnitsOnce(t *testing.T) {
 		const n = 37
 		counts := make([]int32, n)
 		var mu sync.Mutex
-		st.runUnits(context.Background(), w, n, func(ec *nn.ExecContext, u int) {
-			if ec == nil {
+		st.runUnits(context.Background(), w, n, func(wk *worker, u int) {
+			if wk.ec == nil {
 				t.Error("nil ExecContext") // runs on a worker goroutine: Error, not Fatal
 			}
 			mu.Lock()
@@ -173,7 +172,7 @@ func TestRunUnitsPropagatesPanic(t *testing.T) {
 					t.Errorf("workers=%d: panic did not propagate", w)
 				}
 			}()
-			st.runUnits(context.Background(), w, 8, func(ec *nn.ExecContext, u int) {
+			st.runUnits(context.Background(), w, 8, func(_ *worker, u int) {
 				if u == 3 {
 					panic("boom")
 				}

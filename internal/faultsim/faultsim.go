@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/fault"
 	"repro/internal/fixed"
@@ -65,15 +66,16 @@ type Options struct {
 	// are still skipped as exactly fault-free, so hardware scenarios must
 	// run at a positive (background) BER to take effect.
 	HW *hwfault.Injection
-	// DeltaExec controls the fault-cone delta-execution fast path: each
-	// worker caches the golden per-node activations in its ExecContext and
-	// per round recomputes only the nodes downstream of that round's fault
-	// events, reusing golden outputs everywhere else. Results are
-	// bit-identical to full execution (the engines are deterministic, so a
-	// node outside the fault cone can only produce its golden activation;
-	// pinned by the golden fixtures and the delta equivalence tests), so
-	// nil — the default — means enabled. Point at false to force full
-	// re-execution of every round (debugging, paired validation runs).
+	// DeltaExec controls the fault-cone delta-execution fast path: the
+	// runner captures the golden per-node activations into one plane that
+	// every worker shares, and per round each worker recomputes only the
+	// (node, image) pairs downstream of that round's fault events, reusing
+	// golden outputs everywhere else. Results are bit-identical to full
+	// execution (the engines are deterministic and no op mixes images, so
+	// an image outside the fault cone can only produce its golden
+	// activation; pinned by the golden fixtures and the delta equivalence
+	// tests), so nil — the default — means enabled. Point at false to force
+	// full re-execution of every round (debugging, paired validation runs).
 	//
 	// Neuron-level semantics fall back to full execution automatically:
 	// neuron flips are not located by the event stream, so no dirty set can
@@ -105,25 +107,54 @@ type Options struct {
 // Runner evaluates one network against one evaluation input set.
 type Runner struct {
 	Net    *nn.Network
-	Inputs *tensor.QTensor // the full evaluation batch
+	Inputs *tensor.QTensor // the full evaluation batch; must not change
 	golden []int
-	// ecPool recycles per-worker ExecContexts across campaign batches, so
-	// scratch arenas and delta-execution golden planes warmed by one batch
-	// carry over to the next instead of being rebuilt per call. Contexts
-	// hold no result-affecting state (determinism is per-unit rng), so
-	// recycling cannot change any outcome.
-	ecPool sync.Pool
+	// plane points at the golden activation of every node for Inputs,
+	// captured by New's golden pass and read-only afterwards, so every
+	// worker's delta rounds serve the same one. The runner holds it weakly
+	// and each pooled worker that served it strongly, so it lives as long
+	// as the pool does: a runner left idle until the GC empties its pool (a
+	// dist worker caches idle plans, the dist coordinator only reduces
+	// counts) holds no plane, and its next delta unit captures one again.
+	planeMu sync.Mutex
+	plane   weak.Pointer[nn.Plane]
+	// pool recycles per-worker state across campaign batches, so scratch
+	// arenas warmed by one batch carry over to the next instead of being
+	// rebuilt per call. Workers hold no result-affecting state (determinism
+	// is per-unit rng), so recycling cannot change any outcome.
+	pool sync.Pool
 }
 
-// New computes the golden predictions and returns a ready runner.
+// New runs the runner's golden pass, which captures its plane and golden
+// predictions, and returns a ready runner whose pool holds the plane.
 func New(net *nn.Network, inputs *tensor.QTensor) *Runner {
 	r := &Runner{Net: net, Inputs: inputs}
-	r.golden = nn.Argmax(net.Forward(inputs, nil))
+	w := r.worker()
+	r.golden = nn.Argmax(r.goldenPlane(w).Output())
+	// Pool the plane without the capture's context: sync.Pool keeps a Put
+	// in the putting P's private slot, where no worker running on another
+	// P finds it, and a context stranded there would hold its scratch for
+	// nothing while the plane is shared anyway.
+	r.pool.Put(&worker{plane: w.plane})
 	return r
 }
 
 // Golden returns the fault-free predictions of the evaluation batch.
 func (r *Runner) Golden() []int { return r.golden }
+
+// goldenPlane returns the runner's golden plane, capturing it on w's
+// context if no plane is alive.
+func (r *Runner) goldenPlane(w *worker) *nn.Plane {
+	if w.plane == nil {
+		r.planeMu.Lock()
+		defer r.planeMu.Unlock()
+		if w.plane = r.plane.Value(); w.plane == nil {
+			w.plane = r.Net.CapturePlane(w.ec, r.Inputs)
+			r.plane = weak.Make(w.plane)
+		}
+	}
+	return w.plane
+}
 
 // injector adapts Options + BER to the nn.Injector interface for one
 // Monte-Carlo round.
@@ -202,10 +233,11 @@ type Campaign struct {
 // evaluation samples agree with the golden predictions. All randomness is
 // derived from (c.Opts.Seed, round) alone, so the result is independent of
 // which worker executes it and in what order.
-func (r *Runner) roundAgree(ec *nn.ExecContext, c *Campaign, bk kernel.Backend, convSet map[int]struct{}, round int) int {
+func (r *Runner) roundAgree(w *worker, c *Campaign, bk kernel.Backend, convSet map[int]struct{}, round int) int {
 	// Stamp the campaign's backend every unit: pooled contexts are recycled
 	// across batches whose Options may differ. Backends are bit-identical,
 	// so this can affect wall-clock only.
+	ec := w.ec
 	ec.UseBackend(bk)
 	inj := &injector{
 		opts:    &c.Opts,
@@ -217,7 +249,7 @@ func (r *Runner) roundAgree(ec *nn.ExecContext, c *Campaign, bk kernel.Backend, 
 	}
 	var logits *tensor.QTensor
 	if c.Opts.deltaEnabled() {
-		logits = r.Net.ForwardDelta(ec, r.Inputs, inj)
+		logits = r.Net.ForwardDelta(ec, r.goldenPlane(w), inj)
 	} else {
 		logits = r.Net.ForwardCtx(ec, r.Inputs, inj)
 	}
@@ -342,9 +374,9 @@ func (r *Runner) UnitCounts(ctx context.Context, cs []Campaign, rounds, lo, hi i
 
 	agree := make([]int, hi-lo)
 	var completed atomic.Int64
-	r.runUnits(ctx, workers, hi-lo, func(ec *nn.ExecContext, u int) {
+	r.runUnits(ctx, workers, hi-lo, func(w *worker, u int) {
 		un := units[lo+u]
-		agree[u] = r.roundAgree(ec, &cs[un.c], bks[un.c], convSet, un.round)
+		agree[u] = r.roundAgree(w, &cs[un.c], bks[un.c], convSet, un.round)
 		if progress != nil {
 			progress(int(completed.Add(1)), hi-lo)
 		}

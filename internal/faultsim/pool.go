@@ -43,25 +43,37 @@ func resolveWorkers(workers int) int {
 	return workers
 }
 
-// execContext draws a per-worker ExecContext from the runner's recycling
-// pool (warm scratch arenas and golden planes survive across batches),
-// falling back to a fresh one when the pool is empty.
-func (r *Runner) execContext() *nn.ExecContext {
-	if ec, ok := r.ecPool.Get().(*nn.ExecContext); ok {
-		return ec
-	}
-	return r.Net.NewExecContext()
+// worker is one pooled per-worker state: an ExecContext and, once the
+// worker has run a delta unit, the runner's golden plane. The runner holds
+// the plane weakly, so pooled workers are what keep it alive.
+type worker struct {
+	ec    *nn.ExecContext
+	plane *nn.Plane
 }
 
-// runUnits executes fn(ctx, u) for every unit u in [0, n) across the given
+// worker draws a worker from the runner's recycling pool (warm scratch
+// arenas survive across batches), giving it a fresh context when the pool
+// is empty or holds only the plane New pooled.
+func (r *Runner) worker() *worker {
+	w, _ := r.pool.Get().(*worker)
+	if w == nil {
+		w = &worker{}
+	}
+	if w.ec == nil {
+		w.ec = r.Net.NewExecContext()
+	}
+	return w
+}
+
+// runUnits executes fn(w, u) for every unit u in [0, n) across the given
 // number of workers, stopping early (without running the remaining units)
 // once ctx is canceled. Each worker owns a private nn.ExecContext over the
 // runner's network, so forward passes reuse per-worker state without
-// sharing any of it; contexts return to the runner's pool when the worker
-// drains normally. A panic in any unit is captured and re-raised on the
-// calling goroutine once all workers have drained (its context is dropped —
+// sharing any of it; workers return to the runner's pool when they drain
+// normally. A panic in any unit is captured and re-raised on the calling
+// goroutine once all workers have drained (its worker is dropped —
 // mid-pass scratch state is not re-pooled).
-func (r *Runner) runUnits(ctx context.Context, workers, n int, fn func(ec *nn.ExecContext, u int)) {
+func (r *Runner) runUnits(ctx context.Context, workers, n int, fn func(w *worker, u int)) {
 	if n <= 0 {
 		return
 	}
@@ -71,16 +83,16 @@ func (r *Runner) runUnits(ctx context.Context, workers, n int, fn func(ec *nn.Ex
 	}
 	done := ctx.Done()
 	if workers == 1 {
-		ec := r.execContext()
+		w := r.worker()
 		for u := 0; u < n; u++ {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			fn(ec, u)
+			fn(w, u)
 		}
-		r.ecPool.Put(ec)
+		r.pool.Put(w)
 		return
 	}
 
@@ -101,7 +113,7 @@ func (r *Runner) runUnits(ctx context.Context, workers, n int, fn func(ec *nn.Ex
 					next.Store(int64(n))
 				}
 			}()
-			ec := r.execContext()
+			wk := r.worker()
 			for {
 				select {
 				case <-done:
@@ -110,10 +122,10 @@ func (r *Runner) runUnits(ctx context.Context, workers, n int, fn func(ec *nn.Ex
 				}
 				u := int(next.Add(1)) - 1
 				if u >= n {
-					r.ecPool.Put(ec)
+					r.pool.Put(wk)
 					return
 				}
-				fn(ec, u)
+				fn(wk, u)
 			}
 		}()
 	}

@@ -81,8 +81,15 @@ func (o *ConvOp) Census(ins []tensor.Shape) fault.Census {
 }
 
 func (o *ConvOp) Forward(sc *Scratch, ins []*tensor.QTensor, events []fault.Event) *tensor.QTensor {
+	return o.forwardImages(sc, ins, events, nil)
+}
+
+// forwardImages is Forward computing only the images in images (nil: all);
+// every event must land on one of them, and the output of the others is
+// unspecified.
+func (o *ConvOp) forwardImages(sc *Scratch, ins []*tensor.QTensor, events []fault.Event, images tensor.ImageSet) *tensor.QTensor {
 	if o.wg != nil {
-		return o.wg.ForwardFaultyCtx(sc.wgScratch(), ins[0], events)
+		return o.wg.ForwardFaultyCtx(sc.wgScratch(), ins[0], events, images)
 	}
-	return conv.ForwardFaultyCtx(sc.convScratch(), ins[0], o.direct, events)
+	return conv.ForwardFaultyCtx(sc.convScratch(), ins[0], o.direct, events, images)
 }

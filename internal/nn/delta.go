@@ -1,155 +1,147 @@
 package nn
 
 import (
+	"math/bits"
+	"slices"
+
 	"repro/internal/fault"
 	"repro/internal/tensor"
 )
 
 // Delta execution (see DESIGN.md "Delta execution"): a fault round differs
-// from the golden run only at the nodes its fault events touch. Because
-// every Op.Forward is a deterministic function of its inputs and events, a
-// node with no events whose ancestors are all clean produces exactly the
-// golden activation — so the round only needs to recompute the fault cone,
-// the downstream closure of the event-carrying nodes, and can reuse the
-// cached golden activation everywhere else.
+// from the golden run only at the (node, image) pairs its fault events
+// reach. Because every Op.Forward is a deterministic function of its inputs
+// and events, and no op mixes the images of a batch, image n of a node with
+// no event on image n whose inputs are golden at image n is exactly the
+// golden activation — so the round only needs to recompute each image's
+// fault cone, the downstream closure of the events landing on that image,
+// and can serve the golden plane everywhere else.
 //
-// Soundness rests on two existing contracts:
+// Soundness rests on three existing contracts:
 //
 //   - Event purity: injectors derive each node's events from per-node rng
 //     splits of the (seed, round) stream, and splitting never advances the
-//     parent, so collecting all events up front (to know the dirty set
-//     before executing) yields bit-identical events to the interleaved
-//     collection ForwardCtx performs.
+//     parent, so the events a node draws do not depend on which nodes were
+//     recomputed before it.
 //   - Replay ordering: a recomputed node receives the exact event slice the
 //     injector produced, so the engine applies the events in the same
 //     per-op order as a full pass — recomputed activations are bit-identical,
 //     not merely statistically equivalent.
+//   - Image of an event: each engine states beside its op ordering which
+//     image an event lands on. Direct conv's op spaces and the adding ops'
+//     add spaces start with n, so their censuses are image-major per class
+//     (eventImage below); a winograd layer places its events itself
+//     (winograd.Layer.EventImage).
 
-// goldenPlane is the per-context cache of golden (fault-free) per-node
-// activations, captured once per (context, input) and reused across the
-// thousands of Monte-Carlo rounds of a campaign.
-type goldenPlane struct {
+// Plane is the golden (fault-free) activation of every node of one network
+// for one input batch. It is captured once and read-only afterwards, so any
+// number of ExecContexts may share one across goroutines; ForwardDelta
+// serves it as the output of every clean (node, image).
+type Plane struct {
+	net  *Network
+	in   *tensor.QTensor
 	acts []*tensor.QTensor // private copies; never aliased by op scratch
-	in   *tensor.QTensor   // the input the plane was captured for
 }
+
+// CapturePlane runs one fault-free pass of in on ctx and copies every
+// node's activation into a new plane. The plane keeps in, whose contents
+// must not change afterwards.
+func (n *Network) CapturePlane(ctx *ExecContext, in *tensor.QTensor) *Plane {
+	n.ForwardCtx(ctx, in, nil)
+	p := &Plane{net: n, in: in, acts: make([]*tensor.QTensor, len(n.Nodes))}
+	for i, a := range ctx.acts {
+		p.acts[i] = a.Clone()
+	}
+	return p
+}
+
+// Output returns the plane's golden logits. Callers must not modify them.
+func (p *Plane) Output() *tensor.QTensor { return p.acts[p.net.Output] }
+
+// Act returns node i's golden activation. Callers must not modify it.
+func (p *Plane) Act(i int) *tensor.QTensor { return p.acts[i] }
 
 // deltaState is the reusable per-round working set of ForwardDelta.
 type deltaState struct {
 	events     [][]fault.Event // per-node events of the current round
-	dirty      []bool          // per-node membership in the round's fault cone
-	recomputed int             // Op.Forward calls the last round made
+	words      int             // words of one node's image set: ⌈N/64⌉
+	dirty      []uint64        // node i's dirty images at [i·words, (i+1)·words)
+	recomputed int             // node-images the last round computed
 }
 
-// captureGolden runs one full fault-free pass and snapshots every node's
-// activation into the context's golden plane. Buffers are allocated on the
-// first capture and recycled when the plane is re-captured for a new input
-// of the same geometry.
-func (c *ExecContext) captureGolden(in *tensor.QTensor) {
-	n := c.net
-	if c.golden.acts == nil || len(c.golden.acts) != len(n.Nodes) {
-		c.golden.acts = make([]*tensor.QTensor, len(n.Nodes))
-	}
-	if c.delta.events == nil || len(c.delta.events) != len(n.Nodes) {
-		c.delta.events = make([][]fault.Event, len(n.Nodes))
-		c.delta.dirty = make([]bool, len(n.Nodes))
-	}
-	n.ForwardCtx(c, in, nil)
-	for i := range n.Nodes {
-		dst := c.golden.acts[i]
-		src := c.acts[i]
-		if dst == nil || dst.Shape != src.Shape || dst.Fmt != src.Fmt {
-			dst = tensor.NewQ(src.Shape, src.Fmt)
-			c.golden.acts[i] = dst
-		}
-		copy(dst.Data, src.Data)
-	}
-	c.golden.in = in
-}
-
-// InvalidateGolden drops the cached golden plane, forcing the next
-// ForwardDelta call to re-capture it. Needed only when the contents of the
-// input tensor change in place; passing a different tensor (or a different
-// shape) re-captures automatically.
-func (c *ExecContext) InvalidateGolden() { c.golden.in = nil }
-
-// ForwardDelta runs the network like ForwardCtx but recomputes only the
-// fault cone of the round: nodes carrying fault events plus everything
-// downstream of them. Clean nodes reuse the context's cached golden
-// activations, so a round with few (or no) events costs a small fraction of
-// a full pass while remaining bit-identical to ForwardCtx — the engines are
-// deterministic, so a node outside the cone can only ever produce its golden
-// output.
+// ForwardDelta runs the network on plane's input like ForwardCtx but
+// recomputes only the round's per-image fault cones. Image n of node i is
+// dirty iff one of node i's events lands on n or image n of one of its
+// inputs is dirty. A node with no dirty image publishes the plane's tensor;
+// a convolution computes only its dirty images and fills the others from
+// the plane; every other op runs over the whole batch, whose inputs are
+// complete because every published tensor is. A dirty image whose
+// recomputed slice equals the plane's re-converges: it turns clean for the
+// node's consumers. So a round with few (or no) events costs a small
+// fraction of a full pass while remaining bit-identical to ForwardCtx.
 //
 // Contract: inj must inject exclusively through OpEvents (its Neuron method
 // must be a no-op) — neuron-level semantics corrupt activations behind the
 // graph's back, where no event stream locates the damage, so those campaigns
-// must use ForwardCtx. The input tensor must not be mutated between calls
-// with the same context; a different tensor (by pointer or shape) triggers a
-// fresh golden capture, an in-place mutation requires InvalidateGolden.
+// must use ForwardCtx.
 //
-// A nil inj returns the golden output directly (capturing the plane if
-// needed). The returned tensor remains valid until the next Forward*/
-// InvalidateGolden call on the same context.
-func (n *Network) ForwardDelta(ctx *ExecContext, in *tensor.QTensor, inj Injector) *tensor.QTensor {
+// A nil inj returns the golden output. The returned tensor may be the
+// plane's, which callers must not modify; otherwise it remains valid until
+// the next Forward* call on the same context.
+func (n *Network) ForwardDelta(ctx *ExecContext, plane *Plane, inj Injector) *tensor.QTensor {
 	if ctx.net != n {
 		panic("nn: ExecContext bound to a different network")
 	}
+	if plane.net != n {
+		panic("nn: golden plane captured on a different network")
+	}
+	in := plane.in
 	ctx.prepare(in.Shape)
-	if ctx.golden.in != in {
-		ctx.captureGolden(in)
-	}
 	ctx.delta.recomputed = 0
-	if inj == nil {
-		return ctx.golden.acts[n.Output]
-	}
 
-	// Collect the round's events node by node, in node order — the same
-	// calls, against the same per-node streams, a full pass would make —
-	// and close the dirty set downstream while at it: a node is dirty iff
-	// it carries events or consumes a dirty node, and inputs always precede
-	// consumers in the topological node order.
-	events, dirty := ctx.delta.events, ctx.delta.dirty
-	any := false
+	// Draw the round's events node by node, in node order — the same
+	// calls, against the same per-node streams, a full pass makes. A round
+	// without events is the golden run.
+	events, faulty := ctx.delta.events, false
 	for i := range n.Nodes {
 		var evs []fault.Event
-		if ctx.hasOps[i] {
+		if inj != nil && ctx.hasOps[i] {
 			evs = inj.OpEvents(i, ctx.census[i])
 		}
 		events[i] = evs
-		d := len(evs) > 0
-		if !d {
-			for _, idx := range n.Nodes[i].Inputs {
-				if idx != InputNode && dirty[idx] {
-					d = true
-					break
-				}
-			}
-		}
-		dirty[i] = d
-		any = any || d
+		faulty = faulty || len(evs) > 0
 	}
-	if !any {
-		return ctx.golden.acts[n.Output]
+	if !faulty {
+		clear(ctx.delta.dirty)
+		return plane.Output()
 	}
 
+	images, words := in.Shape.N, ctx.delta.words
 	for i := range n.Nodes {
-		// Re-check the inputs: a node marked dirty in the closure may have
-		// re-converged ancestors (see below), turning it clean after all.
-		if dirty[i] && len(events[i]) == 0 {
-			d := false
-			for _, idx := range n.Nodes[i].Inputs {
-				if idx != InputNode && dirty[idx] {
-					d = true
-					break
+		// Inputs precede consumers in the topological node order, so their
+		// dirty sets are final by now.
+		nd := &n.Nodes[i]
+		dirty := ctx.delta.dirty[i*words : (i+1)*words]
+		clear(dirty)
+		evs := events[i]
+		ctx.markEvents(i, dirty, evs)
+		for _, idx := range nd.Inputs {
+			if idx != InputNode {
+				for w, v := range ctx.delta.dirty[idx*words : (idx+1)*words] {
+					dirty[w] |= v
 				}
 			}
-			dirty[i] = d
 		}
-		if !dirty[i] {
-			ctx.acts[i] = ctx.golden.acts[i]
+		count := 0
+		for _, v := range dirty {
+			count += bits.OnesCount64(v)
+		}
+		golden := plane.acts[i]
+		if count == 0 {
+			ctx.acts[i] = golden
 			continue
 		}
-		nd := &n.Nodes[i]
+
 		ins := ctx.ins[i]
 		for j, idx := range nd.Inputs {
 			if idx == InputNode {
@@ -158,53 +150,97 @@ func (n *Network) ForwardDelta(ctx *ExecContext, in *tensor.QTensor, inj Injecto
 				ins[j] = ctx.acts[idx]
 			}
 		}
-		out := nd.Op.Forward(ctx.scratch[i], ins, events[i])
-		ctx.delta.recomputed++
+		per := golden.Shape.Elems() / images
+		var out *tensor.QTensor
+		if cv, ok := nd.Op.(*ConvOp); ok && count < images {
+			set := tensor.ImageSet(dirty)
+			out = cv.forwardImages(ctx.scratch[i], ins, evs, set)
+			for img := 0; img < images; img++ {
+				if !set.Has(img) {
+					copy(out.Data[img*per:(img+1)*per], golden.Data[img*per:(img+1)*per])
+				}
+			}
+		} else {
+			out = nd.Op.Forward(ctx.scratch[i], ins, evs)
+		}
+		ctx.delta.recomputed += count
+
 		// Re-convergence detection: faults are often masked within a layer
 		// or two (ReLU clamps negatives, maxpool discards non-maxima,
 		// saturating quantization rounds small perturbations away). When a
-		// recomputed activation equals its golden copy bit-for-bit, the
-		// node rejoins the clean region and its consumers can skip
-		// recomputation — the compare is a linear scan, negligible against
-		// any conv. Publishing the golden tensor (not the scratch output)
-		// keeps the invariant that clean consumers always read the plane.
-		if sameData(out, ctx.golden.acts[i]) {
-			dirty[i] = false
-			ctx.acts[i] = ctx.golden.acts[i]
-			continue
+		// recomputed image equals its golden slice bit for bit, it rejoins
+		// the clean region and its consumers skip it — the compare is a
+		// linear scan, negligible against any conv. A node whose images all
+		// re-converge publishes the plane's tensor, not its scratch output,
+		// so clean consumers always read the plane.
+		for w, v := range dirty {
+			for ; v != 0; v &= v - 1 {
+				img := w<<6 | bits.TrailingZeros64(v)
+				lo, hi := img*per, (img+1)*per
+				if slices.Equal(out.Data[lo:hi], golden.Data[lo:hi]) {
+					dirty[w] &^= 1 << (img & 63)
+					count--
+				}
+			}
 		}
-		ctx.acts[i] = out
+		if count == 0 {
+			ctx.acts[i] = golden
+		} else {
+			ctx.acts[i] = out
+		}
 	}
 	return ctx.acts[n.Output]
 }
 
-// sameData reports whether two equal-geometry tensors hold identical values.
-func sameData(a, b *tensor.QTensor) bool {
-	if a.Shape != b.Shape || len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i, v := range a.Data {
-		if v != b.Data[i] {
-			return false
+// markEvents adds the image each of node i's events lands on to dirty; an
+// event beyond its census (which the op's own pass rejects) dirties every
+// image.
+func (c *ExecContext) markEvents(i int, dirty []uint64, evs []fault.Event) {
+	images := c.inShape.N
+	for _, ev := range evs {
+		img := eventImage(c.net.Nodes[i].Op, c.inShapes[i], c.census[i], ev)
+		if img < 0 || img >= images {
+			for w := range dirty {
+				dirty[w] = ^uint64(0)
+			}
+			if r := images & 63; r != 0 {
+				dirty[len(dirty)-1] = 1<<r - 1
+			}
+			return
 		}
+		dirty[img>>6] |= 1 << (img & 63)
 	}
-	return true
 }
 
-// RecomputeCount reports how many Op.Forward calls the last ForwardDelta
-// round made — the dirty closure before re-convergence thinning (diagnostics
-// and tests only).
+// eventImage returns the image of the batch that event ev of op, over
+// input shapes ins with census c, lands on; an event beyond the census
+// maps outside [0, N). A winograd layer states its own rule; every other
+// op's census is N equal image-major runs per class, so an event lands on
+// image op ÷ (class census ÷ N).
+func eventImage(op Op, ins []tensor.Shape, c fault.Census, ev fault.Event) int {
+	if cv, ok := op.(*ConvOp); ok && cv.wg != nil {
+		return cv.wg.EventImage(ins[0], ev)
+	}
+	per := c.Class(ev.Class) / int64(ins[0].N)
+	if per == 0 {
+		return ins[0].N
+	}
+	return int(ev.Op / per)
+}
+
+// RecomputeCount reports how many node-images the last ForwardDelta round
+// computed — the per-image fault cone before re-convergence thinning
+// (diagnostics and tests only).
 func (c *ExecContext) RecomputeCount() int { return c.delta.recomputed }
 
-// DirtyCount reports how many nodes remained dirty after the last
-// ForwardDelta round, i.e. the fault cone minus the nodes whose recomputed
-// activations re-converged to golden (diagnostics and tests only).
+// DirtyCount reports how many node-images remained dirty after the last
+// ForwardDelta round, i.e. the per-image fault cone minus the images whose
+// recomputed activations re-converged to golden (diagnostics and tests
+// only).
 func (c *ExecContext) DirtyCount() int {
 	count := 0
-	for _, d := range c.delta.dirty {
-		if d {
-			count++
-		}
+	for _, v := range c.delta.dirty {
+		count += bits.OnesCount64(v)
 	}
 	return count
 }

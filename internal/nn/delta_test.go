@@ -7,6 +7,7 @@ import (
 	"repro/internal/fixed"
 	"repro/internal/kernel"
 	"repro/internal/tensor"
+	"repro/internal/winograd"
 )
 
 // mapInjector hands the forward pass a fixed per-node event assignment. Its
@@ -34,6 +35,7 @@ func nodeByName(t *testing.T, net *Network, name string) int {
 // context. Rounds with different event placements run back to back on the
 // same delta context, so stale golden reuse, cone under-approximation or
 // scratch aliasing between clean and dirty rounds would all surface here.
+// The batch has two images, so some rounds leave one image clean.
 func TestForwardDeltaMatchesForwardCtx(t *testing.T) {
 	for _, kind := range []EngineKind{Direct, Winograd} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -55,12 +57,13 @@ func TestForwardDeltaMatchesForwardCtx(t *testing.T) {
 				{conv1: {mul(conv1, 3, 27), mul(conv1, 9, 4)}, fc: {mul(fc, 2, 10)}},
 			}
 			dctx := net.NewExecContext()
+			plane := net.CapturePlane(net.NewExecContext(), in)
 			for ri, events := range rounds {
 				var inj Injector
 				if events != nil {
 					inj = &mapInjector{events: events}
 				}
-				got := net.ForwardDelta(dctx, in, inj)
+				got := net.ForwardDelta(dctx, plane, inj)
 				want := net.ForwardCtx(net.NewExecContext(), in, inj)
 				if !equalQ(got, want) {
 					t.Errorf("round %d: ForwardDelta logits diverge from ForwardCtx", ri)
@@ -79,9 +82,10 @@ func TestForwardDeltaDirtyClosure(t *testing.T) {
 	net := buildTiny(Direct, 17, fixed.Int16)
 	in := qIn(42, 1, 3, 16, 16, fixed.Int16)
 	ctx := net.NewExecContext()
+	plane := net.CapturePlane(net.NewExecContext(), in)
 
 	// Empty round: the golden plane answers directly.
-	out := net.ForwardDelta(ctx, in, &mapInjector{})
+	out := net.ForwardDelta(ctx, plane, &mapInjector{})
 	if ctx.RecomputeCount() != 0 || ctx.DirtyCount() != 0 {
 		t.Errorf("empty round recomputed %d nodes (dirty %d), want 0",
 			ctx.RecomputeCount(), ctx.DirtyCount())
@@ -94,7 +98,7 @@ func TestForwardDeltaDirtyClosure(t *testing.T) {
 	// downstream, so the closure is the whole graph.
 	conv1 := nodeByName(t, net, "conv1")
 	ev := fault.Event{Class: fault.OpMul, Op: 3, Bit: 27, Operand: fault.ResultReg}
-	net.ForwardDelta(ctx, in, &mapInjector{events: map[int][]fault.Event{conv1: {ev}}})
+	net.ForwardDelta(ctx, plane, &mapInjector{events: map[int][]fault.Event{conv1: {ev}}})
 	if got := ctx.RecomputeCount(); got != len(net.Nodes) {
 		t.Errorf("input-node event recomputed %d of %d nodes, want all", got, len(net.Nodes))
 	}
@@ -105,7 +109,7 @@ func TestForwardDeltaDirtyClosure(t *testing.T) {
 	for i := range net.Nodes {
 		all[i] = []fault.Event{ev}
 	}
-	net.ForwardDelta(ctx, in, &mapInjector{events: all})
+	net.ForwardDelta(ctx, plane, &mapInjector{events: all})
 	if got := ctx.RecomputeCount(); got != len(net.Nodes) {
 		t.Errorf("all-nodes events recomputed %d of %d nodes, want all", got, len(net.Nodes))
 	}
@@ -120,9 +124,10 @@ func TestForwardDeltaReconvergence(t *testing.T) {
 	net := buildTiny(Direct, 17, fixed.Int16)
 	in := qIn(43, 1, 3, 16, 16, fixed.Int16)
 	ctx := net.NewExecContext()
+	plane := net.CapturePlane(ctx, in)
 	add := nodeByName(t, net, "res.add")
 	ev := fault.Event{Class: fault.OpAdd, Op: 5, Bit: 9}
-	out := net.ForwardDelta(ctx, in, &mapInjector{events: map[int][]fault.Event{add: {ev, ev}}})
+	out := net.ForwardDelta(ctx, plane, &mapInjector{events: map[int][]fault.Event{add: {ev, ev}}})
 	if got := ctx.RecomputeCount(); got != 1 {
 		t.Errorf("self-canceling event recomputed %d nodes, want 1", got)
 	}
@@ -134,9 +139,9 @@ func TestForwardDeltaReconvergence(t *testing.T) {
 	}
 }
 
-// TestForwardDeltaInputChange: swapping evaluation inputs on one context must
-// re-capture the golden plane, and an in-place mutation is handled by
-// InvalidateGolden, per the documented contract.
+// TestForwardDeltaInputChange: planes of two evaluation inputs alternate on
+// one context, and each round equals full execution of its own plane's
+// input — the context holds no golden state of its own.
 func TestForwardDeltaInputChange(t *testing.T) {
 	net := buildTiny(Winograd, 17, fixed.Int16)
 	inA := qIn(44, 1, 3, 16, 16, fixed.Int16)
@@ -146,27 +151,28 @@ func TestForwardDeltaInputChange(t *testing.T) {
 		conv1: {{Class: fault.OpMul, Op: 7, Bit: 26, Operand: fault.ResultReg}},
 	}}
 	ctx := net.NewExecContext()
-	for i, in := range []*tensor.QTensor{inA, inB, inA} {
-		got := net.ForwardDelta(ctx, in, inj)
+	planeA := net.CapturePlane(net.NewExecContext(), inA)
+	planeB := net.CapturePlane(net.NewExecContext(), inB)
+	for i, in := range []*tensor.QTensor{inA, inB, inA, inB} {
+		plane := planeA
+		if in == inB {
+			plane = planeB
+		}
+		got := net.ForwardDelta(ctx, plane, inj)
 		want := net.ForwardCtx(net.NewExecContext(), in, inj)
 		if !equalQ(got, want) {
 			t.Errorf("input swap %d: delta logits diverge", i)
 		}
 	}
-	// Mutate inA in place behind the context's back.
-	inA.Data[0] ^= 1 << 12
-	ctx.InvalidateGolden()
-	if !equalQ(net.ForwardDelta(ctx, inA, inj), net.ForwardCtx(net.NewExecContext(), inA, inj)) {
-		t.Error("InvalidateGolden did not refresh the plane after in-place mutation")
-	}
 }
 
-// TestForwardDeltaAllocFree extends the arena contract to the golden-snapshot
-// plane: once the plane and scratch arenas are warm, the delta machinery adds
-// zero heap allocations, under both compute backends. A clean round allocates
-// exactly nothing; a dirty round allocates no more than the same round under
-// full ForwardCtx (the event-replay engines allocate proportionally to the
-// events they apply, which is unchanged by delta execution).
+// TestForwardDeltaAllocFree extends the arena contract to delta execution:
+// once the scratch arenas are warm, the delta machinery adds zero heap
+// allocations, under both compute backends. A clean round allocates exactly
+// nothing; a dirty round allocates no more than the same round under full
+// ForwardCtx (the event-replay engines allocate proportionally to the
+// events they apply, which is unchanged by delta execution), whether its
+// events dirty every image or land on one image of four.
 func TestForwardDeltaAllocFree(t *testing.T) {
 	for _, kind := range []EngineKind{Direct, Winograd} {
 		for _, backend := range []string{"scalar", "blocked"} {
@@ -175,41 +181,99 @@ func TestForwardDeltaAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			net := buildTiny(kind, 17, fixed.Int16)
-			in := qIn(46, 2, 3, 16, 16, fixed.Int16)
+			in := qIn(46, 4, 3, 16, 16, fixed.Int16)
 			conv1 := nodeByName(t, net, "conv1")
-			dirty := &mapInjector{events: map[int][]fault.Event{
-				conv1: {{Class: fault.OpMul, Op: 3, Bit: 27, Operand: fault.ResultReg}},
-			}}
-			clean := Injector(&mapInjector{})
+			conv1Muls := net.LayerCensus(in.Shape)[conv1].Mul
+			ev := func(op int64) fault.Event {
+				return fault.Event{Class: fault.OpMul, Op: op, Bit: 27, Operand: fault.ResultReg}
+			}
+			rounds := map[string]Injector{
+				"every image": &mapInjector{events: map[int][]fault.Event{conv1: {
+					ev(3), ev(conv1Muls/4 + 3), ev(conv1Muls/2 + 3), ev(conv1Muls - 3),
+				}}},
+				"one image": &mapInjector{events: map[int][]fault.Event{conv1: {
+					ev(conv1Muls/2 + 3), ev(conv1Muls/2 + 9),
+				}}},
+			}
 			ctx := net.NewExecContext()
 			ctx.UseBackend(bk)
-			net.ForwardDelta(ctx, in, dirty) // warm plane + every node's scratch
-			if allocs := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, in, clean) }); allocs != 0 {
+			plane := net.CapturePlane(ctx, in)
+			for _, dirty := range rounds {
+				net.ForwardDelta(ctx, plane, dirty) // warm every node's scratch
+			}
+			clean := Injector(&mapInjector{})
+			if allocs := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, plane, clean) }); allocs != 0 {
 				t.Errorf("%v/%s: steady-state clean ForwardDelta allocates %v times per round, want 0",
 					kind, backend, allocs)
 			}
-			fctx := net.NewExecContext()
-			fctx.UseBackend(bk)
-			net.ForwardCtx(fctx, in, dirty) // warm the full-execution baseline
-			full := testing.AllocsPerRun(10, func() { net.ForwardCtx(fctx, in, dirty) })
-			delta := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, in, dirty) })
-			if delta > full {
-				t.Errorf("%v/%s: dirty ForwardDelta allocates %v times per round, full ForwardCtx %v — delta must add none",
-					kind, backend, delta, full)
+			for name, dirty := range rounds {
+				fctx := net.NewExecContext()
+				fctx.UseBackend(bk)
+				net.ForwardCtx(fctx, in, dirty) // warm the full-execution baseline
+				full := testing.AllocsPerRun(10, func() { net.ForwardCtx(fctx, in, dirty) })
+				delta := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, plane, dirty) })
+				if delta > full {
+					t.Errorf("%v/%s/%s: dirty ForwardDelta allocates %v times per round, full ForwardCtx %v — delta must add none",
+						kind, backend, name, delta, full)
+				}
 			}
 		}
 	}
 }
 
+// TestForwardCtxAfterSparseDelta: a sparse ForwardDelta computes only its
+// dirty images into the context's scratch, and the image set must not
+// outlive that call — a following ForwardCtx on the same context equals one
+// on a fresh context. The context first holds a round with events on every
+// image, and the last pass runs another input, so leaked stale images
+// would show.
+func TestForwardCtxAfterSparseDelta(t *testing.T) {
+	for _, kind := range []EngineKind{Direct, Winograd} {
+		net := buildDelta(kind, winograd.F2)
+		in := qIn(48, 4, 3, 16, 16, fixed.Int16)
+		conv1 := nodeByName(t, net, "conv1")
+		muls := net.LayerCensus(in.Shape)[conv1].Mul
+		mul := func(op int64) fault.Event {
+			return fault.Event{Class: fault.OpMul, Op: op, Bit: 27, Operand: fault.ResultReg}
+		}
+		every := &mapInjector{events: map[int][]fault.Event{conv1: {mul(3), mul(muls/4 + 3), mul(muls/2 + 3), mul(muls - 3)}}}
+		sparse := &mapInjector{events: map[int][]fault.Event{conv1: {mul(muls/4 + 5)}}}
+
+		ctx := net.NewExecContext()
+		plane := net.CapturePlane(net.NewExecContext(), in)
+		net.ForwardCtx(ctx, in, every)
+		net.ForwardDelta(ctx, plane, sparse)
+		if got := ctx.RecomputeCount(); got == 0 || got > len(net.Nodes) {
+			t.Fatalf("%v: the sparse round computed %d node-images, want one image's cone", kind, got)
+		}
+		other := qIn(49, 4, 3, 16, 16, fixed.Int16)
+		for _, inj := range []Injector{nil, every} {
+			if !equalQ(net.ForwardCtx(ctx, other, inj), net.ForwardCtx(net.NewExecContext(), other, inj)) {
+				t.Errorf("%v: ForwardCtx after a sparse ForwardDelta diverges from a fresh context", kind)
+			}
+			net.ForwardDelta(ctx, plane, sparse)
+		}
+	}
+}
+
 // TestForwardDeltaWrongContext: the context-network binding panic applies to
-// the delta path too.
+// the delta path too, and so does the plane's.
 func TestForwardDeltaWrongContext(t *testing.T) {
 	a := buildTiny(Direct, 1, fixed.Int16)
 	b := buildTiny(Direct, 2, fixed.Int16)
-	defer func() {
-		if recover() == nil {
-			t.Error("ForwardDelta accepted a foreign ExecContext")
-		}
-	}()
-	a.ForwardDelta(b.NewExecContext(), qIn(1, 1, 3, 16, 16, fixed.Int16), nil)
+	in := qIn(1, 1, 3, 16, 16, fixed.Int16)
+	planeA, planeB := a.CapturePlane(a.NewExecContext(), in), b.CapturePlane(b.NewExecContext(), in)
+	for name, call := range map[string]func(){
+		"context": func() { a.ForwardDelta(b.NewExecContext(), planeA, nil) },
+		"plane":   func() { a.ForwardDelta(a.NewExecContext(), planeB, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ForwardDelta accepted a foreign %s", name)
+				}
+			}()
+			call()
+		}()
+	}
 }

@@ -26,11 +26,9 @@ import (
 // performs no heap allocation at all (enforced by TestForwardCtxAllocFree).
 //
 // For delta execution (ForwardDelta, see delta.go) the context additionally
-// carries a golden-snapshot plane: one private copy of every node's
-// fault-free activation, captured once per (context, input) and reused as
-// the output of all clean nodes in each fault round. Like the scratch
-// arenas it is allocated once and recycled, so steady-state delta rounds
-// are allocation-free too.
+// carries one dirty-image set per node, sized with its geometry; the golden
+// activations it serves live in a read-only Plane that all contexts share.
+// Steady-state delta rounds are allocation-free too.
 
 // ExecContext is the reusable per-goroutine state of forward passes over one
 // Network. The zero value is not usable; obtain one from
@@ -41,15 +39,15 @@ type ExecContext struct {
 	net     *Network
 	inShape tensor.Shape // input shape the cached geometry was computed for
 
-	shapes  []tensor.Shape // per-node output shapes for inShape
-	census  []fault.Census // per-node op censuses for inShape
-	hasOps  []bool         // census[i].Total() > 0, hoisted out of the round loop
-	acts    []*tensor.QTensor
-	ins     [][]*tensor.QTensor // per-node resolved input views, refilled per pass
-	scratch []*Scratch          // per-node reusable buffer arenas (see scratch.go)
-	golden  goldenPlane         // cached golden activations (see delta.go)
-	delta   deltaState          // per-round delta-execution working set
-	backend kernel.Backend      // compute backend for the fault-free hot paths
+	shapes   []tensor.Shape   // per-node output shapes for inShape
+	inShapes [][]tensor.Shape // per-node input shapes for inShape
+	census   []fault.Census   // per-node op censuses for inShape
+	hasOps   []bool           // census[i].Total() > 0, hoisted out of the round loop
+	acts     []*tensor.QTensor
+	ins      [][]*tensor.QTensor // per-node resolved input views, refilled per pass
+	scratch  []*Scratch          // per-node reusable buffer arenas (see scratch.go)
+	delta    deltaState          // per-round delta-execution working set
+	backend  kernel.Backend      // compute backend for the fault-free hot paths
 }
 
 // UseBackend selects the compute backend for subsequent forward passes on
@@ -81,9 +79,14 @@ func (c *ExecContext) prepare(inShape tensor.Shape) {
 	}
 	n := c.net
 	c.inShape = inShape
-	c.golden = goldenPlane{} // node geometry changed: the plane is stale
-	c.delta = deltaState{}
+	words := (inShape.N + 63) / 64
+	c.delta = deltaState{
+		events: make([][]fault.Event, len(n.Nodes)),
+		words:  words,
+		dirty:  make([]uint64, len(n.Nodes)*words),
+	}
 	c.shapes = make([]tensor.Shape, len(n.Nodes))
+	c.inShapes = make([][]tensor.Shape, len(n.Nodes))
 	c.census = make([]fault.Census, len(n.Nodes))
 	c.hasOps = make([]bool, len(n.Nodes))
 	c.acts = make([]*tensor.QTensor, len(n.Nodes))
@@ -91,6 +94,7 @@ func (c *ExecContext) prepare(inShape tensor.Shape) {
 	c.scratch = make([]*Scratch, len(n.Nodes))
 	for i := range n.Nodes {
 		ins := n.shapesOf(i, c.shapes, inShape)
+		c.inShapes[i] = ins
 		c.census[i] = n.Nodes[i].Op.Census(ins)
 		c.hasOps[i] = c.census[i].Total() > 0
 		c.shapes[i] = n.Nodes[i].Op.OutShape(ins)

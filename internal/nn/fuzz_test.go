@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -65,6 +66,116 @@ func FuzzConvCancels(f *testing.F) {
 			if got[i] != golden[i] {
 				t.Fatalf("%s k=%d s=%d p=%d: %d events applied twice left output %d at %d, golden %d (events %+v)",
 					op.Kind(), kk, s, p, len(evs), got[i], i, golden[i], evs)
+			}
+		}
+	})
+}
+
+// buildDelta is buildTiny's graph extended with a 5×5 stride-2 convolution
+// (a DWM layer under the winograd engine) and an AvgPool.
+func buildDelta(kind EngineKind, tile *winograd.Tile) *Network {
+	cfg := Config{Kind: kind, Tile: tile, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 17}
+	b := NewBuilder("delta", cfg, 3, 16, 16)
+	x := b.ConvReLU("conv1", b.Input(), 8, 3, 1, 1)
+	x = b.MaxPool("pool1", x, 2, 2, 0)
+	y := b.ConvReLU("res.a", x, 8, 3, 1, 1)
+	y = b.ConvNoBias("res.b", y, 8, 3, 1, 1)
+	x = b.ReLU("res.relu", b.Add("res.add", x, y))
+	p := b.ConvReLU("br1", x, 4, 1, 1, 0)
+	q := b.ConvReLU("br3", x, 4, 3, 1, 1)
+	x = b.Concat("cat", p, q)
+	x = b.ConvReLU("dwm", x, 8, 5, 2, 2)
+	x = b.AvgPool("avg", x, 2, 2, 0)
+	x = b.GlobalAvgPool("gap", x)
+	x = b.Flatten("flat", x)
+	x = b.FC("fc", x, 10)
+	return b.Build(x)
+}
+
+// FuzzForwardDelta decodes an engine and tile, a batch of 1–4 images and
+// 1–4 rounds of per-node events, and requires every round of ForwardDelta
+// on one long-lived context to equal ForwardCtx on a fresh context, with
+// the golden plane's bytes unchanged at the end. Each 5-byte record is one
+// event: the op-carrying node (in node order), flags (bit 0 add class, bit
+// 1 operand flip, bit 2 second operand, bit 3 repeat — a repeated event
+// cancels itself, so its image re-converges — bits 4–5 the round), the op
+// as a 16-bit fraction of its class's census (image-major, so fraction k/N
+// starts image k), and the bit.
+func FuzzForwardDelta(f *testing.F) {
+	// Op-carrying nodes: conv1 0, res.a 1, res.b 2, res.add 3, br1 4, br3 5,
+	// dwm 6, avg 7, gap 8, fc 9.
+	f.Add(false, false, uint8(1), uint8(0), []byte{0, 0x00, 0x00, 0x00, 27})                 // image 0 of conv1
+	f.Add(true, false, uint8(2), uint8(0), []byte{9, 0x01, 0xff, 0xff, 14})                  // image N-1 of fc
+	f.Add(true, false, uint8(3), uint8(0), []byte{6, 0x0a, 0x80, 0x00, 12})                  // self-cancelling pair on image 2
+	f.Add(true, true, uint8(3), uint8(0), []byte{0, 0, 0x00, 0x10, 27, 0, 0, 0x40, 0x10, 27, // events on every image
+		0, 0, 0x80, 0x10, 27, 0, 0, 0xc0, 0x10, 27})
+	f.Add(false, false, uint8(1), uint8(2), []byte{1, 0x00, 0x30, 0x00, 26, 3, 0x21, 0x70, 0x00, 12}) // clean round between dirty ones
+	f.Add(true, false, uint8(1), uint8(2), []byte{7, 0x07, 0x20, 0x00, 9, 6, 0x21, 0xf0, 0x00, 13})
+	nets := map[[2]bool]*Network{}
+	f.Fuzz(func(t *testing.T, wino, f4 bool, n, rounds uint8, data []byte) {
+		key := [2]bool{wino, f4}
+		net := nets[key]
+		if net == nil {
+			kind, tile := Direct, winograd.F2
+			if wino {
+				kind = Winograd
+			}
+			if f4 {
+				tile = winograd.F4
+			}
+			net = buildDelta(kind, tile)
+			nets[key] = net
+		}
+		in := qIn(47, 1+int(n%4), 3, 16, 16, fixed.Int16)
+		census := net.LayerCensus(in.Shape)
+		var opNodes []int
+		for i, c := range census {
+			if c.Total() > 0 {
+				opNodes = append(opNodes, i)
+			}
+		}
+		r := 1 + int(rounds%4)
+		events := make([]map[int][]fault.Event, r)
+		for i := range events {
+			events[i] = map[int][]fault.Event{}
+		}
+		for ; len(data) >= 5; data = data[5:] {
+			li, flags := opNodes[int(data[0])%len(opNodes)], data[1]
+			cl := fault.OpClass(flags & 1)
+			if census[li].Class(cl) == 0 {
+				cl ^= 1
+			}
+			frac := int64(data[2])<<8 | int64(data[3])
+			ev := fault.Event{Class: cl, Op: frac * census[li].Class(cl) >> 16, Operand: fault.ResultReg}
+			bits := fixed.Int16.Width
+			if flags&2 != 0 {
+				ev.Operand = flags >> 2 & 1
+			} else if cl == fault.OpMul {
+				bits = fixed.Int16.ProductBits()
+			}
+			ev.Bit = data[4] % uint8(bits)
+			round := events[int(flags>>4&3)%r]
+			round[li] = append(round[li], ev)
+			if flags&8 != 0 {
+				round[li] = append(round[li], ev)
+			}
+		}
+
+		plane := net.CapturePlane(net.NewExecContext(), in)
+		var golden [][]int32
+		for i := range net.Nodes {
+			golden = append(golden, slices.Clone(plane.Act(i).Data))
+		}
+		ctx := net.NewExecContext()
+		for ri, evs := range events {
+			inj := &mapInjector{events: evs}
+			if got, want := net.ForwardDelta(ctx, plane, inj), net.ForwardCtx(net.NewExecContext(), in, inj); !equalQ(got, want) {
+				t.Fatalf("round %d (%d images, events %v): ForwardDelta diverges from ForwardCtx", ri, in.Shape.N, evs)
+			}
+		}
+		for i := range net.Nodes {
+			if !slices.Equal(plane.Act(i).Data, golden[i]) {
+				t.Fatalf("node %s: the golden plane changed", net.Nodes[i].Name)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -416,6 +417,43 @@ func TestAddingOpEventBeyondCensusPanics(t *testing.T) {
 				}()
 				tc.op.Forward(nil, tc.ins, []fault.Event{{Class: cl, Op: n, Bit: 14}})
 			})
+		}
+	}
+}
+
+// TestAddingOpEventImage: a result flip on the first or last add of each
+// image's run changes only the image eventImage reports, and an add just
+// past the census maps to no image. A mul event, which the add-only census
+// never draws, maps to no image either, so it dirties the whole batch.
+func TestAddingOpEventImage(t *testing.T) {
+	for _, tc := range addingOps() {
+		shapes := []tensor.Shape{tc.ins[0].Shape}
+		c := tc.op.Census(shapes)
+		if c.Add == 0 {
+			continue
+		}
+		images := shapes[0].N
+		golden := tc.op.Forward(nil, tc.ins, nil).Data
+		per, run := len(golden)/images, c.Add/int64(images)
+		for _, ev := range []fault.Event{{Class: fault.OpAdd, Op: c.Add}, {Class: fault.OpMul}} {
+			if got := eventImage(tc.op, shapes, c, ev); got >= 0 && got < images {
+				t.Errorf("%s: %v op %d: eventImage %d, want outside [0, %d)", tc.name, ev.Class, ev.Op, got, images)
+			}
+		}
+		for img := 0; img < images; img++ {
+			for _, op := range []int64{int64(img) * run, int64(img+1)*run - 1} {
+				ev := fault.Event{Class: fault.OpAdd, Op: op, Bit: 14, Operand: fault.ResultReg}
+				if got := eventImage(tc.op, shapes, c, ev); got != img {
+					t.Errorf("%s op %d: eventImage %d, want %d", tc.name, op, got, img)
+				}
+				out := tc.op.Forward(nil, tc.ins, []fault.Event{ev}).Data
+				for n := 0; n < images; n++ {
+					changed := !slices.Equal(out[n*per:(n+1)*per], golden[n*per:(n+1)*per])
+					if changed != (n == img) {
+						t.Errorf("%s op %d: image %d changed=%t, want only image %d", tc.name, op, n, changed, img)
+					}
+				}
+			}
 		}
 	}
 }

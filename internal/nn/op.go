@@ -109,7 +109,8 @@ func (p MaxPool) Forward(sc *Scratch, ins []*tensor.QTensor, _ []fault.Event) *t
 // Op ordering: add index = flatOut·(K²-1) + s, window walked row-major.
 // AvgPool, GlobalAvgPool and Add walk their adds in census order, so an
 // event's replay key (the fault.Cursor layout) is its op index, whatever
-// its class.
+// its class. Their add spaces start with n, so an add event lands on image
+// op ÷ (adds ÷ N).
 type AvgPool struct {
 	K, Stride, Pad int
 }

@@ -32,6 +32,13 @@ func (s Shape) Index(n, c, h, w int) int {
 	return ((n*s.C+c)*s.H+h)*s.W + w
 }
 
+// ImageSet is a bitset over the images of a batch: bit n%64 of word n/64
+// selects image n. The nil set selects every image.
+type ImageSet []uint64
+
+// Has reports whether image n is in the set.
+func (s ImageSet) Has(n int) bool { return s == nil || s[n>>6]>>(n&63)&1 != 0 }
+
 // Tensor is a dense float64 NCHW tensor.
 type Tensor struct {
 	Shape Shape

@@ -23,7 +23,9 @@ import (
 //	  OT:   +caTotal + (nt·OC + oc)·otAdds + s        output transform
 //
 // Bias is deliberately absent here: the composing layer owns it. Replay
-// keys (the fault.Cursor layout) are siteLayout's, in replay.go.
+// keys (the fault.Cursor layout) are siteLayout's, in replay.go. Every
+// segment is image-major in nt, so an event lands on image nt ÷ tiles per
+// image (Layer.EventImage).
 type Params struct {
 	Tile  *Tile
 	OutC  int
@@ -150,19 +152,20 @@ func i64(buf *[]int64, n int) []int64 {
 func (p *Params) ForwardAcc(in *tensor.QTensor, events []fault.Event) ([]int64, tensor.Shape) {
 	var cur fault.Cursor
 	p.loadCursor(&cur, in.Shape, events)
-	acc, s := p.forwardAcc(&coreScratch{}, kernel.Default(), in, &cur, 0)
+	acc, s := p.forwardAcc(&coreScratch{}, kernel.Default(), in, &cur, 0, nil)
 	cur.Done()
 	return acc, s
 }
 
 // forwardAcc is ForwardAcc against a caller-owned scratch, compute backend
-// and loaded cursor, whose keys for this pass start at keyBase (siteLayout):
-// the returned slice aliases cs.acc and is valid until the next call with
-// the same scratch. Every tile runs through bk; a tile with events then
-// replays just the input transforms, Hadamard chains and output transforms
-// its events touch on the census-ordered scalar walk (replay.go), so a
-// fault's effect never depends on the backend.
-func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTensor, evs *fault.Cursor, keyBase int64) ([]int64, tensor.Shape) {
+// and loaded cursor, whose keys for this pass start at keyBase (siteLayout),
+// computing only the images in images (nil: all): the returned slice aliases
+// cs.acc, is unspecified at unselected images and is valid until the next
+// call with the same scratch. Every tile runs through bk; a tile with events
+// then replays just the input transforms, Hadamard chains and output
+// transforms its events touch on the census-ordered scalar walk (replay.go),
+// so a fault's effect never depends on the backend.
+func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTensor, evs *fault.Cursor, keyBase int64, images tensor.ImageSet) ([]int64, tensor.Shape) {
 	if in.Shape.C != p.InC {
 		panic(fmt.Sprintf("winograd: input channels %d != %d", in.Shape.C, p.InC))
 	}
@@ -186,6 +189,9 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 		}
 		ext = cs.ext
 		for n := 0; n < in.Shape.N; n++ {
+			if !images.Has(n) {
+				continue
+			}
 			for c := 0; c < in.Shape.C; c++ {
 				for y := 0; y < in.Shape.H; y++ {
 					src := in.Shape.Index(n, c, y, 0)
@@ -198,7 +204,8 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 
 	// The tile walk below visits nt in strictly increasing order and each
 	// tile's sites in key order, so the sorted events are consumed front to
-	// back and a fault-free tile pays only cursor comparisons.
+	// back and a fault-free tile pays only cursor comparisons. A skipped
+	// image carries no events, so skipping it consumes none.
 	sites := p.siteLayout(p.tiles(in.Shape))
 
 	t2 := T * T
@@ -218,6 +225,9 @@ func (p *Params) forwardAcc(cs *coreScratch, bk kernel.Backend, in *tensor.QTens
 	kt, fast := t.kernelTile()
 
 	for n := 0; n < in.Shape.N; n++ {
+		if !images.Has(n) {
+			continue
+		}
 		extBatch := n * inC * extChan
 		outBatch := n * outC * outChan
 		for ty := 0; ty < tilesY; ty++ {

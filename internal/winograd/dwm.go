@@ -23,6 +23,13 @@ import (
 // additions gain a final summation segment ordered (output element, step)
 // with units-1 partial-sum adds followed by one bias add when present.
 //
+// Image of an event (EventImage): find the unit whose census segment holds
+// it, then its tile nt inside the unit's mul space or IT, CA or OT add
+// segment (each image-major in nt, core.go); the event lands on image nt ÷
+// tiles per image. A summation or bias event lands on the image of its
+// output element. A pass may compute a subset of its batch's images; events
+// land only on the images it computes.
+//
 // Replay keys (the fault.Cursor layout): every unit has the same census, so
 // keys come in blocks of tiles·span + elements, one per unit. Block ui holds
 // unit ui's tile sites (the core's siteLayout, offset by ui·block), then the
@@ -186,6 +193,27 @@ func (l *Layer) Census(in tensor.Shape) fault.Census {
 	return c
 }
 
+// EventImage returns the image of in whose output ev lands on (the rule in
+// the Layer doc). An event beyond the census maps outside [0, in.N).
+func (l *Layer) EventImage(in tensor.Shape, ev fault.Event) int {
+	uin := l.unitInShape(in)
+	p := l.units[0].p
+	tiles := p.tiles(uin)
+	n := p.Census(uin).Class(ev.Class)
+	units := int64(len(l.units))
+	if ev.Op < units*n {
+		sites := p.siteLayout(tiles)
+		nt, _ := sites.site(ev.Class, ev.Op%n)
+		return int(nt / (tiles / int64(in.N)))
+	}
+	perOut := l.sumAddsPerOut()
+	if ev.Class != fault.OpAdd || perOut == 0 {
+		return in.N
+	}
+	out := l.OutShape(in)
+	return int((ev.Op - units*n) / perOut / int64(out.Elems()/out.N))
+}
+
 // sumAddsPerOut returns the summation-segment adds per output element.
 func (l *Layer) sumAddsPerOut() int64 {
 	n := int64(len(l.units) - 1)
@@ -210,7 +238,7 @@ type Scratch struct {
 
 	core    coreScratch       // shared by the units (identical geometry)
 	gather  []*tensor.QTensor // per-unit gathered input views
-	acc     []int64           // summation-domain accumulator
+	acc     []int64           // summation-domain accumulator of a DWM layer
 	bias    []int64           // accumulator-scale bias, cached per input fmt
 	biasFmt fixed.Format      // input format the cached bias was scaled for
 	biasOK  bool              // bias cache valid
@@ -218,14 +246,17 @@ type Scratch struct {
 	cur     fault.Cursor      // this pass's events, keyed by replay site
 }
 
-// gather materializes the unit's input view into g: subsample by stride at
-// residue (ry,rx), shift by (sy,sx) sub-grid pixels, with virtual zero
-// padding. The set of written positions depends on geometry alone, so a
-// recycled g whose skipped positions are still zero from allocation stays
-// correct across passes.
-func (l *Layer) gather(in *tensor.QTensor, u unit, uin tensor.Shape, g *tensor.QTensor) *tensor.QTensor {
+// gather materializes the unit's input view of the selected images into g:
+// subsample by stride at residue (ry,rx), shift by (sy,sx) sub-grid pixels,
+// with virtual zero padding. The set of written positions depends on
+// geometry alone, so a recycled g whose skipped positions are still zero
+// from allocation stays correct across passes.
+func (l *Layer) gather(in *tensor.QTensor, u unit, uin tensor.Shape, g *tensor.QTensor, images tensor.ImageSet) *tensor.QTensor {
 	inH, inW := in.Shape.H, in.Shape.W
 	for n := 0; n < uin.N; n++ {
+		if !images.Has(n) {
+			continue
+		}
 		for c := 0; c < uin.C; c++ {
 			inChan := (n*uin.C + c) * inH * inW
 			for i := 0; i < uin.H; i++ {
@@ -272,7 +303,7 @@ func (l *Layer) Forward(in *tensor.QTensor) *tensor.QTensor {
 // allocating fresh buffers. Hot paths use ForwardFaultyCtx with a reusable
 // Scratch.
 func (l *Layer) ForwardFaulty(in *tensor.QTensor, events []fault.Event) *tensor.QTensor {
-	return l.ForwardFaultyCtx(&Scratch{}, in, events)
+	return l.ForwardFaultyCtx(&Scratch{}, in, events, nil)
 }
 
 // accumBias returns the bias vector scaled to the accumulator domain,
@@ -332,10 +363,12 @@ func (l *Layer) loadCursor(cur *fault.Cursor, uin tensor.Shape, elems int64, eve
 }
 
 // ForwardFaultyCtx computes the layer with fault events applied bit-exactly,
-// drawing every buffer from sc. Results are bit-identical to ForwardFaulty;
-// the returned tensor aliases sc and is valid until the next call with the
-// same scratch.
-func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault.Event) *tensor.QTensor {
+// drawing every buffer from sc and computing only the images in images (nil:
+// all); every event must land on a selected image, and the output of an
+// unselected image is unspecified. Results are bit-identical to
+// ForwardFaulty; the returned tensor aliases sc and is valid until the next
+// call with the same scratch.
+func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault.Event, images tensor.ImageSet) *tensor.QTensor {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -350,13 +383,19 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 	}
 
 	elems := int64(outShape.Elems())
+	per := outShape.C * outShape.H * outShape.W // elements of one image
 	cur := &sc.cur
 	block, sumOff := l.loadCursor(cur, uin, elems, events)
 
-	// Run units and sum in the accumulator domain. The summation step of
-	// unit ui (or, after the last unit, the bias) with events walks every
-	// element through fault.Add, consuming its cursor keys in order.
-	acc := i64(&sc.acc, outShape.Elems())
+	// Run units and sum in the accumulator domain, image by image. The
+	// summation step of unit ui (or, after the last unit, the bias) with
+	// events walks every element through fault.Add, consuming its cursor
+	// keys in order. A one-unit layer sums nothing, so it accumulates in
+	// place in the unit's own buffer.
+	var acc []int64
+	if len(l.units) > 1 {
+		acc = i64(&sc.acc, outShape.Elems())
+	}
 	shift := in.Fmt.Frac + l.WFrac + l.Tile.FracExtra - l.OutFmt.Frac
 	if len(sc.gather) != len(l.units) {
 		sc.gather = make([]*tensor.QTensor, len(l.units))
@@ -366,44 +405,57 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 		if sc.gather[ui] == nil || sc.gather[ui].Shape != uin || sc.gather[ui].Fmt != in.Fmt {
 			sc.gather[ui] = tensor.NewQ(uin, in.Fmt)
 		}
-		g := l.gather(in, u, uin, sc.gather[ui])
-		ua, us := u.p.forwardAcc(&sc.core, bk, g, cur, int64(ui)*block)
+		g := l.gather(in, u, uin, sc.gather[ui], images)
+		ua, us := u.p.forwardAcc(&sc.core, bk, g, cur, int64(ui)*block, images)
 		if us != outShape {
 			panic(fmt.Sprintf("winograd: unit output %v != layer output %v", us, outShape))
 		}
-		if ui == 0 {
-			copy(acc, ua)
+		if acc == nil {
+			acc = ua
 			continue
 		}
 		key := int64(ui)*block + sumOff
-		if !cur.Below(key + elems) {
-			for i, a := range ua {
-				acc[i] += a
+		faulty := cur.Below(key + elems)
+		for n := 0; n < outShape.N; n++ {
+			if !images.Has(n) {
+				continue
 			}
-			continue
-		}
-		for i, a := range ua {
-			acc[i] = fault.Add(acc[i], a, cur.At(key+int64(i)))
+			lo := n * per
+			dst, src := acc[lo:lo+per], ua[lo:lo+per]
+			switch {
+			case ui == 0:
+				copy(dst, src)
+			case !faulty:
+				for i, a := range src {
+					dst[i] += a
+				}
+			default:
+				for i, a := range src {
+					dst[i] = fault.Add(dst[i], a, cur.At(key+int64(lo+i)))
+				}
+			}
 		}
 	}
 	if bias := l.accumBias(sc, in.Fmt); bias != nil {
 		outs := outShape.H * outShape.W
 		key := int64(len(l.units))*block + sumOff
-		if !cur.Below(key + elems) {
-			i := 0
-			for n := 0; n < outShape.N; n++ {
-				for oc := 0; oc < outShape.C; oc++ {
-					b := bias[oc]
-					for e := 0; e < outs; e++ {
-						acc[i] += b
-						i++
-					}
-				}
+		faulty := cur.Below(key + elems)
+		for n := 0; n < outShape.N; n++ {
+			if !images.Has(n) {
+				continue
 			}
-		} else {
-			for i := range acc {
-				oc := (i / outs) % outShape.C
-				acc[i] = fault.Add(acc[i], bias[oc], cur.At(key+int64(i)))
+			for oc, b := range bias {
+				lo := n*per + oc*outs
+				dst := acc[lo : lo+outs]
+				if !faulty {
+					for i := range dst {
+						dst[i] += b
+					}
+					continue
+				}
+				for i := range dst {
+					dst[i] = fault.Add(dst[i], b, cur.At(key+int64(lo+i)))
+				}
 			}
 		}
 	}
@@ -413,8 +465,13 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 		sc.out = tensor.NewQ(outShape, l.OutFmt)
 	}
 	out := sc.out
-	for i, a := range acc {
-		out.Data[i] = l.OutFmt.RequantizeShift(a, shift)
+	for n := 0; n < outShape.N; n++ {
+		if !images.Has(n) {
+			continue
+		}
+		for i := n * per; i < (n+1)*per; i++ {
+			out.Data[i] = l.OutFmt.RequantizeShift(acc[i], shift)
+		}
 	}
 	return out
 }

@@ -120,7 +120,7 @@ func FuzzTileReplay(f *testing.F) {
 				t.Fatal(err)
 			}
 			p.loadCursor(&cur, shape, evs)
-			got, _ := p.forwardAcc(&cs, bk, in, &cur, 0)
+			got, _ := p.forwardAcc(&cs, bk, in, &cur, 0, nil)
 			cur.Done()
 			for i := range want {
 				if got[i] != want[i] {

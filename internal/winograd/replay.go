@@ -63,31 +63,36 @@ func (p *Params) siteLayout(ntTotal int64) siteLayout {
 // key decodes a class-cl census index op (the contract in core.go) into its
 // site key. An event beyond the census panics: no tile would replay it.
 func (s *siteLayout) key(cl fault.OpClass, op int64) int64 {
-	var nt, key int64
-	switch op := op; {
+	nt, key := s.site(cl, op)
+	if nt >= s.ntTotal {
+		panic(fmt.Sprintf("winograd: %v event index %d beyond census", cl, op))
+	}
+	return nt*s.span + key
+}
+
+// site decodes a class-cl census index op into its tile nt and its key
+// within the tile; nt reaches ntTotal for an op beyond the census.
+func (s *siteLayout) site(cl fault.OpClass, op int64) (nt, key int64) {
+	switch {
 	case cl == fault.OpMul:
 		// local = (o·C + c)·T² + pos
 		local := op % s.mulPer
 		oc, pos := local/s.t2, local%s.t2
-		nt, key = op/s.mulPer, s.itPer+((oc/s.inC*s.t2+pos)*s.inC+oc%s.inC)*2
+		return op / s.mulPer, s.itPer + ((oc/s.inC*s.t2+pos)*s.inC+oc%s.inC)*2
 	case op < s.itTotal:
-		nt, key = op/s.itPer, op%s.itPer
+		return op / s.itPer, op % s.itPer
 	case op < s.itTotal+s.caTotal:
 		// local = (o·(C−1) + c−1)·T² + pos
 		op -= s.itTotal
 		local := op % s.caPer
 		oc, pos := local/s.t2, local%s.t2
 		o, c := oc/(s.inC-1), oc%(s.inC-1)+1
-		nt, key = op/s.caPer, s.itPer+((o*s.t2+pos)*s.inC+c)*2+1
+		return op / s.caPer, s.itPer + ((o*s.t2+pos)*s.inC+c)*2 + 1
 	default:
 		op -= s.itTotal + s.caTotal
 		otPer := s.span - s.otOff
-		nt, key = op/otPer, s.otOff+op%otPer
+		return op / otPer, s.otOff + op%otPer
 	}
-	if nt >= s.ntTotal {
-		panic(fmt.Sprintf("winograd: %v event index %d beyond census", cl, op))
-	}
-	return nt*s.span + key
 }
 
 // loadCursor keys the events of one core pass over in by replay site and

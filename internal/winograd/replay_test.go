@@ -398,13 +398,13 @@ func TestForwardFaultyAllocFree(t *testing.T) {
 			l, in := mkLayer(13, F2, geom.k, geom.stride, geom.pad)
 			evs := faultyLayerEvents(l, in.Shape)
 			sc := &Scratch{Backend: bk}
-			golden := append([]int32(nil), l.ForwardFaultyCtx(sc, in, nil).Data...)
-			if out := l.ForwardFaultyCtx(sc, in, evs[:5]); slices.Equal(out.Data, golden) {
+			golden := append([]int32(nil), l.ForwardFaultyCtx(sc, in, nil, nil).Data...)
+			if out := l.ForwardFaultyCtx(sc, in, evs[:5], nil); slices.Equal(out.Data, golden) {
 				t.Fatalf("%s/%s: the segment events left the output golden", geom.name, name)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				l.ForwardFaultyCtx(sc, in, evs[:5])
-				l.ForwardFaultyCtx(sc, in, evs)
+				l.ForwardFaultyCtx(sc, in, evs[:5], nil)
+				l.ForwardFaultyCtx(sc, in, evs, nil)
 			})
 			if allocs != 0 {
 				t.Errorf("%s/%s: a faulty pass allocates %v times, want 0", geom.name, name, allocs)
@@ -433,11 +433,11 @@ func BenchmarkForwardFaulty(b *testing.B) {
 				evs[i] = fault.Event{Class: cl, Op: r.Int63n(census.Class(cl)), Bit: uint8(r.Intn(32)), Operand: fault.ResultReg}
 			}
 			sc := &Scratch{}
-			l.ForwardFaultyCtx(sc, in, evs)
+			l.ForwardFaultyCtx(sc, in, evs, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkQ = l.ForwardFaultyCtx(sc, in, evs)
+				sinkQ = l.ForwardFaultyCtx(sc, in, evs, nil)
 			}
 		})
 	}
@@ -463,5 +463,103 @@ func TestSummationEventHitsItsElement(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// changedImages lists the images of out that differ from golden.
+func changedImages(out, golden *tensor.QTensor) []int {
+	var imgs []int
+	per := len(golden.Data) / golden.Shape.N
+	for n := 0; n < golden.Shape.N; n++ {
+		if !slices.Equal(out.Data[n*per:(n+1)*per], golden.Data[n*per:(n+1)*per]) {
+			imgs = append(imgs, n)
+		}
+	}
+	return imgs
+}
+
+// TestEventImage: a high-bit result flip on the first or last op of each
+// image's run changes only the image EventImage reports, in every segment
+// of a layer's census: each DWM unit's mul space and its IT, CA and OT add
+// segments, and every summation step and the bias step. The geometries
+// have no tile overhang and no zero sub-kernel taps, so no flip is masked.
+func TestEventImage(t *testing.T) {
+	const images = 3
+	for _, geom := range []struct {
+		name              string
+		k, stride, pad, h int
+	}{{"3x3", 3, 1, 1, 4}, {"dwm-6x6-s2", 6, 2, 2, 8}} {
+		t.Run(geom.name, func(t *testing.T) {
+			r := rng.New(15)
+			w := tensor.New(tensor.Shape{N: 3, C: 2, H: geom.k, W: geom.k}).Random(r, 0.4)
+			l := NewLayer(w, []float64{0.2, -0.1, 0.05}, geom.stride, geom.pad, F2, fixed.Int16, fixed.Int16)
+			in := tensor.Quantize(tensor.New(tensor.Shape{N: images, C: 2, H: geom.h, W: geom.h}).Random(r, 1), fixed.Int16)
+			golden := l.Forward(in)
+
+			// Segments as [start, end) per class, each image-major.
+			type segment struct {
+				name       string
+				cl         fault.OpClass
+				start, end int64
+			}
+			uin := l.unitInShape(in.Shape)
+			p := l.units[0].p
+			unit, nt := p.Census(uin), p.tiles(uin)
+			itPer, caPer, _ := p.segments()
+			var segs []segment
+			for ui := int64(0); ui < int64(l.Units()); ui++ {
+				m, a := ui*unit.Mul, ui*unit.Add
+				it, ca := a+nt*itPer, a+nt*(itPer+caPer)
+				segs = append(segs,
+					segment{fmt.Sprintf("unit%d/mul", ui), fault.OpMul, m, m + unit.Mul},
+					segment{fmt.Sprintf("unit%d/IT", ui), fault.OpAdd, a, it},
+					segment{fmt.Sprintf("unit%d/CA", ui), fault.OpAdd, it, ca},
+					segment{fmt.Sprintf("unit%d/OT", ui), fault.OpAdd, ca, a + unit.Add})
+			}
+			type probe struct {
+				seg string
+				ev  fault.Event
+				img int
+			}
+			var probes []probe
+			add := func(seg string, cl fault.OpClass, op, img int64) {
+				probes = append(probes, probe{seg, fault.Event{Class: cl, Op: op, Bit: 30, Operand: fault.ResultReg}, int(img)})
+			}
+			for _, s := range segs {
+				per := (s.end - s.start) / images
+				for img := int64(0); img < images; img++ {
+					add(s.name, s.cl, s.start+img*per, img)
+					add(s.name, s.cl, s.start+(img+1)*per-1, img)
+				}
+			}
+			// Summation add = element·perOut + step: every step, at the first
+			// and last element of each image.
+			sum, perOut := int64(l.Units())*unit.Add, l.sumAddsPerOut()
+			per := int64(golden.Shape.Elems()) / images
+			for step := int64(0); step < perOut; step++ {
+				for img := int64(0); img < images; img++ {
+					seg := fmt.Sprintf("sum/step%d", step)
+					add(seg, fault.OpAdd, sum+img*per*perOut+step, img)
+					add(seg, fault.OpAdd, sum+((img+1)*per-1)*perOut+step, img)
+				}
+			}
+			if last := probes[len(probes)-1].ev.Op; last != l.Census(in.Shape).Add-1 {
+				t.Fatalf("segments end at add %d, census %d", last+1, l.Census(in.Shape).Add)
+			}
+			for _, cl := range []fault.OpClass{fault.OpMul, fault.OpAdd} {
+				beyond := fault.Event{Class: cl, Op: l.Census(in.Shape).Class(cl), Bit: 30, Operand: fault.ResultReg}
+				if got := l.EventImage(in.Shape, beyond); got >= 0 && got < images {
+					t.Errorf("%v op %d beyond the census: EventImage %d, want outside [0, %d)", cl, beyond.Op, got, images)
+				}
+			}
+			for _, o := range probes {
+				if got := l.EventImage(in.Shape, o.ev); got != o.img {
+					t.Errorf("%s op %d: EventImage %d, want %d", o.seg, o.ev.Op, got, o.img)
+				}
+				if got := changedImages(l.ForwardFaulty(in, []fault.Event{o.ev}), golden); !slices.Equal(got, []int{o.img}) {
+					t.Errorf("%s op %d: changed images %v, want [%d]", o.seg, o.ev.Op, got, o.img)
+				}
+			}
+		})
 	}
 }

@@ -100,12 +100,12 @@ type Config struct {
 	// only changes wall-clock time.
 	Workers int
 	// DeltaExec controls the fault-cone delta-execution fast path: per
-	// Monte-Carlo round only the nodes downstream of that round's fault
-	// events are recomputed against each worker's cached golden
-	// activations. Like Workers it can only change wall-clock time —
-	// results are bit-identical either way — so nil (the default) means
-	// enabled; point at false to force full re-execution of every round.
-	// Neuron-flip semantics always run the full path.
+	// Monte-Carlo round only the (node, image) pairs downstream of that
+	// round's fault events are recomputed, against one copy of the golden
+	// activations that every worker shares. Like Workers it can only change
+	// wall-clock time — results are bit-identical either way — so nil (the
+	// default) means enabled; point at false to force full re-execution of
+	// every round. Neuron-flip semantics always run the full path.
 	DeltaExec *bool
 	// Backend names the compute backend for the fault-free hot paths:
 	// "blocked" (hand-blocked kernels) or "scalar" (the bit-exactness
