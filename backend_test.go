@@ -1,10 +1,14 @@
 package winofault
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/fault"
+	"repro/internal/faultsim"
 	"repro/internal/fixed"
 	"repro/internal/kernel"
 	"repro/internal/models"
@@ -167,5 +171,78 @@ func TestBackendRandomizedDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// countingBackend forwards to scalar and counts the calls it serves.
+// Backends are bit-identical, so counting calls is the only way to tell
+// which one ran.
+type countingBackend struct {
+	kernel.Backend
+	calls atomic.Int64
+}
+
+// counted is registered once per test binary, so -count=N cannot register
+// its name twice.
+var counted = func() *countingBackend {
+	scalar, err := kernel.Get("scalar")
+	if err != nil {
+		panic(err)
+	}
+	b := &countingBackend{Backend: scalar}
+	kernel.Register(b)
+	return b
+}()
+
+func (b *countingBackend) Name() string { return "counting-test" }
+
+func (b *countingBackend) ConvRow(acc []int64, in, w []int32, bias int64, inBase, stride, ic, kh, kw, chanStride, rowStride int) {
+	b.calls.Add(1)
+	b.Backend.ConvRow(acc, in, w, bias, inBase, stride, ic, kh, kw, chanStride, rowStride)
+}
+
+func (b *countingBackend) Dot(a, w []int32, bias int64) int64 {
+	b.calls.Add(1)
+	return b.Backend.Dot(a, w, bias)
+}
+
+func (b *countingBackend) Hadamard(msum, vt []int64, ut []int32, t2, outC, inC int) {
+	b.calls.Add(1)
+	b.Backend.Hadamard(msum, vt, ut, t2, outC, inC)
+}
+
+// TestConfiguredBackendRuns: the backend a runner is built with, or a
+// System names in Config.Backend, is the one its campaign units run on, on
+// parallel workers and with delta execution on or off.
+func TestConfiguredBackendRuns(t *testing.T) {
+	const ber = 1e-8 // dense enough that delta rounds recompute something
+	check := func(name string, sweep func()) {
+		t.Helper()
+		counted.calls.Store(0)
+		sweep()
+		if counted.calls.Load() == 0 {
+			t.Errorf("%s: the configured backend served no kernel call", name)
+		}
+	}
+	arch := models.VGG19(models.Tiny)
+	net := models.Build(arch, nn.Config{
+		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
+	})
+	set := dataset.ForModel(arch.Dataset, 8, arch.In.H, 99, fixed.Int16)
+	opts := faultsim.Options{Seed: 1, Intensity: models.IntensityFor(arch, models.VGG19(models.Options{}), nn.Winograd, winograd.F2)}
+	for _, delta := range []bool{true, false} {
+		r := faultsim.New(net, set.Batch(0, 8), faultsim.Exec{Workers: 2, Backend: counted, Full: !delta})
+		check(fmt.Sprintf("runner delta=%t", delta), func() {
+			r.Sweep(context.Background(), []float64{ber}, opts, 2)
+		})
+
+		d := delta
+		cfg := testConfig(Winograd)
+		cfg.Workers, cfg.DeltaExec, cfg.Backend = 2, &d, counted.Name()
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("system delta=%t", delta), func() { runPlan(t, sys, []float64{ber}, false) })
 	}
 }

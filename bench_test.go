@@ -253,9 +253,9 @@ func benchSweepWorkers(b *testing.B, workers int) {
 		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
 	})
 	set := dataset.ForModel(arch.Dataset, 8, arch.In.H, 99, fixed.Int16)
-	runner := faultsim.New(net, set.Batch(0, 8))
+	runner := faultsim.New(net, set.Batch(0, 8), faultsim.Exec{Workers: workers})
 	bers := []float64{1e-11, 3e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-7}
-	opts := faultsim.Options{Seed: 1, Workers: workers}
+	opts := faultsim.Options{Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runner.Sweep(context.Background(), bers, opts, 2)
@@ -288,9 +288,9 @@ func benchSweepDelta(b *testing.B, enabled bool) {
 		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
 	})
 	set := dataset.ForModel(arch.Dataset, 8, arch.In.H, 99, fixed.Int16)
-	runner := faultsim.New(net, set.Batch(0, 8))
+	runner := faultsim.New(net, set.Batch(0, 8), faultsim.Exec{Workers: 1, Full: !enabled})
 	bers := []float64{3e-11, 3e-10, 1e-9}
-	opts := faultsim.Options{Seed: 1, Workers: 1, DeltaExec: &enabled}
+	opts := faultsim.Options{Seed: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -314,10 +314,14 @@ func BenchmarkSweepBlocked(b *testing.B) {
 	net := models.Build(arch, nn.Config{
 		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
 	})
+	bk, err := kernel.Get("blocked")
+	if err != nil {
+		b.Fatal(err)
+	}
 	set := dataset.ForModel(arch.Dataset, 8, arch.In.H, 99, fixed.Int16)
-	runner := faultsim.New(net, set.Batch(0, 8))
+	runner := faultsim.New(net, set.Batch(0, 8), faultsim.Exec{Workers: 1, Backend: bk})
 	bers := []float64{3e-11, 3e-10, 1e-9}
-	opts := faultsim.Options{Seed: 1, Workers: 1, Backend: "blocked"}
+	opts := faultsim.Options{Seed: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -85,10 +85,11 @@ type CampaignRequest struct {
 	Priority int `json:"priority,omitempty"`
 }
 
-// SystemConfig translates the wire request into the facade Config, rejecting
-// unknown enum spellings and every config New would reject (Config.validate).
-// It does not apply defaults beyond Config's own zero-value handling, so
-// translation never changes campaign identity.
+// SystemConfig translates the wire request into the facade Config with the
+// platform defaults applied (the same normalization New applies, which is
+// idempotent), rejecting unknown enum spellings and every config New would
+// reject (Config.validate). The service keys a request by this Config, so a
+// request is keyed with exactly the values it runs with.
 func (r CampaignRequest) SystemConfig() (Config, error) {
 	cfg := Config{
 		Model:     r.Model,
@@ -128,7 +129,11 @@ func (r CampaignRequest) SystemConfig() (Config, error) {
 	}
 	// Validate here so the service 400s a bad request at submit time instead
 	// of keying a job that can only fail on the worker.
-	return cfg, cfg.validate()
+	if err := cfg.validate(); err != nil {
+		return cfg, err
+	}
+	cfg.normalize()
+	return cfg, nil
 }
 
 // CampaignResult is the wire form of a finished campaign: the sweep, plus

@@ -161,7 +161,7 @@ func makeRig(cfg Config, model string, kind nn.EngineKind, f fixed.Format) *rig 
 		fmtW:      f,
 		arch:      arch,
 		fullArch:  full,
-		runner:    faultsim.New(net, set.Batch(0, cfg.Samples)),
+		runner:    faultsim.New(net, set.Batch(0, cfg.Samples), faultsim.Exec{Workers: cfg.Workers}),
 		intensity: models.IntensityFor(arch, full, kind, cfg.tile()),
 		neurons:   models.NeuronIntensityFor(arch, full),
 	}
@@ -174,7 +174,6 @@ func (r *rig) opts(cfg Config) faultsim.Options {
 		Seed:            cfg.Seed ^ uint64(len(r.name))<<32 ^ uint64(r.kind),
 		Intensity:       r.intensity,
 		NeuronIntensity: r.neurons,
-		Workers:         cfg.Workers,
 	}
 }
 

@@ -17,24 +17,21 @@ func TestCancellationStopsScheduling(t *testing.T) {
 	const rounds = 4
 	total := len(bers) * rounds
 
+	cs := SweepCampaigns(bers, Options{Semantics: fault.OperandFlip, Seed: 21, Intensity: stInt})
 	for _, workers := range []int{1, 2} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var executed atomic.Int64
-		opts := Options{
-			Semantics: fault.OperandFlip, Seed: 21, Intensity: stInt, Workers: workers,
-			Progress: func(done, tot int) {
-				if tot != total {
-					t.Errorf("workers=%d: progress total %d, want %d", workers, tot, total)
-				}
-				if done == 0 {
-					return // the batch announcement, not a completed unit
-				}
-				if executed.Add(1) >= 2 {
-					cancel()
-				}
-			},
-		}
-		st.Sweep(ctx, bers, opts, rounds)
+		withWorkers(st, workers).UnitCounts(ctx, cs, rounds, 0, total, func(done, tot int) {
+			if tot != total {
+				t.Errorf("workers=%d: progress total %d, want %d", workers, tot, total)
+			}
+			if done == 0 {
+				return // the batch announcement, not a completed unit
+			}
+			if executed.Add(1) >= 2 {
+				cancel()
+			}
+		})
 		if err := ctx.Err(); err == nil {
 			t.Fatalf("workers=%d: context not canceled", workers)
 		}
@@ -49,18 +46,17 @@ func TestCancellationStopsScheduling(t *testing.T) {
 
 // TestProgressReportsEveryUnit: an uncancelled campaign announces the batch
 // with a 0/total call, reports every completed unit, and progress observation
-// does not change the measured accuracy.
+// does not change any count.
 func TestProgressReportsEveryUnit(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 4)
+	st = withWorkers(st, 1)
 	const rounds = 3
 	bers := []float64{1e-9, 1e-8}
-
-	quiet := Options{Semantics: fault.OperandFlip, Seed: 22, Intensity: stInt, Workers: 1}
-	want := st.Sweep(context.Background(), bers, quiet, rounds)
+	cs := SweepCampaigns(bers, Options{Semantics: fault.OperandFlip, Seed: 22, Intensity: stInt})
+	want := st.UnitCounts(context.Background(), cs, rounds, 0, len(bers)*rounds, nil)
 
 	var calls, announced atomic.Int64
-	observed := quiet
-	observed.Progress = func(done, total int) {
+	got := st.UnitCounts(context.Background(), cs, rounds, 0, len(bers)*rounds, func(done, total int) {
 		if total != len(bers)*rounds {
 			t.Errorf("progress total %d, want %d", total, len(bers)*rounds)
 		}
@@ -72,8 +68,7 @@ func TestProgressReportsEveryUnit(t *testing.T) {
 		if done < 1 || done > total {
 			t.Errorf("progress done %d out of range [1,%d]", done, total)
 		}
-	}
-	got := st.Sweep(context.Background(), bers, observed, rounds)
+	})
 	if announced.Load() != 1 {
 		t.Errorf("batch announced %d times, want 1", announced.Load())
 	}
@@ -82,7 +77,7 @@ func TestProgressReportsEveryUnit(t *testing.T) {
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Errorf("observing progress changed results: %+v vs %+v", want[i], got[i])
+			t.Errorf("observing progress changed unit %d's count: %d vs %d", i, want[i], got[i])
 		}
 	}
 }

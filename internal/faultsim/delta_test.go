@@ -7,52 +7,58 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/models"
 )
 
-func boolPtr(b bool) *bool { return &b }
-
-// TestDeltaEnabledResolution pins the option semantics: nil means on, an
-// explicit false forces full execution, and neuron-flip campaigns always run
-// the full path regardless of the flag (their in-place corruption is not
-// located by the event stream).
-func TestDeltaEnabledResolution(t *testing.T) {
-	cases := []struct {
-		opts Options
-		want bool
-	}{
-		{Options{}, true},
-		{Options{DeltaExec: boolPtr(true)}, true},
-		{Options{DeltaExec: boolPtr(false)}, false},
-		{Options{Semantics: fault.NeuronFlip}, false},
-		{Options{Semantics: fault.NeuronFlip, DeltaExec: boolPtr(true)}, false},
-		{Options{Semantics: fault.OperandFlip}, true},
+// idle runs the GC until it has emptied r's pool and checks that r then
+// holds no plane. The first GC moves the pooled workers to the pool's
+// victim cache, the second drops them, and with them the last strong
+// reference.
+func idle(t *testing.T, r *Runner, when string) {
+	t.Helper()
+	for i := 0; i < 3; i++ {
+		runtime.GC()
 	}
-	for i, c := range cases {
-		if got := c.opts.deltaEnabled(); got != c.want {
-			t.Errorf("case %d: deltaEnabled() = %v, want %v", i, got, c.want)
-		}
+	if r.plane.Value() != nil {
+		t.Errorf("%s: an idle runner still holds its plane after the GC emptied its pool", when)
+	}
+}
+
+// TestDeltaEnabledResolution pins which path a delta runner's units take:
+// neuron-flip campaigns run in full (their in-place corruption is not
+// located by the event stream), so after the GC empties the pool a neuron
+// campaign captures no plane, while an operand campaign captures one.
+func TestDeltaEnabledResolution(t *testing.T) {
+	st, _, stInt, _ := testRig(t, 4)
+	neurons := models.NeuronIntensityFor(models.VGG19(models.Tiny), models.VGG19(models.Options{}))
+	idle(t, st, "after New")
+	st.Accuracy(context.Background(), 1e-8, Options{Semantics: fault.NeuronFlip, Seed: 5, NeuronIntensity: neurons}, 2)
+	if st.plane.Value() != nil {
+		t.Error("a neuron-flip campaign ran delta rounds")
+	}
+	st.Accuracy(context.Background(), 1e-8, Options{Semantics: fault.OperandFlip, Seed: 5, Intensity: stInt}, 2)
+	if st.plane.Value() == nil {
+		t.Error("an operand-flip campaign on a delta runner ran full rounds")
 	}
 }
 
 // TestDeltaMatchesFullAcrossSemantics: for every injection semantics, a
-// campaign with delta execution enabled returns accuracies bit-identical to
-// the same campaign forced through full execution, for serial and parallel
-// scheduling alike.
+// delta runner returns accuracies bit-identical to a full runner over the
+// same network, for serial and parallel scheduling alike.
 func TestDeltaMatchesFullAcrossSemantics(t *testing.T) {
 	st, wg, stInt, wgInt := testRig(t, 6)
 	bers := []float64{1e-10, 3e-9, 1e-7}
-	for _, sem := range []fault.Semantics{fault.ResultFlip, fault.OperandFlip, fault.NeuronFlip} {
-		for _, rig := range []struct {
-			name string
-			r    *Runner
-			in   []fault.Census
-		}{{"direct", st, stInt}, {"winograd", wg, wgInt}} {
-			for _, workers := range []int{1, 4} {
-				opts := Options{Semantics: sem, Seed: 11, Intensity: rig.in, Workers: workers}
-				full := opts
-				full.DeltaExec = boolPtr(false)
-				want := rig.r.AccuracyBatch(context.Background(), SweepCampaigns(bers, full), 2)
-				got := rig.r.AccuracyBatch(context.Background(), SweepCampaigns(bers, opts), 2)
+	for _, rig := range []struct {
+		name string
+		r    *Runner
+		in   []fault.Census
+	}{{"direct", st, stInt}, {"winograd", wg, wgInt}} {
+		for _, workers := range []int{1, 4} {
+			delta, full := rig.r.with(Exec{Workers: workers}), rig.r.with(Exec{Workers: workers, Full: true})
+			for _, sem := range []fault.Semantics{fault.ResultFlip, fault.OperandFlip, fault.NeuronFlip} {
+				cs := SweepCampaigns(bers, Options{Semantics: sem, Seed: 11, Intensity: rig.in})
+				want := full.AccuracyBatch(context.Background(), cs, 2)
+				got := delta.AccuracyBatch(context.Background(), cs, 2)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Errorf("%v/%s/workers=%d: delta accuracy[%d] = %v, full = %v",
@@ -64,22 +70,17 @@ func TestDeltaMatchesFullAcrossSemantics(t *testing.T) {
 	}
 }
 
-// TestDeltaUnitRangeSharding: per-unit agreement counts from a delta-enabled
-// runner, computed shard by shard, must merge to exactly the counts a full-
-// execution runner produces over the whole range — the invariant that lets
-// delta and non-delta workers participate in the same distributed campaign.
+// TestDeltaUnitRangeSharding: per-unit agreement counts from delta runners,
+// computed shard by shard, must merge to exactly the counts a full runner
+// produces over the whole range — the invariant that lets delta and
+// non-delta workers participate in the same distributed campaign.
 func TestDeltaUnitRangeSharding(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 6)
-	bers := []float64{1e-9, 1e-8}
-	opts := Options{Seed: 5, Intensity: stInt, Workers: 1}
-	full := opts
-	full.DeltaExec = boolPtr(false)
-	cs := SweepCampaigns(bers, full)
+	cs := SweepCampaigns([]float64{1e-9, 1e-8}, Options{Seed: 5, Intensity: stInt})
 	const rounds = 3
-	want := st.UnitCounts(context.Background(), cs, rounds, 0, Units(cs, rounds))
+	total := Units(cs, rounds)
+	want := st.with(Exec{Workers: 1, Full: true}).UnitCounts(context.Background(), cs, rounds, 0, total, nil)
 
-	deltaCS := SweepCampaigns(bers, opts)
-	total := Units(deltaCS, rounds)
 	var got []int
 	for lo := 0; lo < total; lo += 2 {
 		hi := lo + 2
@@ -87,8 +88,8 @@ func TestDeltaUnitRangeSharding(t *testing.T) {
 			hi = total
 		}
 		// Fresh delta runner per shard, as independent workers would be.
-		shard, _, _, _ := testRig(t, 6)
-		got = append(got, shard.UnitCounts(context.Background(), deltaCS, rounds, lo, hi)...)
+		shard := withWorkers(st, 1)
+		got = append(got, shard.UnitCounts(context.Background(), cs, rounds, lo, hi, nil)...)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("merged %d shard counts, want %d", len(got), len(want))
@@ -115,22 +116,21 @@ func TestDeltaProtectionThinsToNothing(t *testing.T) {
 		prot[i] = fault.Protection{MulFrac: 1, AddFrac: 1}
 	}
 	fullProt := Options{Seed: 9, Intensity: stInt, Protection: prot}
+	full := st.with(Exec{Full: true})
 	for name, opts := range map[string]Options{"class fault-free": classFree, "full protection": fullProt} {
 		if acc := st.Accuracy(context.Background(), ber, opts, 2); acc != 1 {
 			t.Errorf("%s: delta accuracy = %v, want exactly 1 (events must thin to nothing)", name, acc)
 		}
-		forced := opts
-		forced.DeltaExec = boolPtr(false)
-		if acc := st.Accuracy(context.Background(), ber, forced, 2); acc != 1 {
+		if acc := full.Accuracy(context.Background(), ber, opts, 2); acc != 1 {
 			t.Errorf("%s: full-execution accuracy = %v, want exactly 1", name, acc)
 		}
 	}
 }
 
 // TestGoldenPlaneSharedReadOnly: one plane serves every worker of a
-// Workers: 4 campaign on both engines — no worker captures a second while
-// it is alive — and its bytes are unchanged afterwards (the race detector
-// covers the concurrent reads).
+// four-worker runner's campaign on both engines — no worker captures a
+// second while it is alive — and its bytes are unchanged afterwards (the
+// race detector covers the concurrent reads).
 func TestGoldenPlaneSharedReadOnly(t *testing.T) {
 	st, wg, stInt, wgInt := testRig(t, 6)
 	for _, rig := range []struct {
@@ -138,14 +138,15 @@ func TestGoldenPlaneSharedReadOnly(t *testing.T) {
 		r    *Runner
 		in   []fault.Census
 	}{{"direct", st, stInt}, {"winograd", wg, wgInt}} {
-		plane := rig.r.goldenPlane(&worker{ec: rig.r.Net.NewExecContext()})
+		r := withWorkers(rig.r, 4)
+		plane := r.goldenPlane(&worker{ec: r.Net.NewExecContext()})
 		var before [][]int32
-		for i := range rig.r.Net.Nodes {
+		for i := range r.Net.Nodes {
 			before = append(before, slices.Clone(plane.Act(i).Data))
 		}
-		opts := Options{Seed: 13, Intensity: rig.in, Workers: 4}
-		rig.r.AccuracyBatch(context.Background(), SweepCampaigns([]float64{3e-10, 1e-9, 1e-8}, opts), 3)
-		if rig.r.goldenPlane(&worker{ec: rig.r.Net.NewExecContext()}) != plane {
+		opts := Options{Seed: 13, Intensity: rig.in}
+		r.AccuracyBatch(context.Background(), SweepCampaigns([]float64{3e-10, 1e-9, 1e-8}, opts), 3)
+		if r.goldenPlane(&worker{ec: r.Net.NewExecContext()}) != plane {
 			t.Errorf("%s: the runner captured a second plane", rig.name)
 		}
 		for i := range rig.r.Net.Nodes {
@@ -156,31 +157,39 @@ func TestGoldenPlaneSharedReadOnly(t *testing.T) {
 	}
 }
 
-// TestPlaneLifetime: a runner left idle until the GC empties its pool
-// holds no plane — so cached idle runners pin none — a full-execution
-// campaign does not capture one, and a delta campaign does.
+// TestPlaneLifetime: a full runner holds no plane, neither after New nor
+// after a campaign. A delta runner captures one in New and shares it with
+// its campaign's workers; left idle until the GC empties its pool it holds
+// none — so cached idle runners pin none — and its next campaign captures
+// one again.
 func TestPlaneLifetime(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 4)
-	// The first GC moves the pooled workers to the pool's victim cache,
-	// the second drops them, and with them the last strong reference.
-	idle := func(when string) {
-		for i := 0; i < 3; i++ {
-			runtime.GC()
+	opts := Options{Seed: 5, Intensity: stInt}
+
+	full := st.with(Exec{Workers: 2, Full: true})
+	if full.plane.Value() != nil {
+		t.Error("a full runner captured a plane in New")
+	}
+	full.Accuracy(context.Background(), 1e-9, opts, 2)
+	if full.plane.Value() != nil {
+		t.Error("a full runner's campaign captured a plane")
+	}
+
+	delta := withWorkers(st, 2)
+	func() { // scoped, so the GC below sees no strong reference of ours
+		plane := delta.plane.Value()
+		if plane == nil {
+			t.Fatal("a delta runner captured no plane in New")
 		}
-		if st.plane.Value() != nil {
-			t.Errorf("%s: an idle runner still holds its plane after the GC emptied its pool", when)
+		delta.Accuracy(context.Background(), 1e-9, opts, 2)
+		if delta.plane.Value() != plane {
+			t.Error("a delta runner's campaign captured a second plane")
 		}
+	}()
+	idle(t, delta, "after a delta campaign")
+	delta.Accuracy(context.Background(), 1e-9, opts, 2)
+	if delta.plane.Value() == nil {
+		t.Fatal("an idle delta runner's campaign captured no plane")
 	}
-	idle("after New")
-	opts := Options{Seed: 5, Intensity: stInt, Workers: 2, DeltaExec: boolPtr(false)}
-	st.Accuracy(context.Background(), 1e-9, opts, 2)
-	if st.plane.Value() != nil {
-		t.Error("a full-execution campaign captured a plane")
-	}
-	opts.DeltaExec = nil
-	st.Accuracy(context.Background(), 1e-9, opts, 2)
-	if st.plane.Value() == nil {
-		t.Fatal("a delta campaign captured no plane")
-	}
-	idle("after a delta campaign")
+	idle(t, delta, "after a second delta campaign")
 }

@@ -15,10 +15,8 @@ import (
 // under -race exercises genuinely concurrent forward passes.
 var workerCounts = []int{1, 2, 8}
 
-func withWorkers(o Options, w int) Options {
-	o.Workers = w
-	return o
-}
+// withWorkers returns a runner over r's network and inputs with w workers.
+func withWorkers(r *Runner, w int) *Runner { return r.with(Exec{Workers: w}) }
 
 // TestSweepDeterministicAcrossWorkers: the tentpole guarantee — a BER sweep
 // must produce bit-identical accuracies (and preserve point order) for every
@@ -36,9 +34,9 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	for name, rc := range rigs {
 		r := rc.r
 		opts := Options{Seed: 42, Intensity: rc.intensity}
-		ref := r.Sweep(context.Background(), bers, withWorkers(opts, 1), 3)
+		ref := withWorkers(r, 1).Sweep(context.Background(), bers, opts, 3)
 		for _, w := range workerCounts[1:] {
-			got := r.Sweep(context.Background(), bers, withWorkers(opts, w), 3)
+			got := withWorkers(r, w).Sweep(context.Background(), bers, opts, 3)
 			if len(got) != len(ref) {
 				t.Fatalf("%s: workers=%d returned %d points, want %d", name, w, len(got), len(ref))
 			}
@@ -61,9 +59,9 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 func TestLayerSensitivityDeterministicAcrossWorkers(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 4)
 	opts := Options{Seed: 7, Intensity: stInt}
-	refBase, refPer := st.LayerSensitivity(context.Background(), 2e-9, withWorkers(opts, 1), 2)
+	refBase, refPer := withWorkers(st, 1).LayerSensitivity(context.Background(), 2e-9, opts, 2)
 	for _, w := range workerCounts[1:] {
-		base, per := st.LayerSensitivity(context.Background(), 2e-9, withWorkers(opts, w), 2)
+		base, per := withWorkers(st, w).LayerSensitivity(context.Background(), 2e-9, opts, 2)
 		if base != refBase {
 			t.Errorf("workers=%d baseline %v != serial %v", w, base, refBase)
 		}
@@ -93,10 +91,11 @@ func TestAccuracyBatchMatchesIndividual(t *testing.T) {
 		{BER: 3e-9, Opts: mulFree},
 		{BER: 1e-8, Opts: ff},
 	}
+	serial := withWorkers(st, 1)
 	for _, w := range workerCounts {
-		got := r4(st, cs, w)
+		got := withWorkers(st, w).AccuracyBatch(context.Background(), cs, 2)
 		for i, c := range cs {
-			want := st.Accuracy(context.Background(), c.BER, withWorkers(c.Opts, 1), 2)
+			want := serial.Accuracy(context.Background(), c.BER, c.Opts, 2)
 			if got[i] != want {
 				t.Errorf("workers=%d campaign %d accuracy %v, want %v", w, i, got[i], want)
 			}
@@ -104,21 +103,14 @@ func TestAccuracyBatchMatchesIndividual(t *testing.T) {
 	}
 }
 
-func r4(r *Runner, cs []Campaign, workers int) []float64 {
-	batch := make([]Campaign, len(cs))
-	for i, c := range cs {
-		batch[i] = Campaign{BER: c.BER, Opts: withWorkers(c.Opts, workers)}
-	}
-	return r.AccuracyBatch(context.Background(), batch, 2)
-}
-
 // TestRunnerConcurrentCallers: distinct goroutines sharing one Runner (each
 // with campaigns of their own) must not interfere — the facade allows a
 // System to be queried concurrently.
 func TestRunnerConcurrentCallers(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 4)
-	opts := Options{Seed: 11, Intensity: stInt, Workers: 2}
-	want := st.Accuracy(context.Background(), 2e-9, withWorkers(opts, 1), 2)
+	opts := Options{Seed: 11, Intensity: stInt}
+	want := withWorkers(st, 1).Accuracy(context.Background(), 2e-9, opts, 2)
+	st = withWorkers(st, 2)
 	var wgrp sync.WaitGroup
 	errs := make(chan error, 4)
 	for g := 0; g < 4; g++ {
@@ -181,7 +173,7 @@ func TestRunUnitsPropagatesPanic(t *testing.T) {
 	}
 }
 
-// TestResolveWorkers pins the Workers option semantics.
+// TestResolveWorkers pins the Exec.Workers semantics.
 func TestResolveWorkers(t *testing.T) {
 	if got := resolveWorkers(1); got != 1 {
 		t.Errorf("resolveWorkers(1) = %d", got)

@@ -4,10 +4,11 @@
 // sweeps, and supports the layer fault-free masks, operation-type masks and
 // per-layer TMR protection configurations used by the paper's analyses.
 //
-// Campaigns run on a deterministic worker pool (see pool.go and DESIGN.md):
-// Monte-Carlo rounds, BER sweep points and per-layer masks are independent
-// work units whose randomness derives from split rng streams, so every
-// result is bit-identical for any Options.Workers value.
+// A campaign (Options plus a BER) is what a runner computes; Exec is how the
+// runner computes it. Campaigns run on a deterministic worker pool (see
+// pool.go and DESIGN.md): Monte-Carlo rounds, BER sweep points and
+// per-layer masks are independent work units whose randomness derives from
+// split rng streams, so every count is bit-identical for any Exec.
 package faultsim
 
 import (
@@ -26,7 +27,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// Options configures one injection campaign (everything except the BER).
+// Options is what one injection campaign computes, apart from its BER:
+// every field can change a count.
 type Options struct {
 	// Semantics selects operand/result/neuron-level injection.
 	Semantics fault.Semantics
@@ -66,56 +68,44 @@ type Options struct {
 	// are still skipped as exactly fault-free, so hardware scenarios must
 	// run at a positive (background) BER to take effect.
 	HW *hwfault.Injection
-	// DeltaExec controls the fault-cone delta-execution fast path: the
+}
+
+// Exec is how a runner executes campaigns. None of it can change a count:
+// units take their randomness from (seed, round) alone, backends are
+// bit-identical by contract, and delta rounds reproduce full ones, which is
+// why the service's cache key ignores all three.
+type Exec struct {
+	// Workers caps the scheduler's parallelism: 0 means GOMAXPROCS, 1
+	// serial execution (see pool.go).
+	Workers int
+	// Backend runs the fault-free hot paths on every context the runner
+	// makes; nil means the process default (kernel.Default).
+	Backend kernel.Backend
+	// Full forces full re-execution of every round. A full runner keeps
+	// only the golden predictions and never captures a plane. Otherwise the
 	// runner captures the golden per-node activations into one plane that
 	// every worker shares, and per round each worker recomputes only the
-	// (node, image) pairs downstream of that round's fault events, reusing
-	// golden outputs everywhere else. Results are bit-identical to full
-	// execution (the engines are deterministic and no op mixes images, so
-	// an image outside the fault cone can only produce its golden
-	// activation; pinned by the golden fixtures and the delta equivalence
-	// tests), so nil — the default — means enabled. Point at false to force
-	// full re-execution of every round (debugging, paired validation runs).
-	//
-	// Neuron-level semantics fall back to full execution automatically:
+	// (node, image) pairs downstream of that round's fault events (see
+	// nn.ForwardDelta). Neuron-flip campaigns run in full either way:
 	// neuron flips are not located by the event stream, so no dirty set can
 	// bound their cone.
-	DeltaExec *bool
-	// Backend names the registered compute backend (internal/kernel) that
-	// runs the fault-free hot paths; "" means the process default (blocked,
-	// unless overridden by the WF_BACKEND environment variable). Backends
-	// are bit-identical by contract — like Workers and DeltaExec this is a
-	// scheduling/performance knob, never a result-affecting one, and the
-	// service cache key ignores it for the same reason. The name must be
-	// registered: facades validate via kernel.Get before building Options,
-	// and UnitCounts panics on an unknown name (programming error).
-	Backend string
-	// Workers caps the campaign scheduler's parallelism. 0 (the default)
-	// means GOMAXPROCS; 1 forces serial execution. Results are bit-identical
-	// for every worker count: each (campaign, round) work unit derives its
-	// own rng.Stream from the seed, independent of scheduling (see pool.go).
-	Workers int
-	// Progress, when set, is called after every completed (campaign, round)
-	// work unit with the number of finished units and the batch total. It is
-	// observational only — results never depend on it — and may be invoked
-	// concurrently from worker goroutines, so it must be goroutine-safe.
-	// When a batch mixes several Options values, the first non-nil Progress
-	// in campaign order is used for the whole batch.
-	Progress func(done, total int)
+	Full bool
 }
 
 // Runner evaluates one network against one evaluation input set.
 type Runner struct {
 	Net    *nn.Network
 	Inputs *tensor.QTensor // the full evaluation batch; must not change
+	exec   Exec
 	golden []int
 	// plane points at the golden activation of every node for Inputs,
-	// captured by New's golden pass and read-only afterwards, so every
-	// worker's delta rounds serve the same one. The runner holds it weakly
-	// and each pooled worker that served it strongly, so it lives as long
-	// as the pool does: a runner left idle until the GC empties its pool (a
-	// dist worker caches idle plans, the dist coordinator only reduces
-	// counts) holds no plane, and its next delta unit captures one again.
+	// captured by a delta runner's golden pass and read-only afterwards, so
+	// every worker's delta rounds serve the same one. The runner holds it
+	// weakly and each pooled worker that served it strongly, so it lives as
+	// long as the pool does: a runner left idle until the GC empties its
+	// pool (a dist worker caches idle plans, the dist coordinator only
+	// reduces counts) holds no plane, and its next delta unit captures one
+	// again. A full runner never captures one.
 	planeMu sync.Mutex
 	plane   weak.Pointer[nn.Plane]
 	// pool recycles per-worker state across campaign batches, so scratch
@@ -125,11 +115,16 @@ type Runner struct {
 	pool sync.Pool
 }
 
-// New runs the runner's golden pass, which captures its plane and golden
-// predictions, and returns a ready runner whose pool holds the plane.
-func New(net *nn.Network, inputs *tensor.QTensor) *Runner {
-	r := &Runner{Net: net, Inputs: inputs}
+// New runs the runner's golden pass and returns a ready runner. A delta
+// runner's pass captures its plane, which its pool then holds; a full
+// runner's pass keeps only the golden predictions.
+func New(net *nn.Network, inputs *tensor.QTensor, exec Exec) *Runner {
+	r := &Runner{Net: net, Inputs: inputs, exec: exec}
 	w := r.worker()
+	if exec.Full {
+		r.golden = nn.Argmax(net.ForwardCtx(w.ec, inputs, nil))
+		return r
+	}
 	r.golden = nn.Argmax(r.goldenPlane(w).Output())
 	// Pool the plane without the capture's context: sync.Pool keeps a Put
 	// in the putting P's private slot, where no worker running on another
@@ -141,6 +136,10 @@ func New(net *nn.Network, inputs *tensor.QTensor) *Runner {
 
 // Golden returns the fault-free predictions of the evaluation batch.
 func (r *Runner) Golden() []int { return r.golden }
+
+// Workers reports how many workers the runner's scheduler uses: Exec.Workers,
+// with 0 meaning GOMAXPROCS.
+func (r *Runner) Workers() int { return resolveWorkers(r.exec.Workers) }
 
 // goldenPlane returns the runner's golden plane, capturing it on w's
 // context if no plane is alive.
@@ -213,13 +212,6 @@ func (in *injector) Neuron(li int, q *tensor.QTensor) {
 	fault.InjectNeuronsIntensity(q, in.model.BER, intensity, in.round.Split(uint64(li)^0x9e37))
 }
 
-// deltaEnabled reports whether this campaign runs the delta-execution fast
-// path: on unless explicitly disabled, and never for neuron-level semantics
-// (whose in-place activation corruption the event stream cannot locate).
-func (o *Options) deltaEnabled() bool {
-	return (o.DeltaExec == nil || *o.DeltaExec) && o.Semantics != fault.NeuronFlip
-}
-
 // Campaign is one accuracy measurement: a BER paired with campaign options.
 // Batches of campaigns share the scheduler's worker pool, so heterogeneous
 // evaluations (e.g. the TMR optimizer's candidate plans, or the operation-
@@ -233,12 +225,7 @@ type Campaign struct {
 // evaluation samples agree with the golden predictions. All randomness is
 // derived from (c.Opts.Seed, round) alone, so the result is independent of
 // which worker executes it and in what order.
-func (r *Runner) roundAgree(w *worker, c *Campaign, bk kernel.Backend, convSet map[int]struct{}, round int) int {
-	// Stamp the campaign's backend every unit: pooled contexts are recycled
-	// across batches whose Options may differ. Backends are bit-identical,
-	// so this can affect wall-clock only.
-	ec := w.ec
-	ec.UseBackend(bk)
+func (r *Runner) roundAgree(w *worker, c *Campaign, convSet map[int]struct{}, round int) int {
 	inj := &injector{
 		opts:    &c.Opts,
 		model:   fault.Model{BER: c.BER, Semantics: c.Opts.Semantics},
@@ -248,10 +235,10 @@ func (r *Runner) roundAgree(w *worker, c *Campaign, bk kernel.Backend, convSet m
 		convSet: convSet,
 	}
 	var logits *tensor.QTensor
-	if c.Opts.deltaEnabled() {
-		logits = r.Net.ForwardDelta(ec, r.goldenPlane(w), inj)
+	if r.exec.Full || c.Opts.Semantics == fault.NeuronFlip {
+		logits = r.Net.ForwardCtx(w.ec, r.Inputs, inj)
 	} else {
-		logits = r.Net.ForwardCtx(ec, r.Inputs, inj)
+		logits = r.Net.ForwardDelta(w.ec, r.goldenPlane(w), inj)
 	}
 	preds := nn.Argmax(logits)
 	agree := 0
@@ -319,50 +306,30 @@ func Units(cs []Campaign, rounds int) int {
 // (campaign seed, round) identity, so counts for a range are bit-identical
 // no matter which process computes them, with how many workers, or alongside
 // which other ranges — the property the distributed shard executor rests on.
-// The units run on the campaign scheduler's worker pool sized by the largest
-// Workers option in the batch.
+// The units run on the runner's worker pool.
+//
+// progress, when non-nil, is called with (0, hi-lo) before the first unit
+// and with the number of finished units after every unit. It is
+// observational only and may be invoked concurrently from worker
+// goroutines, so it must be goroutine-safe.
 //
 // Canceling ctx stops the scheduler from claiming further units; the call
 // returns promptly with partial (meaningless) counts. Callers must check
 // ctx.Err() before using the result.
-func (r *Runner) UnitCounts(ctx context.Context, cs []Campaign, rounds, lo, hi int) []int {
+func (r *Runner) UnitCounts(ctx context.Context, cs []Campaign, rounds, lo, hi int, progress func(done, total int)) []int {
 	units := flattenUnits(cs, rounds)
 	if lo < 0 || hi < lo || hi > len(units) {
 		panic(fmt.Sprintf("faultsim: unit range [%d, %d) outside [0, %d)", lo, hi, len(units)))
 	}
-	workers := 1
-	bks := make([]kernel.Backend, len(cs))
 	for i := range cs {
 		if cs[i].Opts.Intensity != nil && len(cs[i].Opts.Intensity) != len(r.Net.Nodes) {
 			panic(fmt.Sprintf("faultsim: intensity length %d != %d nodes", len(cs[i].Opts.Intensity), len(r.Net.Nodes)))
-		}
-		// Facades validate backend names at the boundary; an unknown name
-		// here is engine misuse, like a bad intensity length.
-		bk, err := kernel.Get(cs[i].Opts.Backend)
-		if err != nil {
-			panic(fmt.Sprintf("faultsim: %v", err))
-		}
-		bks[i] = bk
-		// Resolve before taking the max: Workers == 0 means GOMAXPROCS and
-		// must not lose to an explicit small positive count.
-		if w := cs[i].Opts.ResolvedWorkers(); w > workers {
-			workers = w
 		}
 	}
 
 	convSet := map[int]struct{}{}
 	for _, li := range r.Net.ConvNodes() {
 		convSet[li] = struct{}{}
-	}
-
-	// Progress is batch-level: the first campaign that asks for it observes
-	// every unit of the range (campaigns in a batch complete together).
-	var progress func(done, total int)
-	for i := range cs {
-		if cs[i].Opts.Progress != nil {
-			progress = cs[i].Opts.Progress
-			break
-		}
 	}
 
 	// Publish the batch total before any unit completes so observers (SSE
@@ -374,9 +341,9 @@ func (r *Runner) UnitCounts(ctx context.Context, cs []Campaign, rounds, lo, hi i
 
 	agree := make([]int, hi-lo)
 	var completed atomic.Int64
-	r.runUnits(ctx, workers, hi-lo, func(w *worker, u int) {
+	r.runUnits(ctx, r.exec.Workers, hi-lo, func(w *worker, u int) {
 		un := units[lo+u]
-		agree[u] = r.roundAgree(w, &cs[un.c], bks[un.c], convSet, un.round)
+		agree[u] = r.roundAgree(w, &cs[un.c], convSet, un.round)
 		if progress != nil {
 			progress(int(completed.Add(1)), hi-lo)
 		}
@@ -425,12 +392,12 @@ func (r *Runner) Reduce(cs []Campaign, rounds int, counts []int) []float64 {
 // be canceled must check ctx.Err() before using the result — every caller
 // that caches or publishes results does.
 func (r *Runner) AccuracyBatch(ctx context.Context, cs []Campaign, rounds int) []float64 {
-	return r.Reduce(cs, rounds, r.UnitCounts(ctx, cs, rounds, 0, Units(cs, rounds)))
+	return r.Reduce(cs, rounds, r.UnitCounts(ctx, cs, rounds, 0, Units(cs, rounds), nil))
 }
 
 // Accuracy measures golden-agreement accuracy at one bit error rate over the
-// given number of Monte-Carlo rounds. The rounds run on the campaign
-// scheduler's worker pool (opts.Workers).
+// given number of Monte-Carlo rounds. The rounds run on the runner's worker
+// pool.
 func (r *Runner) Accuracy(ctx context.Context, ber float64, opts Options, rounds int) float64 {
 	return r.AccuracyBatch(ctx, []Campaign{{BER: ber, Opts: opts}}, rounds)[0]
 }

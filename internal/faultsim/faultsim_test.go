@@ -24,10 +24,13 @@ func testRig(t *testing.T, n int) (st, wg *Runner, stInt, wgInt []fault.Census) 
 	wgNet := models.Build(arch, cfg)
 	set := dataset.ForModel("cifar100", n, arch.In.H, 99, fixed.Int16)
 	imgs := set.Batch(0, n)
-	return New(stNet, imgs), New(wgNet, imgs),
+	return New(stNet, imgs, Exec{}), New(wgNet, imgs, Exec{}),
 		models.IntensityFor(arch, full, nn.Direct, nil),
 		models.IntensityFor(arch, full, nn.Winograd, winograd.F2)
 }
+
+// with returns a runner over r's network and inputs that executes with e.
+func (r *Runner) with(e Exec) *Runner { return New(r.Net, r.Inputs, e) }
 
 func TestZeroBERIsPerfect(t *testing.T) {
 	st, _, _, _ := testRig(t, 4)

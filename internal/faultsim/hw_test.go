@@ -40,9 +40,9 @@ func TestHWSweepDeterministicAcrossWorkers(t *testing.T) {
 			Seed: 42,
 			HW:   hwInjection(t, hwfault.Scenario{Kind: hwfault.StuckPE, Bit: 20}, kind, 4),
 		}
-		ref := r.Sweep(context.Background(), bers, withWorkers(opts, 1), 2)
+		ref := withWorkers(r, 1).Sweep(context.Background(), bers, opts, 2)
 		for _, w := range workerCounts[1:] {
-			got := r.Sweep(context.Background(), bers, withWorkers(opts, w), 2)
+			got := withWorkers(r, w).Sweep(context.Background(), bers, opts, 2)
 			for i := range ref {
 				if got[i] != ref[i] {
 					t.Errorf("%s: workers=%d point %d = %+v, serial %+v", name, w, i, got[i], ref[i])
@@ -58,8 +58,9 @@ func TestHWSweepDeterministicAcrossWorkers(t *testing.T) {
 // full fault-free node set is exact.
 func TestStuckPEDegradesAccuracy(t *testing.T) {
 	_, wg, _, _ := testRig(t, 4)
+	wg = withWorkers(wg, 2)
 	inj := hwInjection(t, hwfault.Scenario{Kind: hwfault.StuckPE, Bit: 28}, nn.Winograd, 4)
-	opts := Options{Seed: 1, HW: inj, Workers: 2}
+	opts := Options{Seed: 1, HW: inj}
 	if acc := wg.Accuracy(context.Background(), 1e-9, opts, 1); acc == 1 {
 		t.Error("stuck bit 28 in PE (0,0) left accuracy at 1")
 	}
@@ -87,14 +88,14 @@ func TestHWUnitRangeSharding(t *testing.T) {
 	cs := SweepCampaigns([]float64{1e-10, 1e-9, 1e-8}, Options{Seed: 3, HW: inj})
 	const rounds = 2
 	total := Units(cs, rounds)
-	want := st.UnitCounts(context.Background(), cs, rounds, 0, total)
+	want := st.UnitCounts(context.Background(), cs, rounds, 0, total, nil)
 	var merged []int
 	for lo := 0; lo < total; lo += 2 {
 		hi := lo + 2
 		if hi > total {
 			hi = total
 		}
-		merged = append(merged, st.UnitCounts(context.Background(), cs, rounds, lo, hi)...)
+		merged = append(merged, st.UnitCounts(context.Background(), cs, rounds, lo, hi, nil)...)
 	}
 	for i := range want {
 		if merged[i] != want[i] {

@@ -17,7 +17,7 @@ import (
 // Workers only ever write to their own unit's result slot; aggregation
 // happens on the caller's goroutine after all units finish. Determinism is
 // therefore structural, not incidental: results are bit-identical between
-// Workers=1 and Workers=N.
+// Exec.Workers=1 and Exec.Workers=N.
 //
 // Cancellation follows the same unit structure: workers re-check the context
 // before claiming each unit, so a canceled campaign stops after at most one
@@ -25,13 +25,7 @@ import (
 // were executed before the cancellation are still deterministic; the caller
 // must treat the aggregate as invalid whenever ctx.Err() != nil.
 
-// ResolvedWorkers reports the concrete worker count the scheduler will use
-// for this campaign: Workers, with 0 meaning GOMAXPROCS. Callers use it to
-// decide whether speculative extra campaigns are free (idle workers) or
-// would cost serial wall-clock time.
-func (o *Options) ResolvedWorkers() int { return resolveWorkers(o.Workers) }
-
-// resolveWorkers maps the Workers option to a concrete worker count:
+// resolveWorkers maps Exec.Workers to a concrete worker count:
 // 0 (the default) means GOMAXPROCS, anything below 1 is clamped to serial.
 func resolveWorkers(workers int) int {
 	if workers == 0 {
@@ -52,8 +46,8 @@ type worker struct {
 }
 
 // worker draws a worker from the runner's recycling pool (warm scratch
-// arenas survive across batches), giving it a fresh context when the pool
-// is empty or holds only the plane New pooled.
+// arenas survive across batches), giving it a fresh context on the runner's
+// backend when the pool is empty or holds only the plane New pooled.
 func (r *Runner) worker() *worker {
 	w, _ := r.pool.Get().(*worker)
 	if w == nil {
@@ -61,6 +55,7 @@ func (r *Runner) worker() *worker {
 	}
 	if w.ec == nil {
 		w.ec = r.Net.NewExecContext()
+		w.ec.UseBackend(r.exec.Backend)
 	}
 	return w
 }

@@ -26,10 +26,8 @@ func TestUnitRangeShardingBitIdentical(t *testing.T) {
 		counts := make([]int, 0, total)
 		for s := 0; s < shards; s++ {
 			lo, hi := s*total/shards, (s+1)*total/shards
-			o := opts
-			o.Workers = 1 + s // shards disagree on worker count on purpose
-			shardCS := SweepCampaigns([]float64{0, 1e-9, 1e-8, 3e-8}, o)
-			counts = append(counts, st.UnitCounts(context.Background(), shardCS, rounds, lo, hi)...)
+			shard := withWorkers(st, 1+s) // shards disagree on worker count on purpose
+			counts = append(counts, shard.UnitCounts(context.Background(), cs, rounds, lo, hi, nil)...)
 		}
 		got := st.Reduce(cs, rounds, counts)
 		for i := range want {
@@ -52,7 +50,7 @@ func TestUnitCountsRangeValidation(t *testing.T) {
 					t.Errorf("range [%d, %d) did not panic", r[0], r[1])
 				}
 			}()
-			st.UnitCounts(context.Background(), cs, 2, r[0], r[1])
+			st.UnitCounts(context.Background(), cs, 2, r[0], r[1], nil)
 		}()
 	}
 	func() {
@@ -77,7 +75,7 @@ func TestLayerSensitivityFromCounts(t *testing.T) {
 	total := Units(cs, rounds)
 	var counts []int
 	for _, r := range [][2]int{{0, total / 3}, {total / 3, total / 2}, {total / 2, total}} {
-		counts = append(counts, st.UnitCounts(context.Background(), cs, rounds, r[0], r[1])...)
+		counts = append(counts, st.UnitCounts(context.Background(), cs, rounds, r[0], r[1], nil)...)
 	}
 	base, per := st.LayerSensitivityFromCounts(ber, opts, rounds, counts)
 	if base != wantBase {

@@ -53,8 +53,7 @@ type ExecContext struct {
 // UseBackend selects the compute backend for subsequent forward passes on
 // this context; nil restores the process default (kernel.Default, resolved at
 // the engine level). Backends are bit-identical by contract, so switching can
-// never change results — only wall-clock — which is why contexts recycled
-// across campaign batches (faultsim's pool) may be restamped freely.
+// never change results — only wall-clock.
 func (c *ExecContext) UseBackend(b kernel.Backend) {
 	if c.backend == b {
 		return

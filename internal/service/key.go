@@ -69,11 +69,9 @@ func Canonical(req winofault.CampaignRequest) (string, error) {
 		}
 		scenario = &ns
 	}
-	// Mirror Config.normalize: a request spelling a default explicitly is
-	// the same campaign as one omitting it.
-	if req.Model == "" {
-		req.Model = "vgg19"
-	}
+	// A request spelling a default explicitly is the same campaign as one
+	// omitting it: the numeric defaults come from cfg, which SystemConfig
+	// normalized exactly as New does, and the enum spellings default here.
 	if req.Engine == "" {
 		req.Engine = "direct"
 	}
@@ -83,34 +81,19 @@ func Canonical(req winofault.CampaignRequest) (string, error) {
 	if req.Semantics == "" {
 		req.Semantics = "result"
 	}
-	if req.WidthMult == 0 {
-		req.WidthMult = 0.125
-	}
-	if req.InputSize == 0 {
-		req.InputSize = 32
-	}
-	if req.Samples == 0 {
-		req.Samples = 24
-	}
-	if req.Rounds == 0 {
-		req.Rounds = 2
-	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", keySchema)
-	fmt.Fprintf(&b, "model=%s\n", req.Model)
+	fmt.Fprintf(&b, "model=%s\n", cfg.Model)
 	fmt.Fprintf(&b, "engine=%s\n", req.Engine)
 	fmt.Fprintf(&b, "precision=%s\n", req.Precision)
 	fmt.Fprintf(&b, "semantics=%s\n", req.Semantics)
-	fmt.Fprintf(&b, "widthmult=%s\n", canonicalFloat(req.WidthMult))
-	fmt.Fprintf(&b, "inputsize=%d\n", req.InputSize)
-	fmt.Fprintf(&b, "samples=%d\n", req.Samples)
-	fmt.Fprintf(&b, "rounds=%d\n", req.Rounds)
-	fmt.Fprintf(&b, "seed=%d\n", req.Seed)
-	fmt.Fprintf(&b, "tilef4=%t\n", req.TileF4)
+	fmt.Fprintf(&b, "widthmult=%s\n", canonicalFloat(cfg.WidthMult))
+	fmt.Fprintf(&b, "inputsize=%d\n", cfg.InputSize)
+	fmt.Fprintf(&b, "samples=%d\n", cfg.Samples)
+	fmt.Fprintf(&b, "rounds=%d\n", cfg.Rounds)
+	fmt.Fprintf(&b, "seed=%d\n", cfg.Seed)
+	fmt.Fprintf(&b, "tilef4=%t\n", cfg.TileF4)
 	bers := make([]string, len(req.BERs))
 	for i, ber := range req.BERs {
 		bers[i] = canonicalFloat(ber)

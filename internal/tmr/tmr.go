@@ -147,7 +147,7 @@ func (o *Optimizer) Optimize(ctx context.Context, target float64, maxIters int) 
 	if rounds < 1 {
 		rounds = 1
 	}
-	batchEval := opts.ResolvedWorkers() >= 2*rounds
+	batchEval := o.Runner.Workers() >= 2*rounds
 	measure := func() float64 {
 		if batchEval {
 			accs := o.Runner.AccuracyBatch(ctx, []faultsim.Campaign{

@@ -20,7 +20,7 @@ func rig(t *testing.T, kind nn.EngineKind) (*faultsim.Runner, []fault.Census, fa
 	cfg := nn.Config{Kind: kind, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 21}
 	net := models.Build(arch, cfg)
 	set := dataset.ForModel("cifar100", 10, arch.In.H, 5, fixed.Int16)
-	runner := faultsim.New(net, set.Batch(0, 10))
+	runner := faultsim.New(net, set.Batch(0, 10), faultsim.Exec{})
 	intensity := models.IntensityFor(arch, full, kind, winograd.F2)
 	opts := faultsim.Options{Semantics: fault.OperandFlip, Seed: 11, Intensity: intensity}
 	return runner, models.Census(arch, kind, winograd.F2), opts

@@ -56,7 +56,7 @@ func NewParams(w *tensor.Tensor, t *Tile, wFmt fixed.Format) *Params {
 	// input channels at fixed (position, output channel); storing the
 	// weights position-major makes that sum walk them with stride 1.
 	scale := float64(int64(1) << uint(wFmt.Frac+t.FracExtra))
-	g := make([]float64, t.R*t.R)
+	g, tmp, u := make([]float64, t.R*t.R), make([]float64, T*t.R), make([]float64, T*T)
 	for o := 0; o < outC; o++ {
 		for c := 0; c < inC; c++ {
 			for ky := 0; ky < t.R; ky++ {
@@ -64,7 +64,8 @@ func NewParams(w *tensor.Tensor, t *Tile, wFmt fixed.Format) *Params {
 					g[ky*t.R+kx] = w.At(o, c, ky, kx)
 				}
 			}
-			for i, v := range TransformFilter(t, g) {
+			transformFilter(t, g, tmp, u)
+			for i, v := range u {
 				s := v * scale
 				if s >= 0 {
 					p.UT[(i*outC+o)*inC+c] = int32(s + 0.5)

@@ -7,14 +7,20 @@ import (
 )
 
 // TransformFilter computes the 2D filter transform U = G g Gᵀ for one RxR
-// kernel, returning a TxT matrix. Used offline for weight preparation and by
-// the float reference path.
+// kernel, returning a TxT matrix. Used by the float reference path.
 func TransformFilter(t *Tile, g []float64) []float64 {
+	u := make([]float64, t.T()*t.T())
+	transformFilter(t, g, make([]float64, t.T()*t.R), u)
+	return u
+}
+
+// transformFilter writes U = G g Gᵀ into u (TxT), using tmp (TxR) for G·g.
+// NewParams reuses one buffer pair for every kernel of a layer.
+func transformFilter(t *Tile, g, tmp, u []float64) {
 	T := t.T()
 	if len(g) != t.R*t.R {
 		panic(fmt.Sprintf("winograd: kernel size %d != %dx%d", len(g), t.R, t.R))
 	}
-	tmp := make([]float64, T*t.R) // G·g, T x R
 	for r := 0; r < T; r++ {
 		for c := 0; c < t.R; c++ {
 			var acc float64
@@ -24,7 +30,6 @@ func TransformFilter(t *Tile, g []float64) []float64 {
 			tmp[r*t.R+c] = acc
 		}
 	}
-	u := make([]float64, T*T) // (G·g)·Gᵀ
 	for r := 0; r < T; r++ {
 		for c := 0; c < T; c++ {
 			var acc float64
@@ -34,7 +39,6 @@ func TransformFilter(t *Tile, g []float64) []float64 {
 			u[r*T+c] = acc
 		}
 	}
-	return u
 }
 
 // ForwardFloat computes a stride-1 winograd convolution in float64, the

@@ -77,6 +77,44 @@ func TestTransformFilterF2Exact(t *testing.T) {
 	}
 }
 
+// TestNewParamsAllocsFlat: NewParams transforms every kernel of a layer into
+// one reused buffer pair, so its allocation count does not grow with
+// outC·inC, and its UT is each kernel's TransformFilter quantized with
+// FracExtra guard bits, stored position-major.
+func TestNewParamsAllocsFlat(t *testing.T) {
+	for _, tile := range []*Tile{F2, F4} {
+		small := randT(5, tensor.Shape{N: 1, C: 1, H: 3, W: 3}, 0.5)
+		large := randT(6, tensor.Shape{N: 16, C: 12, H: 3, W: 3}, 0.5)
+		a := testing.AllocsPerRun(5, func() { NewParams(small, tile, fixed.Int16) })
+		b := testing.AllocsPerRun(5, func() { NewParams(large, tile, fixed.Int16) })
+		if b != a {
+			t.Errorf("%s: NewParams allocates %v times for 1x1 channels and %v for 16x12", tile.Name, a, b)
+		}
+
+		p := NewParams(large, tile, fixed.Int16)
+		scale := float64(int64(1) << uint(fixed.Int16.Frac+tile.FracExtra))
+		outC, inC := large.Shape.N, large.Shape.C
+		for o := 0; o < outC; o++ {
+			for c := 0; c < inC; c++ {
+				g := make([]float64, 9)
+				for k := range g {
+					g[k] = large.At(o, c, k/3, k%3)
+				}
+				for i, v := range TransformFilter(tile, g) {
+					s := v * scale
+					want := int32(s + 0.5)
+					if s < 0 {
+						want = int32(s - 0.5)
+					}
+					if got := p.UT[(i*outC+o)*inC+c]; got != want {
+						t.Fatalf("%s: UT at (pos %d, out %d, in %d) = %d, want %d", tile.Name, i, o, c, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // quantized layer vs float direct reference, for various kernel/stride combos
 // exercising the DWM decomposition.
 func TestQuantizedLayerMatchesReference(t *testing.T) {

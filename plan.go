@@ -113,21 +113,18 @@ func (p *Plan) Run(ctx context.Context, progress func(phase, done, total int)) (
 // golden-agreement counts in unit order. Counts for a range are
 // bit-identical no matter which process computes them or with how many
 // workers. progress, when non-nil, observes (done, hi-lo) after every
-// finished unit and may be called concurrently. Ranges arrive over the wire,
-// so bad arguments are errors rather than panics; when ctx is canceled the
-// partial counts are discarded and ctx.Err() is returned.
+// finished unit and may be called concurrently; when nil, the system's
+// OnProgress callback does. Ranges arrive over the wire, so bad arguments
+// are errors rather than panics; when ctx is canceled the partial counts
+// are discarded and ctx.Err() is returned.
 func (p *Plan) Counts(ctx context.Context, i, lo, hi int, progress func(done, total int)) ([]int, error) {
 	if err := p.checkRange(i, lo, hi); err != nil {
 		return nil, err
 	}
-	cs := p.batches[i]
-	if progress != nil && len(cs) > 0 {
-		// The scheduler reports batch progress to the first campaign that
-		// asks for it.
-		cs = append([]faultsim.Campaign(nil), cs...)
-		cs[0].Opts.Progress = progress
+	if progress == nil {
+		progress = p.sys.progress
 	}
-	counts := p.sys.runner.UnitCounts(ctx, cs, p.sys.cfg.Rounds, lo, hi)
+	counts := p.sys.runner.UnitCounts(ctx, p.batches[i], p.sys.cfg.Rounds, lo, hi, progress)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -294,12 +294,13 @@ func (c Config) semantics() fault.Semantics {
 
 // System is a ready-to-evaluate network + fault-injection campaign.
 type System struct {
-	cfg    Config
-	arch   *models.Arch
-	full   *models.Arch
-	runner *faultsim.Runner
-	opts   faultsim.Options
-	census []fault.Census
+	cfg      Config
+	arch     *models.Arch
+	full     *models.Arch
+	runner   *faultsim.Runner
+	opts     faultsim.Options
+	census   []fault.Census
+	progress func(done, total int) // see OnProgress
 }
 
 // New builds a system: the scaled quantized network with deterministic
@@ -326,7 +327,14 @@ func New(cfg Config) (*System, error) {
 		Kind: cfg.kind(), Tile: cfg.tile(), ActFmt: f, WFmt: f, Seed: cfg.Seed ^ 0xabcdef,
 	})
 	set := dataset.ForModel(arch.Dataset, cfg.Samples, arch.In.H, cfg.Seed^0x5eed, f)
-	runner := faultsim.New(net, set.Batch(0, cfg.Samples))
+	bk, _ := kernel.Get(cfg.Backend) // validate accepted the name
+	runner := faultsim.New(net, set.Batch(0, cfg.Samples), faultsim.Exec{
+		Workers: cfg.Workers,
+		Backend: bk,
+		// Neuron flips run in full on any runner, so a full one skips the
+		// plane it would never read.
+		Full: cfg.DeltaExec != nil && !*cfg.DeltaExec || cfg.Semantics == NeuronFlip,
+	})
 	sys := &System{
 		cfg:    cfg,
 		arch:   arch,
@@ -338,9 +346,6 @@ func New(cfg Config) (*System, error) {
 			Seed:            cfg.Seed,
 			Intensity:       models.IntensityFor(arch, full, cfg.kind(), cfg.tile()),
 			NeuronIntensity: models.NeuronIntensityFor(arch, full),
-			Workers:         cfg.Workers,
-			DeltaExec:       cfg.DeltaExec,
-			Backend:         cfg.Backend,
 		},
 	}
 	if cfg.Scenario != nil {
@@ -386,12 +391,14 @@ func (s *System) LayerUnits(ber float64) int {
 	return faultsim.Units(s.runner.LayerCampaigns(ber, s.opts), s.cfg.Rounds)
 }
 
-// OnProgress registers fn to observe campaign progress: after every finished
-// (campaign, Monte-Carlo round) work unit it receives the completed and total
-// unit counts of the running batch. The callback is observational only (it
-// can never change results) and may be invoked concurrently from scheduler
-// workers, so it must be goroutine-safe. A nil fn removes the callback.
-func (s *System) OnProgress(fn func(done, total int)) { s.opts.Progress = fn }
+// OnProgress registers fn to observe the progress of this system's plans
+// whenever Plan.Run or Plan.Counts is given no callback of its own: after
+// every finished (campaign, Monte-Carlo round) work unit it receives the
+// completed and total unit counts of the running batch. The callback is
+// observational only (it can never change results) and may be invoked
+// concurrently from scheduler workers, so it must be goroutine-safe. A nil
+// fn removes the callback.
+func (s *System) OnProgress(fn func(done, total int)) { s.progress = fn }
 
 // SetProtection installs a fine-grained TMR protection plan by layer name:
 // each entry maps a convolution layer (named as in CampaignResult.Layers) to
