@@ -328,3 +328,22 @@ func BenchmarkSweepBlocked(b *testing.B) {
 		runner.Sweep(context.Background(), bers, opts, 2)
 	}
 }
+
+// BenchmarkSweepDense is a serial campaign at the BERs of the paper's
+// high-BER curves {1e-8, 3e-8, 1e-7}: default-scale resnet50 on the
+// winograd engine, 8 images, built through New. Every image of a round
+// carries tens to thousands of events here, so most layer passes radix-sort
+// their event cursor, and the 1×1 layers, which run on the direct engine,
+// replay many faulty outputs. allocs/op follows the events drawn.
+func BenchmarkSweepDense(b *testing.B) {
+	sys, err := New(Config{Model: "resnet50", Engine: Winograd, Samples: 8, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bers := []float64{1e-8, 3e-8, 1e-7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runPlan(b, sys, bers, false)
+	}
+}

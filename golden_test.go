@@ -72,6 +72,21 @@ func TestGoldenAccuracyFixture(t *testing.T) {
 		cfg.Engine = Winograd
 		rows = append(rows, row{fmt.Sprintf("%s/%v/%s", cfg.Model, Winograd, hb.tile), cfg, highBERs, hb.want})
 	}
+	// Direct result flips at the same BERs. Most outputs a round touches
+	// carry events here, several per MAC chain, so these rows pin the direct
+	// engine's replay of dense outputs (clean MAC runs summed between event
+	// steps) and the radix-sorted event cursor. googlenet's 1×1 inception
+	// layers make it the only direct row whose dense rounds replay 1×1
+	// outputs; resnet50 and densenet169 read 0 at these BERs. They were
+	// measured with the per-MAC replay and the comparison sort that
+	// preceded both.
+	for model, want := range map[string][]float64{
+		"vgg19":     {0.3125, 0.4375, 0.5625},
+		"googlenet": {0.625, 0.1875, 0.3125},
+	} {
+		rows = append(rows, row{fmt.Sprintf("%s/%v/highber", model, Direct),
+			Config{Model: model, Engine: Direct}, highBERs, want})
+	}
 	// Operand flips reach the engines' operand paths, which result flips
 	// never touch: swapping the two operands of a multiplication moves at
 	// least one point of every row. Operand and scenario rows share this

@@ -302,43 +302,86 @@ func (p *Params) replayFaults(sc *Scratch, padded, out *tensor.QTensor, bias []i
 	cur.Sort()
 	os := out.Shape
 	for cur.Below(outs * span) {
-		flat := int(cur.Peek() / span)
+		key := cur.Peek()
+		flat := int(key / span)
 		ox, oy := flat%os.W, flat/os.W%os.H
 		o, n := flat/(os.W*os.H)%os.C, flat/(os.W*os.H*os.C)
-		out.Data[flat] = p.replayOutput(padded, bias, shift, n, o, oy, ox, cur, int64(flat)*span)
+		out.Data[flat] = p.replayOutput(padded, bias, shift, n, o, oy, ox, cur, int64(flat)*span, key)
 	}
 	cur.Done()
 }
 
-// replayOutput recomputes one output element executing the MAC chain in op
-// order, consuming the cursor's events from the output's first key on; what
-// an event does to its operation (operand or result flip, as marked where
-// the event was created) is fault.Mul's and fault.Add's rule.
-func (p *Params) replayOutput(padded *tensor.QTensor, bias []int64, shift int, n, o, oy, ox int, cur *fault.Cursor, key int64) int32 {
+// replayOutput recomputes one output element, whose keys start at base, in
+// op order from the peeked key on: each run of MACs between two event
+// steps is summed as plain int64 products, and only a step that owns an
+// event runs through fault.Mul and fault.Add, which own what the event does
+// to its operation (operand or result flip, as marked where the event was
+// created). This is exact: with no event, product and add are the int64
+// ring's own × and +, so a clean run adds to the partial sum what the op
+// walk would, in any order.
+func (p *Params) replayOutput(padded *tensor.QTensor, bias []int64, shift int, n, o, oy, ox int, cur *fault.Cursor, base, key int64) int32 {
 	ws := p.Weight.Shape
-	ic, kh, kw := ws.C, ws.H, ws.W
-	w := p.Weight
-	iy0, ix0 := oy*p.Stride, ox*p.Stride
-	ph, pw := padded.Shape.H, padded.Shape.W
-
+	k := ws.C * ws.H * ws.W
+	in := padded.Data[(n*padded.Shape.C*padded.Shape.H+oy*p.Stride)*padded.Shape.W+ox*p.Stride:]
+	w := p.Weight.Data[o*k : (o+1)*k]
+	chainEnd := base + 2*int64(k) // the bias add's key and beyond
 	var acc int64
-	for c := 0; c < ic; c++ {
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				a := int64(padded.Data[((n*padded.Shape.C+c)*ph+iy0+ky)*pw+ix0+kx])
-				b := int64(w.Data[((o*ic+c)*kh+ky)*kw+kx])
-				prod := fault.Mul(a, b, cur.At(key))
-				if c == 0 && ky == 0 && kx == 0 {
-					acc = prod
-				} else {
-					acc = fault.Add(acc, prod, cur.At(key+1))
-				}
-				key += 2
-			}
+	done := 0 // steps summed so far
+	for key < chainEnd {
+		s := int(key-base) / 2 // the step of the next event: its product or its add
+		acc += p.macs(in, w, padded.Shape, done, s)
+		prod := fault.Mul(int64(in[p.tap(padded.Shape, s)]), int64(w[s]), cur.At(base+2*int64(s)))
+		if s == 0 {
+			acc = prod
+		} else {
+			acc = fault.Add(acc, prod, cur.At(base+2*int64(s)+1))
 		}
+		done = s + 1
+		if !cur.Below(chainEnd) {
+			break
+		}
+		key = cur.Peek()
 	}
+	acc += p.macs(in, w, padded.Shape, done, k)
 	if p.BiasF != nil {
-		acc = fault.Add(acc, bias[o], cur.At(key+1))
+		acc = fault.Add(acc, bias[o], cur.At(chainEnd+1))
 	}
 	return p.OutFmt.RequantizeShift(acc, shift)
+}
+
+// tap returns the offset, from an output's first input tap, of the input
+// that step s = (c·KH + ky)·KW + kx multiplies.
+func (p *Params) tap(padded tensor.Shape, s int) int {
+	kh, kw := p.Weight.Shape.H, p.Weight.Shape.W
+	c, ky, kx := s/(kh*kw), s/kw%kh, s%kw
+	return (c*padded.H+ky)*padded.W + kx
+}
+
+// macs returns the int64 sum of the fault-free products of steps [from, to)
+// of an output's MAC chain, one kernel row (one contiguous run of input and
+// weight) at a time; in starts at the output's first input tap and w at its
+// weight row.
+func (p *Params) macs(in, w []int32, padded tensor.Shape, from, to int) int64 {
+	kh, kw := p.Weight.Shape.H, p.Weight.Shape.W
+	var sum int64
+	if kh == 1 && kw == 1 {
+		// One step per input channel: a strided dot.
+		for s, x := from, from*padded.H*padded.W; s < to; s, x = s+1, x+padded.H*padded.W {
+			sum += int64(in[x]) * int64(w[s])
+		}
+		return sum
+	}
+	ky, kx := from/kw%kh, from%kw
+	for s, row := from, p.tap(padded, from)-kx; s < to; {
+		run := min(kw-kx, to-s)
+		x := in[row+kx : row+kx+run]
+		for i, v := range w[s : s+run] {
+			sum += int64(x[i]) * int64(v)
+		}
+		s, kx, row = s+run, 0, row+padded.W
+		if ky++; ky == kh {
+			ky, row = 0, row+(padded.H-kh)*padded.W
+		}
+	}
+	return sum
 }

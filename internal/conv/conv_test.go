@@ -424,7 +424,7 @@ func TestEventBeyondCensusPanics(t *testing.T) {
 
 // faultyEvents returns events on the first and the last product, on the
 // mid-census add (a chain add in faultyGeoms) and, with a bias, on output
-// 0's bias add, plus a 100-event dense run that takes the sort.Stable path.
+// 0's bias add, plus a 100-event dense run.
 func faultyEvents(p *Params, in tensor.Shape) []fault.Event {
 	c := p.Census(in)
 	k := c.Mul / int64(p.OutShape(in).Elems())
@@ -449,8 +449,8 @@ func faultyEvents(p *Params, in tensor.Shape) []fault.Event {
 }
 
 // TestForwardFaultyAllocFree: with a warm Scratch, an event round allocates
-// nothing — keying, sorting (both paths) and replay all run on recycled
-// buffers — under both backends.
+// nothing — keying, sorting and replay all run on recycled buffers — under
+// both backends.
 func TestForwardFaultyAllocFree(t *testing.T) {
 	for _, g := range faultyGeoms[:3] {
 		for _, name := range []string{"scalar", "blocked"} {

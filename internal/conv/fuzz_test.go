@@ -23,11 +23,23 @@ func fuzzEvent(cl fault.OpClass, operand int, repeat bool, idx uint16, bit uint8
 	return b
 }
 
-// decodeFuzzEvents turns 4-byte records into at most 64 events over the
-// census c. A record of a class with no ops becomes a product event.
+// fuzzAt encodes a result flip of bit on the class-cl op op of a layer
+// whose census is c: with at most 2^16 ops in the class, the scaled index
+// decodes back to op exactly.
+func fuzzAt(cl fault.OpClass, op int64, c fault.Census, bit uint8) []byte {
+	return fuzzEvent(cl, 2, false, uint16((op<<16+c.Class(cl)-1)/c.Class(cl)), bit)
+}
+
+// fuzzMaxEvents bounds the events one input decodes to. It lies above
+// fault.Cursor's radix-sort threshold, so dense inputs reach that path.
+const fuzzMaxEvents = 512
+
+// decodeFuzzEvents turns 4-byte records into at most fuzzMaxEvents events
+// over the census c. A record of a class with no ops becomes a product
+// event.
 func decodeFuzzEvents(data []byte, c fault.Census) []fault.Event {
 	var evs []fault.Event
-	for ; len(data) >= 4 && len(evs) < 64; data = data[4:] {
+	for ; len(data) >= 4 && len(evs) < fuzzMaxEvents; data = data[4:] {
 		ev := fault.Event{Class: fault.OpClass(data[0] & 1), Bit: data[3] % 32, Operand: data[0] >> 2 % 3}
 		if ev.Operand == 2 {
 			ev.Operand = fault.ResultReg
@@ -47,9 +59,28 @@ func decodeFuzzEvents(data []byte, c fault.Census) []fault.Event {
 	return evs
 }
 
+// fuzzLayer decodes FuzzDirectReplay's geometry into a layer and its input.
+// In-range kernel, stride, padding, channel and batch values decode to
+// themselves and others wrap into range; the plane side is lo + h mod
+// (11 − lo), lo the smallest side the padded kernel fits.
+func fuzzLayer(k, stride, pad, inC, outC, n, h, w uint8, bias bool, seed uint64) (*Params, *tensor.QTensor) {
+	kk, s, pd := 1+int((k-1)%5), 1+int((stride-1)%2), int(pad%3)
+	lo := max(kk-2*pd, 1)
+	shape := tensor.Shape{N: 1 + int((n-1)%2), C: 1 + int((inC-1)%6),
+		H: lo + int(h)%(11-lo), W: lo + int(w)%(11-lo)}
+	r := rng.New(seed)
+	wt := tensor.New(tensor.Shape{N: 1 + int((outC-1)%6), C: shape.C, H: kk, W: kk}).Random(r.Split(1), 0.5)
+	var b []float64
+	if bias {
+		b = tensor.New(tensor.Shape{N: 1, C: wt.Shape.N, H: 1, W: 1}).Random(r.Split(2), 0.5).Data
+	}
+	return NewParams(wt, b, s, pd, fixed.Int16, fixed.Int16),
+		tensor.Quantize(tensor.New(shape).Random(r.Split(3), 1), fixed.Int16)
+}
+
 // FuzzDirectReplay decodes one direct convolution layer (kernel 1–5, stride
 // 1–2, padding 0–2, bias on or off, 1–6 input and output channels, batch
-// 1–2, input up to 10x10) and up to 64 events over its product and add
+// 1–2, input up to 10x10) and up to 512 events over its product and add
 // census, with repeated ops and operand 0, operand 1 and result flips. It
 // requires ForwardFaultyCtx under both backends, on one recycled Scratch, to
 // equal the reference walk of every output bit for bit.
@@ -84,21 +115,48 @@ func FuzzDirectReplay(f *testing.F) {
 		f.Add(uint8(3), uint8(1), uint8(1), uint8(5), uint8(3), uint8(2), hw, hw, true, uint64(9+hw),
 			fuzzEvent(fault.OpMul, 2, false, 50000, 19))
 	}
-	f.Fuzz(func(t *testing.T, k, stride, pad, inC, outC, n, h, w uint8, bias bool, seed uint64, data []byte) {
-		// In-range values decode to themselves; the rest wrap into range.
-		kk, s, pd := 1+int((k-1)%5), 1+int((stride-1)%2), int(pad%3)
-		lo := max(kk-2*pd, 1)
-		shape := tensor.Shape{N: 1 + int((n-1)%2), C: 1 + int((inC-1)%6),
-			H: lo + int(h)%(11-lo), W: lo + int(w)%(11-lo)}
-		r := rng.New(seed)
-		wt := tensor.New(tensor.Shape{N: 1 + int((outC-1)%6), C: shape.C, H: kk, W: kk}).Random(r.Split(1), 0.5)
-		var b []float64
-		if bias {
-			b = tensor.New(tensor.Shape{N: 1, C: wt.Shape.N, H: 1, W: 1}).Random(r.Split(2), 0.5).Data
+	// Events on exact steps of one output's chain, where a replay that
+	// walks clean runs between events has its edges: product 0, the last
+	// chain add (add step K-2), the bias add (add step K-1), and a product
+	// together with the add that merges it. One seed each on a 3x3 layer
+	// (K = 18), then all four on a 1x1 layer (K = 6), whose clean runs step
+	// across channels.
+	p, in := fuzzLayer(3, 1, 1, 2, 3, 1, 5, 5, true, 13)
+	c := p.Census(in.Shape)
+	for _, evs := range [][]byte{
+		fuzzAt(fault.OpMul, 0, c, 21),
+		fuzzAt(fault.OpAdd, 5*18+16, c, 9),
+		fuzzAt(fault.OpAdd, 9*18+17, c, 13),
+		append(fuzzAt(fault.OpMul, 12*18+7, c, 20), fuzzAt(fault.OpAdd, 12*18+6, c, 4)...),
+	} {
+		f.Add(uint8(3), uint8(1), uint8(1), uint8(2), uint8(3), uint8(1), uint8(5), uint8(5), true, uint64(13), evs)
+	}
+	p, in = fuzzLayer(1, 1, 0, 6, 4, 2, 4, 5, true, 14)
+	c = p.Census(in.Shape)
+	var edges []byte
+	for _, ev := range []struct {
+		cl fault.OpClass
+		op int64
+	}{{fault.OpMul, 0}, {fault.OpAdd, 3*6 + 4}, {fault.OpAdd, 3*6 + 5}, {fault.OpMul, 7*6 + 2}, {fault.OpAdd, 7*6 + 1}} {
+		edges = append(edges, fuzzAt(ev.cl, ev.op, c, uint8(10+ev.op%16))...)
+	}
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(6), uint8(4), uint8(2), uint8(4), uint8(5), true, uint64(14), edges)
+	// 300 records, above the cursor's radix-sort threshold: every other one
+	// among the first outputs (several events per chain), the rest spread
+	// over the layer.
+	var denser []byte
+	r := rng.New(15)
+	for i := 0; i < 300; i++ {
+		idx := r.Intn(1 << 11)
+		if i%2 == 1 {
+			idx = r.Intn(1 << 16)
 		}
-		p := NewParams(wt, b, s, pd, fixed.Int16, fixed.Int16)
-		in := tensor.Quantize(tensor.New(shape).Random(r.Split(3), 1), fixed.Int16)
-		evs := decodeFuzzEvents(data, p.Census(shape))
+		denser = append(denser, fuzzEvent(fault.OpClass(r.Intn(2)), r.Intn(3), i%16 == 15, uint16(idx), uint8(r.Intn(32)))...)
+	}
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(6), uint8(6), uint8(2), uint8(9), uint8(9), true, uint64(15), denser)
+	f.Fuzz(func(t *testing.T, k, stride, pad, inC, outC, n, h, w uint8, bias bool, seed uint64, data []byte) {
+		p, in := fuzzLayer(k, stride, pad, inC, outC, n, h, w, bias, seed)
+		evs := decodeFuzzEvents(data, p.Census(in.Shape))
 
 		want := referenceForward(in, p, evs)
 		var sc Scratch
@@ -112,7 +170,7 @@ func FuzzDirectReplay(f *testing.F) {
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("%s k=%d s=%d p=%d in %v out %d: out[%d] = %d, reference %d (events %+v)",
-						name, kk, s, pd, shape, wt.Shape.N, i, got.Data[i], want.Data[i], evs)
+						name, p.Weight.Shape.H, p.Stride, p.Pad, in.Shape, p.Weight.Shape.N, i, got.Data[i], want.Data[i], evs)
 				}
 			}
 		}

@@ -1,29 +1,114 @@
 package fault
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// TestCursorSortIsStable: on both the insertion-sort path (≤ 32 events) and
-// the sort.Stable path, events come out in key order with equal keys in
-// push order (recorded in each event's Op).
+// TestCursorSortIsStable: on both the insertion-sort path (below radixMin
+// events) and the radix path, events come out in key order with equal keys
+// in push order (recorded in each event's Op), each beside the key it was
+// pushed with. Key ranges run from a few values, where most keys repeat, to
+// 2^40, where the radix sort needs four digits; the last range's keys share
+// their top digit, a pass the radix sort skips.
 func TestCursorSortIsStable(t *testing.T) {
-	for _, n := range []int{1, 5, 32, 33, 200} {
-		var c Cursor
-		r := rng.New(uint64(n))
-		c.Reset()
-		for i := 0; i < n; i++ {
-			c.Push(r.Int63n(8), Event{Op: int64(i)})
-		}
-		c.Sort()
-		for i := 1; i < n; i++ {
-			if c.key[i-1] > c.key[i] || c.key[i-1] == c.key[i] && c.evs[i-1].Op > c.evs[i].Op {
-				t.Fatalf("n=%d: (key %d, push %d) before (key %d, push %d)",
-					n, c.key[i-1], c.evs[i-1].Op, c.key[i], c.evs[i].Op)
+	for _, n := range []int{1, 5, 32, 33, radixMin - 1, radixMin, 200, 1000, 6500, 50000} {
+		for _, keys := range []struct{ lo, span int64 }{{0, 8}, {0, 1000}, {0, 1 << 22}, {0, 1 << 40}, {1 << 40, 1 << 21}} {
+			var c Cursor
+			r := rng.New(uint64(n))
+			pushed := make([]int64, n)
+			c.Reset()
+			for i := range pushed {
+				pushed[i] = keys.lo + r.Int63n(keys.span)
+				c.Push(pushed[i], Event{Op: int64(i)})
 			}
+			c.Sort()
+			for i := range pushed {
+				if c.key[i] != pushed[c.evs[i].Op] {
+					t.Fatalf("n=%d keys %+v: event pushed %d under key %d sorted beside key %d",
+						n, keys, c.evs[i].Op, pushed[c.evs[i].Op], c.key[i])
+				}
+				if i > 0 && (c.key[i-1] > c.key[i] || c.key[i-1] == c.key[i] && c.evs[i-1].Op >= c.evs[i].Op) {
+					t.Fatalf("n=%d keys %+v: (key %d, push %d) before (key %d, push %d)",
+						n, keys, c.key[i-1], c.evs[i-1].Op, c.key[i], c.evs[i].Op)
+				}
+			}
+		}
+	}
+}
+
+// TestCursorRadixSortConcurrent: cursors on several goroutines radix-sort
+// at once, each through a buffer pair from the shared pool, and none sees
+// another's events.
+func TestCursorRadixSortConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var c Cursor
+			r := rng.New(uint64(g))
+			for pass := 0; pass < 20; pass++ {
+				n := radixMin + r.Intn(3000)
+				c.Reset()
+				for i := 0; i < n; i++ {
+					c.Push(r.Int63n(1<<30), Event{Op: int64(g)})
+				}
+				c.Sort()
+				for i := 1; i < n; i++ {
+					if c.key[i-1] > c.key[i] || c.evs[i].Op != int64(g) {
+						t.Errorf("goroutine %d pass %d: out of order or foreign event at %d", g, pass, i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCursorPushPanicsOnNegativeKey: the radix sort orders keys as unsigned
+// digits, so a negative key is refused where it is pushed.
+func TestCursorPushPanicsOnNegativeKey(t *testing.T) {
+	var c Cursor
+	wantPanic(t, "mul event index 7 has negative key -2", func() { c.Push(-2, Event{Class: OpMul, Op: 7}) })
+}
+
+// BenchmarkCursorSort times one pass's push and sort of n events with keys
+// below 2^34 (the keyed range of a dense default-scale layer), on each sort
+// path: the insertion sort up to 1,000 events, the radix sort at every size.
+// Between 64 and 256 events it shows the crossover and the cost of placing
+// radixMin at the cursor's buffer cap instead. Both paths allocate nothing
+// on a warm cursor and a warm pool.
+func BenchmarkCursorSort(b *testing.B) {
+	for _, n := range []int{64, 128, 256, 1000, 6500, 50000} {
+		r := rng.New(uint64(n))
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = r.Int63n(1 << 34)
+		}
+		for _, path := range []struct {
+			name string
+			sort func(*Cursor)
+		}{{"insertion", (*Cursor).insertionSort}, {"radix", (*Cursor).radixSort}} {
+			if path.name == "insertion" && n > 1000 {
+				continue
+			}
+			b.Run(fmt.Sprintf("events=%d/%s", n, path.name), func(b *testing.B) {
+				var c Cursor
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c.Reset()
+					for j, k := range keys {
+						c.Push(k, Event{Op: int64(j)})
+					}
+					path.sort(&c)
+				}
+			})
 		}
 	}
 }

@@ -460,7 +460,7 @@ func TestAddingOpEventImage(t *testing.T) {
 
 // TestAddingOpFaultyAllocFree: through a warm Scratch, a faulty AvgPool,
 // GlobalAvgPool or Add pass allocates nothing, with a few events or a dense
-// list that takes the sort.Stable path.
+// list of 100.
 func TestAddingOpFaultyAllocFree(t *testing.T) {
 	for _, tc := range addingOps() {
 		n := tc.op.Census([]tensor.Shape{tc.ins[0].Shape}).Add

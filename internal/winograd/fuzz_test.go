@@ -31,8 +31,12 @@ func fuzzEvent(seg, operand int, repeat bool, idx uint16, bit uint8) []byte {
 	return b
 }
 
-// decodeFuzzEvents turns 4-byte records into at most 64 events spread over
-// the four core segments of p's census for input shape in.
+// fuzzMaxEvents bounds the events one input decodes to. It lies above
+// fault.Cursor's radix-sort threshold, so dense inputs reach that path.
+const fuzzMaxEvents = 512
+
+// decodeFuzzEvents turns 4-byte records into at most fuzzMaxEvents events
+// spread over the four core segments of p's census for input shape in.
 func decodeFuzzEvents(data []byte, p *Params, in tensor.Shape) []fault.Event {
 	out := p.OutShape(in)
 	tilesY, tilesX := p.tileGrid(out)
@@ -40,7 +44,7 @@ func decodeFuzzEvents(data []byte, p *Params, in tensor.Shape) []fault.Event {
 	itPer, caPer, otPer := p.segments()
 	spans := [4]int64{p.Census(in).Mul, ntTotal * itPer, ntTotal * caPer, ntTotal * otPer}
 	var evs []fault.Event
-	for ; len(data) >= 4 && len(evs) < 64; data = data[4:] {
+	for ; len(data) >= 4 && len(evs) < fuzzMaxEvents; data = data[4:] {
 		ev := fault.Event{Class: fault.OpAdd, Bit: data[3] % 32, Operand: data[0] >> 2 % 3}
 		if ev.Operand == 2 {
 			ev.Operand = fault.ResultReg
@@ -68,7 +72,7 @@ func decodeFuzzEvents(data []byte, p *Params, in tensor.Shape) []fault.Event {
 }
 
 // FuzzTileReplay decodes one stride-1 winograd core (F2 or F4, 1–8 input and
-// output channels, batch 1–2, input up to 12x12) and up to 64 events over
+// output channels, batch 1–2, input up to 12x12) and up to 512 events over
 // its mul, input-transform, channel-accumulation and output-transform
 // segments, with repeated ops and operand 0, operand 1 and result flips. It
 // requires forwardAcc under both backends, on one recycled scratch and
@@ -97,6 +101,19 @@ func FuzzTileReplay(f *testing.F) {
 		f.Add(f4, uint8(2), uint8(2), uint8(1), uint8(6), uint8(6), uint64(5), mixed)
 	}
 	f.Add(false, uint8(8), uint8(8), uint8(1), uint8(4), uint8(4), uint64(6), dense)
+	// 400 records, above the cursor's radix-sort threshold, over every
+	// segment: half among the first sites of each segment (many events per
+	// tile), half spread over the layer.
+	var denser []byte
+	r := rng.New(7)
+	for i := 0; i < 400; i++ {
+		idx := r.Intn(1 << 9)
+		if i%2 == 1 {
+			idx = r.Intn(1 << 16)
+		}
+		denser = append(denser, fuzzEvent(r.Intn(4), r.Intn(3), i%16 == 15, uint16(idx), uint8(r.Intn(32)))...)
+	}
+	f.Add(true, uint8(4), uint8(5), uint8(2), uint8(12), uint8(11), uint64(7), denser)
 	f.Fuzz(func(t *testing.T, f4 bool, inC, outC, n, h, w uint8, seed uint64, data []byte) {
 		tile := F2
 		if f4 {

@@ -357,8 +357,8 @@ func wantBeyondCensus(t *testing.T, fn func()) {
 
 // faultyLayerEvents returns events of l on input in that land in unit 0's
 // mul, input-transform, channel-accumulation and output-transform segments
-// (tile 0) and in the summation segment, plus a dense run of result flips
-// over unit 0's products that is long enough to take the sort.Stable path.
+// (tile 0) and in the summation segment, plus a dense run of 40 result
+// flips over unit 0's products.
 func faultyLayerEvents(l *Layer, in tensor.Shape) []fault.Event {
 	p := l.units[0].p
 	uin := l.unitInShape(in)
@@ -383,8 +383,8 @@ func faultyLayerEvents(l *Layer, in tensor.Shape) []fault.Event {
 }
 
 // TestForwardFaultyAllocFree: with a warm Scratch, an event round allocates
-// nothing — routing, the summation cursor, per-site replay and the dense
-// sort fallback all run on recycled buffers — under both backends.
+// nothing — routing, the summation cursor and per-site replay all run on
+// recycled buffers — under both backends.
 func TestForwardFaultyAllocFree(t *testing.T) {
 	for _, geom := range []struct {
 		name           string
