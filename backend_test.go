@@ -133,7 +133,7 @@ func TestBackendRandomizedDifferential(t *testing.T) {
 		arch := models.VGG19(models.Tiny)
 		net := models.Build(arch, nn.Config{
 			Kind: kind, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-		})
+		}, 1)
 		in := tensor.Quantize(
 			tensor.New(tensor.Shape{N: 2, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
 			fixed.Int16)
@@ -227,7 +227,7 @@ func TestConfiguredBackendRuns(t *testing.T) {
 	arch := models.VGG19(models.Tiny)
 	net := models.Build(arch, nn.Config{
 		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-	})
+	}, 1)
 	set := dataset.ForModel(arch.Dataset, 8, arch.In.H, 99, fixed.Int16)
 	opts := faultsim.Options{Seed: 1, Intensity: models.IntensityFor(arch, models.VGG19(models.Options{}), nn.Winograd, winograd.F2)}
 	for _, delta := range []bool{true, false} {

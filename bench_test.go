@@ -86,7 +86,7 @@ func benchForward(b *testing.B, kind nn.EngineKind) {
 	arch := models.VGG19(models.Tiny)
 	net := models.Build(arch, nn.Config{
 		Kind: kind, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-	})
+	}, 1)
 	in := tensor.Quantize(
 		tensor.New(tensor.Shape{N: 1, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
 		fixed.Int16)
@@ -109,7 +109,7 @@ func BenchmarkForwardCtxReuse(b *testing.B) {
 	arch := models.VGG19(models.Tiny)
 	net := models.Build(arch, nn.Config{
 		Kind: nn.Direct, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-	})
+	}, 1)
 	in := tensor.Quantize(
 		tensor.New(tensor.Shape{N: 1, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
 		fixed.Int16)
@@ -136,7 +136,7 @@ func benchForwardCtx(b *testing.B, kind nn.EngineKind, backend string) {
 	arch := models.VGG19(models.Tiny)
 	net := models.Build(arch, nn.Config{
 		Kind: kind, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-	})
+	}, 1)
 	in := tensor.Quantize(
 		tensor.New(tensor.Shape{N: 1, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
 		fixed.Int16)
@@ -181,7 +181,7 @@ func BenchmarkForwardCtxDelta(b *testing.B) {
 	arch := models.VGG19(models.Tiny)
 	net := models.Build(arch, nn.Config{
 		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-	})
+	}, 1)
 	in := tensor.Quantize(
 		tensor.New(tensor.Shape{N: 1, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
 		fixed.Int16)
@@ -217,7 +217,7 @@ func BenchmarkForwardCtxDeltaSparse(b *testing.B) {
 	arch := models.VGG19(models.Tiny)
 	net := models.Build(arch, nn.Config{
 		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-	})
+	}, 1)
 	const images = 24
 	in := tensor.Quantize(
 		tensor.New(tensor.Shape{N: images, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
@@ -251,7 +251,7 @@ func benchSweepWorkers(b *testing.B, workers int) {
 	arch := models.VGG19(models.Tiny)
 	net := models.Build(arch, nn.Config{
 		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-	})
+	}, 1)
 	set := dataset.ForModel(arch.Dataset, 8, arch.In.H, 99, fixed.Int16)
 	runner := faultsim.New(net, set.Batch(0, 8), faultsim.Exec{Workers: workers})
 	bers := []float64{1e-11, 3e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-7}
@@ -286,7 +286,7 @@ func benchSweepDelta(b *testing.B, enabled bool) {
 	arch := models.VGG19(models.Tiny)
 	net := models.Build(arch, nn.Config{
 		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-	})
+	}, 1)
 	set := dataset.ForModel(arch.Dataset, 8, arch.In.H, 99, fixed.Int16)
 	runner := faultsim.New(net, set.Batch(0, 8), faultsim.Exec{Workers: 1, Full: !enabled})
 	bers := []float64{3e-11, 3e-10, 1e-9}
@@ -313,7 +313,7 @@ func BenchmarkSweepBlocked(b *testing.B) {
 	arch := models.VGG19(models.Tiny)
 	net := models.Build(arch, nn.Config{
 		Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-	})
+	}, 1)
 	bk, err := kernel.Get("blocked")
 	if err != nil {
 		b.Fatal(err)
@@ -347,3 +347,26 @@ func BenchmarkSweepDense(b *testing.B) {
 		runPlan(b, sys, bers, false)
 	}
 }
+
+// benchNew times New for the default-scale vgg19 winograd system: the
+// layers' weight draws and filter transforms, the dataset and the golden
+// pass that a campaign pays before its first round. With Workers 1 all of
+// it is one pass on the calling goroutine; at the GOMAXPROCS default the
+// draws spread by layer, the dataset is drawn beside them, and the golden
+// pass splits by image range. The NewWorkers1/NewWorkersMax ratio is the
+// construction speedup; a 2-vCPU host bounds it at about 2.
+func benchNew(b *testing.B, workers int) {
+	cfg := Config{Model: "vgg19", Engine: Winograd, Workers: workers}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewWorkers1 builds the system on the calling goroutine alone.
+func BenchmarkNewWorkers1(b *testing.B) { benchNew(b, 1) }
+
+// BenchmarkNewWorkersMax builds it on GOMAXPROCS workers.
+func BenchmarkNewWorkersMax(b *testing.B) { benchNew(b, 0) }

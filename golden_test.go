@@ -202,7 +202,7 @@ func TestForwardCtxAllocFree(t *testing.T) {
 			arch := models.VGG19(models.Tiny)
 			net := models.Build(arch, nn.Config{
 				Kind: kind, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-			})
+			}, 1)
 			in := tensor.Quantize(
 				tensor.New(tensor.Shape{N: 2, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
 				fixed.Int16)
@@ -233,7 +233,7 @@ func TestForwardCtxAllocFreeAcrossModels(t *testing.T) {
 			}
 			net := models.Build(arch, nn.Config{
 				Kind: nn.Winograd, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 1,
-			})
+			}, 1)
 			in := tensor.Quantize(
 				tensor.New(tensor.Shape{N: 1, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
 				fixed.Int16)

@@ -7,8 +7,6 @@
 package dataset
 
 import (
-	"fmt"
-
 	"repro/internal/fixed"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -26,16 +24,7 @@ type Set struct {
 func (s *Set) N() int { return s.Images.Shape.N }
 
 // Batch returns images [lo, hi) as an independent quantized tensor.
-func (s *Set) Batch(lo, hi int) *tensor.QTensor {
-	if lo < 0 || hi > s.N() || lo >= hi {
-		panic(fmt.Sprintf("dataset: bad batch range [%d,%d) of %d", lo, hi, s.N()))
-	}
-	sh := s.Images.Shape
-	per := sh.C * sh.H * sh.W
-	out := tensor.NewQ(tensor.Shape{N: hi - lo, C: sh.C, H: sh.H, W: sh.W}, s.Images.Fmt)
-	copy(out.Data, s.Images.Data[lo*per:hi*per])
-	return out
-}
+func (s *Set) Batch(lo, hi int) *tensor.QTensor { return s.Images.Images(lo, hi).Clone() }
 
 // Synthetic builds a deterministic n-image set with the given geometry:
 // each image is a smooth class prototype plus i.i.d. noise, normalized to

@@ -412,7 +412,7 @@ func (c *Coordinator) Run(ctx context.Context, key string, req winofault.Campaig
 
 	// The coordinator's own plan gives the unit totals, validates merged
 	// counts, reduces them, and executes shards whenever the fleet can't.
-	plan, err := winofault.NewPlan(req)
+	plan, err := service.BuildPlan(ctx, req)
 	if err != nil {
 		return nil, err
 	}

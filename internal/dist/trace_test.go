@@ -59,11 +59,16 @@ func TestDistributedTraceTimeline(t *testing.T) {
 		t.Error("finished distributed campaign's trace is not complete")
 	}
 
-	phases, shards, merges := 0, 0, 0
+	builds, phases, shards, merges := 0, 0, 0, 0
 	var walk func(spans []obs.SpanSnapshot, inPhase bool)
 	walk = func(spans []obs.SpanSnapshot, inPhase bool) {
 		for _, sp := range spans {
 			switch sp.Name {
+			case "build":
+				builds++
+				if inPhase || sp.Attrs["model"] == "" || sp.Attrs["engine"] == "" || sp.Attrs["workers"] == "" {
+					t.Errorf("build span in a phase %v, or without model/engine/workers attrs: %v", inPhase, sp.Attrs)
+				}
 			case "phase":
 				phases++
 				if sp.Attrs["path"] != "dist" {
@@ -99,6 +104,9 @@ func TestDistributedTraceTimeline(t *testing.T) {
 		}
 	}
 	walk(snap.Spans, false)
+	if builds != 1 {
+		t.Errorf("%d build spans, want the coordinator's one", builds)
+	}
 	if phases != 2 {
 		t.Errorf("%d phase spans, want 2 (sweep + layers)", phases)
 	}

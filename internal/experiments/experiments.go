@@ -45,8 +45,9 @@ type Config struct {
 	Semantics fault.Semantics
 	// Tile is the winograd algorithm (F2 default).
 	Tile *winograd.Tile
-	// Workers caps the fault-campaign parallelism (0 = GOMAXPROCS). Figures
-	// are bit-identical for every worker count.
+	// Workers caps the parallelism of each rig's build and golden pass and
+	// of the fault campaigns (0 = GOMAXPROCS). Figures are bit-identical for
+	// every worker count.
 	Workers int
 }
 
@@ -153,7 +154,7 @@ func makeRig(cfg Config, model string, kind nn.EngineKind, f fixed.Format) *rig 
 	}
 	full, _ := models.ByName(model, models.Options{})
 	netCfg := nn.Config{Kind: kind, Tile: cfg.tile(), ActFmt: f, WFmt: f, Seed: cfg.Seed ^ 0xabcdef}
-	net := models.Build(arch, netCfg)
+	net := models.Build(arch, netCfg, cfg.Workers)
 	set := dataset.ForModel(arch.Dataset, cfg.Samples, arch.In.H, cfg.Seed^0x5eed, f)
 	return &rig{
 		name:      model,

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/models"
+	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // idle runs the GC until it has emptied r's pool and checks that r then
@@ -192,4 +194,67 @@ func TestPlaneLifetime(t *testing.T) {
 		t.Fatal("an idle delta runner's campaign captured no plane")
 	}
 	idle(t, delta, "after a second delta campaign")
+}
+
+// TestSplitGoldenPassAgrees: New splits its golden pass into min(Workers,
+// N) image ranges, so the golden predictions of a full runner (argmax per
+// range) and of a delta runner (argmax of the assembled plane) must agree
+// with a serial runner's at every split of 7 images, even and uneven, and
+// the delta runners' planes must equal the serial one byte for byte.
+func TestSplitGoldenPassAgrees(t *testing.T) {
+	st, _, _, _ := testRig(t, 7)
+	serial := st.with(Exec{Workers: 1})
+	want := serial.Golden()
+	plane := serial.goldenPlane(&worker{ec: serial.newContext()})
+	for _, workers := range []int{1, 2, 3, 8} {
+		full, delta := st.with(Exec{Workers: workers, Full: true}), st.with(Exec{Workers: workers})
+		if !slices.Equal(full.Golden(), want) || !slices.Equal(delta.Golden(), want) {
+			t.Errorf("workers=%d: full runner golden %v, delta runner %v, serial %v", workers, full.Golden(), delta.Golden(), want)
+		}
+		got := delta.goldenPlane(&worker{ec: delta.newContext()})
+		for i := range st.Net.Nodes {
+			if a, b := got.Act(i), plane.Act(i); a.Shape != b.Shape || a.Fmt != b.Fmt || !slices.Equal(a.Data, b.Data) {
+				t.Fatalf("workers=%d: node %s of the split plane differs from the serial capture", workers, st.Net.Nodes[i].Name)
+			}
+		}
+	}
+}
+
+// panicOp is an op that panics on an input batch of n images, so it fails
+// exactly one image range of a split golden pass.
+type panicOp struct {
+	nn.Op
+	n int
+}
+
+func (p panicOp) Forward(sc *nn.Scratch, ins []*tensor.QTensor, evs []fault.Event) *tensor.QTensor {
+	if ins[0].Shape.N == p.n {
+		panic("panicOp: image range failed")
+	}
+	return p.Op.Forward(sc, ins, evs)
+}
+
+// TestGoldenPassPanicReachesCaller: a golden pass that panics on one image
+// range — one of three ranges of 7 images, or the serial pass's whole
+// batch — panics New on the caller's goroutine, where recover catches it
+// (a panic on a pool goroutine would crash the process instead), for full
+// and delta runners alike.
+func TestGoldenPassPanicReachesCaller(t *testing.T) {
+	st, _, _, _ := testRig(t, 7)
+	for _, c := range []struct{ workers, n int }{{3, 3}, {1, 7}} {
+		for _, full := range []bool{false, true} {
+			net := *st.Net
+			net.Nodes = slices.Clone(net.Nodes)
+			relu := 1 // conv1_1.relu
+			net.Nodes[relu].Op = panicOp{Op: net.Nodes[relu].Op, n: c.n}
+			func() {
+				defer func() {
+					if p := recover(); p != "panicOp: image range failed" {
+						t.Errorf("workers=%d full=%v: recovered %v", c.workers, full, p)
+					}
+				}()
+				New(&net, st.Inputs, Exec{Workers: c.workers, Full: full})
+			}()
+		}
+	}
 }

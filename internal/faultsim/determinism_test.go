@@ -172,19 +172,3 @@ func TestRunUnitsPropagatesPanic(t *testing.T) {
 		}()
 	}
 }
-
-// TestResolveWorkers pins the Exec.Workers semantics.
-func TestResolveWorkers(t *testing.T) {
-	if got := resolveWorkers(1); got != 1 {
-		t.Errorf("resolveWorkers(1) = %d", got)
-	}
-	if got := resolveWorkers(-3); got != 1 {
-		t.Errorf("resolveWorkers(-3) = %d, want 1", got)
-	}
-	if got := resolveWorkers(6); got != 6 {
-		t.Errorf("resolveWorkers(6) = %d", got)
-	}
-	if got := resolveWorkers(0); got < 1 {
-		t.Errorf("resolveWorkers(0) = %d, want >= 1", got)
-	}
-}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/hwfault"
 	"repro/internal/kernel"
 	"repro/internal/nn"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -75,8 +76,10 @@ type Options struct {
 // bit-identical by contract, and delta rounds reproduce full ones, which is
 // why the service's cache key ignores all three.
 type Exec struct {
-	// Workers caps the scheduler's parallelism: 0 means GOMAXPROCS, 1
-	// serial execution (see pool.go).
+	// Workers caps the scheduler's parallelism and New's golden pass,
+	// which runs as min(Workers, N) sub-batch passes: 0 means GOMAXPROCS,
+	// and 1 runs the golden pass as one pass and every unit in order, all
+	// on the calling goroutine (see pool.go).
 	Workers int
 	// Backend runs the fault-free hot paths on every context the runner
 	// makes; nil means the process default (kernel.Default).
@@ -115,14 +118,17 @@ type Runner struct {
 	pool sync.Pool
 }
 
-// New runs the runner's golden pass and returns a ready runner. A delta
-// runner's pass captures its plane, which its pool then holds; a full
-// runner's pass keeps only the golden predictions.
+// New runs the runner's golden pass and returns a ready runner. The pass is
+// split into min(Workers, N) sub-batch passes over contiguous image ranges,
+// run concurrently (see passContexts). A delta runner's pass captures its
+// plane, which its pool then holds; a full runner's pass keeps only each
+// range's golden predictions. A pass that panics panics New on the calling
+// goroutine.
 func New(net *nn.Network, inputs *tensor.QTensor, exec Exec) *Runner {
 	r := &Runner{Net: net, Inputs: inputs, exec: exec}
 	w := r.worker()
 	if exec.Full {
-		r.golden = nn.Argmax(net.ForwardCtx(w.ec, inputs, nil))
+		r.golden = net.PredictSplit(inputs, r.passContexts(w.ec))
 		return r
 	}
 	r.golden = nn.Argmax(r.goldenPlane(w).Output())
@@ -139,20 +145,40 @@ func (r *Runner) Golden() []int { return r.golden }
 
 // Workers reports how many workers the runner's scheduler uses: Exec.Workers,
 // with 0 meaning GOMAXPROCS.
-func (r *Runner) Workers() int { return resolveWorkers(r.exec.Workers) }
+func (r *Runner) Workers() int { return par.Workers(r.exec.Workers) }
 
-// goldenPlane returns the runner's golden plane, capturing it on w's
-// context if no plane is alive.
+// goldenPlane returns the runner's golden plane, capturing it if no plane
+// is alive: in New, and in the first delta unit of a runner whose pool the
+// GC emptied.
 func (r *Runner) goldenPlane(w *worker) *nn.Plane {
 	if w.plane == nil {
 		r.planeMu.Lock()
 		defer r.planeMu.Unlock()
 		if w.plane = r.plane.Value(); w.plane == nil {
-			w.plane = r.Net.CapturePlane(w.ec, r.Inputs)
+			w.plane = r.Net.CaptureSplit(r.Inputs, r.passContexts(w.ec))
 			r.plane = weak.Make(w.plane)
 		}
 	}
 	return w.plane
+}
+
+// passContexts returns the contexts of a golden pass split into
+// min(Workers, N) image ranges, one per range. A one-range pass runs on ec,
+// the calling worker's context, whose scratch the full batch shapes anyway.
+// A split pass runs each range on a fresh context that never enters the
+// pool: a context's scratch is shaped by its batch, so a sub-batch context
+// would only be rebuilt by the next full-batch round. With Workers 1 the
+// pass is one pass on the calling goroutine.
+func (r *Runner) passContexts(ec *nn.ExecContext) []*nn.ExecContext {
+	parts := min(r.Workers(), r.Inputs.Shape.N)
+	if parts == 1 {
+		return []*nn.ExecContext{ec}
+	}
+	ctxs := make([]*nn.ExecContext, parts)
+	for k := range ctxs {
+		ctxs[k] = r.newContext()
+	}
+	return ctxs
 }
 
 // injector adapts Options + BER to the nn.Injector interface for one

@@ -19,9 +19,9 @@ func testRig(t *testing.T, n int) (st, wg *Runner, stInt, wgInt []fault.Census) 
 	arch := models.VGG19(models.Tiny)
 	full := models.VGG19(models.Options{}) // paper scale: full width, 32x32
 	cfg := nn.Config{Kind: nn.Direct, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 7}
-	stNet := models.Build(arch, cfg)
+	stNet := models.Build(arch, cfg, 1)
 	cfg.Kind = nn.Winograd
-	wgNet := models.Build(arch, cfg)
+	wgNet := models.Build(arch, cfg, 1)
 	set := dataset.ForModel("cifar100", n, arch.In.H, 99, fixed.Int16)
 	imgs := set.Batch(0, n)
 	return New(stNet, imgs, Exec{}), New(wgNet, imgs, Exec{}),

@@ -10,10 +10,12 @@ package models
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/conv"
 	"repro/internal/fault"
 	"repro/internal/nn"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/winograd"
@@ -188,8 +190,15 @@ func outShapeOf(d OpDef, ins []tensor.Shape) tensor.Shape {
 }
 
 // Build instantiates the architecture into a runnable network with
-// deterministic (seed, layer-name)-derived weights.
-func Build(a *Arch, cfg nn.Config) *nn.Network {
+// deterministic (seed, layer-name)-derived weights. One walk places every
+// node and builds the weightless ops; then the conv/FC layers draw and
+// transform their weights on up to workers goroutines (par.Do; 0 means
+// GOMAXPROCS, and 1 builds them in order on the calling goroutine), the
+// layers with the most weights first, so the longest draws start before
+// the short ones. A layer's weights are a pure function of (seed, name),
+// and rng's Split never advances its parent, so no schedule can change a
+// weight.
+func Build(a *Arch, cfg nn.Config, workers int) *nn.Network {
 	root := rng.New(cfg.Seed)
 	net := &nn.Network{Name: a.Name, Kind: cfg.Kind, InShape: a.In, Output: a.Output}
 	shapes := make([]tensor.Shape, len(a.Ops))
@@ -197,26 +206,14 @@ func Build(a *Arch, cfg nn.Config) *nn.Network {
 	if tile == nil {
 		tile = winograd.F2
 	}
+	type layer struct{ node, inC, weights int }
+	var layers []layer
 	for i, d := range a.Ops {
-		ins := make([]tensor.Shape, len(d.Inputs))
-		for j, idx := range d.Inputs {
-			if idx == nn.InputNode {
-				ins[j] = a.In
-			} else {
-				ins[j] = shapes[idx]
-			}
-		}
+		ins := nodeInputShapes(a, i, shapes)
 		var op nn.Op
 		switch d.Kind {
-		case "conv":
-			w, bias := nn.HeWeights(root, d.Name, d.OutC, ins[0].C, d.K, d.K)
-			if d.NoBias {
-				bias = nil
-			}
-			op = nn.NewConv(w, bias, d.Stride, d.Pad, cfg.Kind, tile, cfg.WFmt, cfg.ActFmt)
-		case "fc":
-			w, bias := nn.HeWeights(root, d.Name, d.OutC, ins[0].C, 1, 1)
-			op = nn.NewFC(w, bias, cfg.WFmt, cfg.ActFmt)
+		case "conv", "fc":
+			layers = append(layers, layer{node: i, inC: ins[0].C, weights: d.OutC * ins[0].C * d.K * d.K})
 		case "relu":
 			op = nn.ReLU{}
 		case "maxpool":
@@ -235,8 +232,22 @@ func Build(a *Arch, cfg nn.Config) *nn.Network {
 			panic(fmt.Sprintf("models: unknown op kind %q", d.Kind))
 		}
 		net.Nodes = append(net.Nodes, nn.Node{Name: d.Name, Op: op, Inputs: d.Inputs})
-		shapes[i] = op.OutShape(ins)
+		shapes[i] = outShapeOf(d, ins)
 	}
+	slices.SortStableFunc(layers, func(x, y layer) int { return y.weights - x.weights })
+	par.Do(workers, len(layers), func(k int) {
+		l := layers[k]
+		d := a.Ops[l.node]
+		w, bias := nn.HeWeights(root, d.Name, d.OutC, l.inC, d.K, d.K)
+		if d.Kind == "fc" {
+			net.Nodes[l.node].Op = nn.NewFC(w, bias, cfg.WFmt, cfg.ActFmt)
+			return
+		}
+		if d.NoBias {
+			bias = nil
+		}
+		net.Nodes[l.node].Op = nn.NewConv(w, bias, d.Stride, d.Pad, cfg.Kind, tile, cfg.WFmt, cfg.ActFmt)
+	})
 	if err := net.Validate(); err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func cfg(kind nn.EngineKind) nn.Config {
 func TestAllModelsBuildAndRun(t *testing.T) {
 	for name, arch := range Zoo(Tiny) {
 		t.Run(name, func(t *testing.T) {
-			net := Build(arch, cfg(nn.Direct))
+			net := Build(arch, cfg(nn.Direct), 1)
 			in := tensor.Quantize(
 				tensor.New(tensor.Shape{N: 1, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(1), 0.5),
 				fixed.Int16)
@@ -36,8 +37,8 @@ func TestAllModelsBuildAndRun(t *testing.T) {
 func TestWinogradVariantMatchesDirect(t *testing.T) {
 	for name, arch := range Zoo(Tiny) {
 		t.Run(name, func(t *testing.T) {
-			st := Build(arch, cfg(nn.Direct))
-			wg := Build(arch, cfg(nn.Winograd))
+			st := Build(arch, cfg(nn.Direct), 1)
+			wg := Build(arch, cfg(nn.Winograd), 1)
 			in := tensor.Quantize(
 				tensor.New(tensor.Shape{N: 2, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(2), 0.5),
 				fixed.Int16)
@@ -155,7 +156,7 @@ func TestCensusMatchesBuiltNetwork(t *testing.T) {
 	// Geometry-only census must agree exactly with the instantiated network.
 	for name, arch := range Zoo(Tiny) {
 		for _, kind := range []nn.EngineKind{nn.Direct, nn.Winograd} {
-			net := Build(arch, cfg(kind))
+			net := Build(arch, cfg(kind), 1)
 			in := tensor.Shape{N: 1, C: 3, H: arch.In.H, W: arch.In.W}
 			got := Census(arch, kind, winograd.F2)
 			want := net.LayerCensus(in)
@@ -174,8 +175,8 @@ func TestCensusMatchesBuiltNetwork(t *testing.T) {
 
 func TestDeterministicBuild(t *testing.T) {
 	arch := VGG19(Tiny)
-	a := Build(arch, cfg(nn.Direct))
-	b := Build(arch, cfg(nn.Direct))
+	a := Build(arch, cfg(nn.Direct), 1)
+	b := Build(arch, cfg(nn.Direct), 1)
 	in := tensor.Quantize(
 		tensor.New(tensor.Shape{N: 1, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(3), 0.5),
 		fixed.Int16)
@@ -183,6 +184,34 @@ func TestDeterministicBuild(t *testing.T) {
 	for i := range oa.Data {
 		if oa.Data[i] != ob.Data[i] {
 			t.Fatal("two builds from the same seed differ")
+		}
+	}
+}
+
+// TestParallelBuildIsExact: the layers' weights do not depend on the
+// schedule that draws them, so a build on four workers gives every node
+// the same activation as a serial build, byte for byte, for every zoo
+// model on both engines; and the walk's geometry-only shapes are the built
+// ops' own.
+func TestParallelBuildIsExact(t *testing.T) {
+	for name, arch := range Zoo(Tiny) {
+		for _, kind := range []nn.EngineKind{nn.Direct, nn.Winograd} {
+			serial, parallel := Build(arch, cfg(kind), 1), Build(arch, cfg(kind), 4)
+			in := tensor.Quantize(
+				tensor.New(tensor.Shape{N: 2, C: 3, H: arch.In.H, W: arch.In.W}).Random(rng.New(4), 0.5),
+				fixed.Int16)
+			want := serial.CapturePlane(serial.NewExecContext(), in)
+			got := parallel.CapturePlane(parallel.NewExecContext(), in)
+			shapes := Shapes(arch)
+			for i := range serial.Nodes {
+				w, g := want.Act(i), got.Act(i)
+				if g.Shape != w.Shape || g.Fmt != w.Fmt || !slices.Equal(g.Data, w.Data) {
+					t.Fatalf("%s/%v node %s: a 4-worker build's activation differs from a serial build's", name, kind, serial.Nodes[i].Name)
+				}
+				if sh := shapes[i]; sh.C != w.Shape.C || sh.H != w.Shape.H || sh.W != w.Shape.W {
+					t.Errorf("%s/%v node %s: geometry gives %v, the op %v", name, kind, serial.Nodes[i].Name, sh, w.Shape)
+				}
+			}
 		}
 	}
 }

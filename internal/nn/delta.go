@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/fault"
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -47,12 +48,62 @@ type Plane struct {
 // node's activation into a new plane. The plane keeps in, whose contents
 // must not change afterwards.
 func (n *Network) CapturePlane(ctx *ExecContext, in *tensor.QTensor) *Plane {
-	n.ForwardCtx(ctx, in, nil)
+	return n.CaptureSplit(in, []*ExecContext{ctx})
+}
+
+// CaptureSplit is CapturePlane run as min(len(ctxs), N) fault-free passes
+// over contiguous image ranges of in, pass k on ctxs[k], concurrently
+// (par.Do, so one pass runs on the calling goroutine and a panicking pass
+// re-raises there). Every node's activation is assembled from the passes'
+// image ranges. No op mixes images, and an image range of an NCHW tensor is
+// one contiguous run, so the plane equals a one-pass capture byte for byte.
+func (n *Network) CaptureSplit(in *tensor.QTensor, ctxs []*ExecContext) *Plane {
+	bounds := n.forwardSplit(in, ctxs)
 	p := &Plane{net: n, in: in, acts: make([]*tensor.QTensor, len(n.Nodes))}
-	for i, a := range ctx.acts {
-		p.acts[i] = a.Clone()
+	for i := range n.Nodes {
+		first := ctxs[0].acts[i]
+		sh := first.Shape
+		per := sh.Elems() / sh.N
+		sh.N = in.Shape.N
+		act := tensor.NewQ(sh, first.Fmt)
+		for k, c := range ctxs[:len(bounds)-1] {
+			lo, hi := bounds[k]*per, bounds[k+1]*per
+			copy(act.Data[lo:hi], c.acts[i].Data[:hi-lo])
+		}
+		p.acts[i] = act
 	}
 	return p
+}
+
+// PredictSplit returns the fault-free predictions of in, run as
+// CaptureSplit's passes but keeping only each range's argmax.
+func (n *Network) PredictSplit(in *tensor.QTensor, ctxs []*ExecContext) []int {
+	bounds := n.forwardSplit(in, ctxs)
+	golden := make([]int, 0, in.Shape.N)
+	for _, c := range ctxs[:len(bounds)-1] {
+		golden = append(golden, Argmax(c.acts[n.Output])...)
+	}
+	return golden
+}
+
+// forwardSplit runs a fault-free pass of images [bounds[k], bounds[k+1])
+// of in on ctxs[k] for each of min(len(ctxs), N) parts, concurrently, and
+// returns the bounds. A lone part runs on in itself, so a one-context split
+// is exactly the one-pass capture.
+func (n *Network) forwardSplit(in *tensor.QTensor, ctxs []*ExecContext) []int {
+	parts := min(len(ctxs), in.Shape.N)
+	bounds := make([]int, parts+1)
+	for k := range bounds {
+		bounds[k] = k * in.Shape.N / parts
+	}
+	par.Do(parts, parts, func(k int) {
+		sub := in
+		if parts > 1 {
+			sub = in.Images(bounds[k], bounds[k+1])
+		}
+		n.ForwardCtx(ctxs[k], sub, nil)
+	})
+	return bounds
 }
 
 // Output returns the plane's golden logits. Callers must not modify them.

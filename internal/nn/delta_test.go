@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -275,5 +276,47 @@ func TestForwardDeltaWrongContext(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+}
+
+// contexts returns n fresh contexts on net.
+func contexts(net *Network, n int) []*ExecContext {
+	ctxs := make([]*ExecContext, n)
+	for k := range ctxs {
+		ctxs[k] = net.NewExecContext()
+	}
+	return ctxs
+}
+
+// TestCaptureSplitMatchesCapturePlane: a plane assembled from sub-batch
+// passes over contiguous image ranges equals the one-pass capture node for
+// node — shape, format and bytes — on the direct engine and both winograd
+// tiles (residual add, concat, DWM, average pooling), for batches of 1, 5,
+// 7 and 24 images split every way from one part to N+1 (one more part than
+// images runs N), and PredictSplit gives the plane's predictions.
+func TestCaptureSplitMatchesCapturePlane(t *testing.T) {
+	for _, e := range []struct {
+		kind EngineKind
+		tile *winograd.Tile
+	}{{Direct, winograd.F2}, {Winograd, winograd.F2}, {Winograd, winograd.F4}} {
+		net := buildDelta(e.kind, e.tile)
+		for _, images := range []int{1, 5, 7, 24} {
+			in := qIn(61, images, 3, 16, 16, fixed.Int16)
+			want := net.CapturePlane(net.NewExecContext(), in)
+			golden := Argmax(want.Output())
+			for parts := 1; parts <= images+1; parts++ {
+				got := net.CaptureSplit(in, contexts(net, parts))
+				for i := range net.Nodes {
+					a, b := got.Act(i), want.Act(i)
+					if a.Shape != b.Shape || a.Fmt != b.Fmt || !slices.Equal(a.Data, b.Data) {
+						t.Fatalf("%v/%s, %d images in %d parts: node %s differs from the one-pass capture",
+							e.kind, e.tile.Name, images, parts, net.Nodes[i].Name)
+					}
+				}
+				if p := net.PredictSplit(in, contexts(net, parts)); !slices.Equal(p, golden) {
+					t.Fatalf("%v/%s, %d images in %d parts: predictions %v, want %v", e.kind, e.tile.Name, images, parts, p, golden)
+				}
+			}
+		}
 	}
 }

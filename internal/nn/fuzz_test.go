@@ -92,10 +92,12 @@ func buildDelta(kind EngineKind, tile *winograd.Tile) *Network {
 	return b.Build(x)
 }
 
-// FuzzForwardDelta decodes an engine and tile, a batch of 1–4 images and
-// 1–4 rounds of per-node events, and requires every round of ForwardDelta
-// on one long-lived context to equal ForwardCtx on a fresh context, with
-// the golden plane's bytes unchanged at the end. Each 5-byte record is one
+// FuzzForwardDelta decodes an engine and tile, a batch of 1–4 images (n%4)
+// whose golden plane is captured in 1–4 sub-batch parts (n/4%4; parts
+// beyond the images run one image each), and 1–4 rounds of per-node
+// events, and requires every round of ForwardDelta on one long-lived
+// context to equal ForwardCtx on a fresh context, with the golden plane's
+// bytes unchanged at the end. Each 5-byte record is one
 // event: the op-carrying node (in node order), flags (bit 0 add class, bit
 // 1 operand flip, bit 2 second operand, bit 3 repeat — a repeated event
 // cancels itself, so its image re-converges — bits 4–5 the round), the op
@@ -111,6 +113,10 @@ func FuzzForwardDelta(f *testing.F) {
 		0, 0, 0x80, 0x10, 27, 0, 0, 0xc0, 0x10, 27})
 	f.Add(false, false, uint8(1), uint8(2), []byte{1, 0x00, 0x30, 0x00, 26, 3, 0x21, 0x70, 0x00, 12}) // clean round between dirty ones
 	f.Add(true, false, uint8(1), uint8(2), []byte{7, 0x07, 0x20, 0x00, 9, 6, 0x21, 0xf0, 0x00, 13})
+	f.Add(false, false, uint8(6), uint8(1), []byte{0, 0x00, 0x60, 0x00, 27, 9, 0x01, 0xc0, 0x00, 14})                  // 3 images in 2 parts
+	f.Add(true, false, uint8(11), uint8(1), []byte{6, 0x00, 0x40, 0x00, 12, 3, 0x01, 0xc0, 0x00, 9})                   // 4 images in 3 parts
+	f.Add(true, true, uint8(15), uint8(2), []byte{0, 0, 0x00, 0x10, 27, 5, 0x10, 0x80, 0x10, 20, 8, 1, 0xc0, 0x10, 9}) // 4 images in 4 parts
+	f.Add(false, false, uint8(14), uint8(0), []byte{2, 0x00, 0xb0, 0x00, 21})                                          // 3 images, 4 parts: one each
 	nets := map[[2]bool]*Network{}
 	f.Fuzz(func(t *testing.T, wino, f4 bool, n, rounds uint8, data []byte) {
 		key := [2]bool{wino, f4}
@@ -161,7 +167,7 @@ func FuzzForwardDelta(f *testing.F) {
 			}
 		}
 
-		plane := net.CapturePlane(net.NewExecContext(), in)
+		plane := net.CaptureSplit(in, contexts(net, 1+int(n/4%4)))
 		var golden [][]int32
 		for i := range net.Nodes {
 			golden = append(golden, slices.Clone(plane.Act(i).Data))

@@ -93,13 +93,16 @@ func TestTraceEndpointLocalCampaign(t *testing.T) {
 		t.Error("finished campaign's trace is not complete")
 	}
 	names := spanNames(snap.Spans)
-	for _, want := range []string{"validate", "cache-probe", "queue-wait", "phase", "cache-write"} {
+	for _, want := range []string{"validate", "cache-probe", "queue-wait", "build", "phase", "cache-write"} {
 		if names[want] == 0 {
 			t.Errorf("span %q missing from trace (have %v)", want, names)
 		}
 	}
 	if names["phase"] != 2 {
 		t.Errorf("trace has %d phase spans, want 2 (sweep + layers)", names["phase"])
+	}
+	if b := findSpan(snap.Spans, "build"); b != nil && (b.Open || b.Attrs["model"] != "vgg19" || b.Attrs["engine"] != "winograd" || b.Attrs["workers"] == "") {
+		t.Errorf("build span open %v with attrs %v, want closed with model vgg19, engine winograd and workers", b.Open, b.Attrs)
 	}
 	if ph := findSpan(snap.Spans, "phase"); ph.Attrs["path"] != "local" {
 		t.Errorf("phase path attr %q, want local", ph.Attrs["path"])

@@ -169,6 +169,18 @@ func (q *QTensor) At(n, c, h, w int) int32 { return q.Data[q.Shape.Index(n, c, h
 // Set stores v at (n,c,h,w).
 func (q *QTensor) Set(n, c, h, w int, v int32) { q.Data[q.Shape.Index(n, c, h, w)] = v }
 
+// Images returns images [lo, hi) of the batch q as a tensor that shares q's
+// data: images are NCHW's outermost extent, so they are one contiguous run.
+func (q *QTensor) Images(lo, hi int) *QTensor {
+	if lo < 0 || hi > q.Shape.N || lo >= hi {
+		panic(fmt.Sprintf("tensor: bad image range [%d,%d) of %d", lo, hi, q.Shape.N))
+	}
+	sh := q.Shape
+	per := sh.C * sh.H * sh.W
+	sh.N = hi - lo
+	return &QTensor{Shape: sh, Fmt: q.Fmt, Data: q.Data[lo*per : hi*per : hi*per]}
+}
+
 // Clone returns a deep copy.
 func (q *QTensor) Clone() *QTensor {
 	out := NewQ(q.Shape, q.Fmt)

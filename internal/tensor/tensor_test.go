@@ -74,6 +74,45 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestQImages: an image range views exactly those images of the batch, in
+// place, and cannot grow into the next image.
+func TestQImages(t *testing.T) {
+	q := NewQ(Shape{5, 2, 3, 1}, fixed.Int16)
+	for i := range q.Data {
+		q.Data[i] = int32(i)
+	}
+	v := q.Images(1, 3)
+	if v.Shape != (Shape{2, 2, 3, 1}) || v.Fmt != q.Fmt {
+		t.Fatalf("view shape %v fmt %v", v.Shape, v.Fmt)
+	}
+	for n := 0; n < 2; n++ {
+		for c := 0; c < 2; c++ {
+			for h := 0; h < 3; h++ {
+				if v.At(n, c, h, 0) != q.At(n+1, c, h, 0) {
+					t.Fatalf("view (%d,%d,%d) = %d, batch has %d", n, c, h, v.At(n, c, h, 0), q.At(n+1, c, h, 0))
+				}
+			}
+		}
+	}
+	if cap(v.Data) != len(v.Data) {
+		t.Error("the view can grow into the next image")
+	}
+	v.Data[0] = -1
+	if q.Data[6] != -1 {
+		t.Error("the view does not share the batch's data")
+	}
+	for _, r := range [][2]int{{-1, 2}, {2, 2}, {3, 6}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Images(%d, %d) did not panic", r[0], r[1])
+				}
+			}()
+			q.Images(r[0], r[1])
+		}()
+	}
+}
+
 func TestPad2D(t *testing.T) {
 	a := New(Shape{1, 2, 2, 2})
 	for i := range a.Data {

@@ -18,7 +18,7 @@ func rig(t *testing.T, kind nn.EngineKind) (*faultsim.Runner, []fault.Census, fa
 	arch := models.VGG19(models.Tiny)
 	full := models.VGG19(models.Options{})
 	cfg := nn.Config{Kind: kind, Tile: winograd.F2, ActFmt: fixed.Int16, WFmt: fixed.Int16, Seed: 21}
-	net := models.Build(arch, cfg)
+	net := models.Build(arch, cfg, 1)
 	set := dataset.ForModel("cifar100", 10, arch.In.H, 5, fixed.Int16)
 	runner := faultsim.New(net, set.Batch(0, 10), faultsim.Exec{})
 	intensity := models.IntensityFor(arch, full, kind, winograd.F2)

@@ -31,6 +31,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/par"
 	"repro/internal/systolic"
 	"repro/internal/tmr"
 	"repro/internal/volt"
@@ -95,8 +96,11 @@ type Config struct {
 	Seed uint64
 	// TileF4 switches winograd from F(2x2,3x3) to F(4x4,3x3).
 	TileF4 bool
-	// Workers caps the fault-campaign parallelism (0 = GOMAXPROCS, 1 =
-	// serial). Every result is bit-identical for any worker count; Workers
+	// Workers caps the parallelism of the system's construction and of its
+	// fault campaigns (0 = GOMAXPROCS). New draws the layers' weights, the
+	// dataset and the golden pass on up to Workers goroutines; 1 keeps the
+	// construction one pass on the calling goroutine and the campaigns
+	// serial. Every result is bit-identical for any worker count; Workers
 	// only changes wall-clock time.
 	Workers int
 	// DeltaExec controls the fault-cone delta-execution fast path: per
@@ -323,10 +327,22 @@ func New(cfg Config) (*System, error) {
 	}
 	full, _ := models.ByName(cfg.Model, models.Options{})
 	f := cfg.format()
-	net := models.Build(arch, nn.Config{
-		Kind: cfg.kind(), Tile: cfg.tile(), ActFmt: f, WFmt: f, Seed: cfg.Seed ^ 0xabcdef,
+	// The dataset is drawn beside the build, which spreads its layers over
+	// the same worker budget; with one worker both run in order on this
+	// goroutine.
+	var (
+		net *nn.Network
+		set *dataset.Set
+	)
+	par.Do(cfg.Workers, 2, func(i int) {
+		if i == 0 {
+			net = models.Build(arch, nn.Config{
+				Kind: cfg.kind(), Tile: cfg.tile(), ActFmt: f, WFmt: f, Seed: cfg.Seed ^ 0xabcdef,
+			}, cfg.Workers)
+		} else {
+			set = dataset.ForModel(arch.Dataset, cfg.Samples, arch.In.H, cfg.Seed^0x5eed, f)
+		}
 	})
-	set := dataset.ForModel(arch.Dataset, cfg.Samples, arch.In.H, cfg.Seed^0x5eed, f)
 	bk, _ := kernel.Get(cfg.Backend) // validate accepted the name
 	runner := faultsim.New(net, set.Batch(0, cfg.Samples), faultsim.Exec{
 		Workers: cfg.Workers,
