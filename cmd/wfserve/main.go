@@ -47,7 +47,7 @@ func main() {
 	workers := flag.Int("workers", 0, "per-campaign faultsim worker budget (0 = GOMAXPROCS)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight campaigns")
 	distFlag := flag.Bool("dist", false, "coordinate a wfworker fleet: shard cache-miss campaigns across registered workers")
-	lease := flag.Duration("lease", 15*time.Second, "with -dist: worker lease TTL (silent workers lose their shards after this)")
+	lease := flag.Duration("lease", dist.DefaultLeaseTTL, "with -dist: worker lease TTL (silent workers lose their shards after this)")
 	shardUnits := flag.Int("shard-units", 0, "with -dist: units per shard (0 = auto, ~2 shards per live worker)")
 	journal := flag.String("journal", "", "with -dist: control-plane journal file; a restarted server resumes in-flight campaigns from it")
 	traceDir := flag.String("trace-dir", "", "durable trace store directory: finished campaign traces survive restarts (empty = memory-only ring)")
@@ -193,16 +193,15 @@ func main() {
 	}
 
 	// Flip the drain state first: new submissions and worker registrations
-	// get 503s, and /healthz answers 503 "draining" so load balancers stop
-	// routing here. The listener stays open while in-flight campaigns
-	// drain — fleet workers must keep leasing and reporting shards (and
-	// ?wait=1 clients keep their connections) for those campaigns to finish
-	// instead of stalling into lease expiry and in-process re-execution. Only once
-	// the service is drained does the listener shut down.
+	// get 503s, /healthz answers 503 "draining" so load balancers stop
+	// routing here, and the coordinator (drained by the service) stops
+	// holding idle lease requests open. The listener stays open while
+	// in-flight campaigns drain — fleet workers must keep leasing and
+	// reporting shards (and ?wait=1 clients keep their connections) for
+	// those campaigns to finish instead of stalling into lease expiry and
+	// in-process re-execution. Only once the service is drained does the
+	// listener shut down.
 	svc.BeginDrain()
-	if coord != nil {
-		coord.BeginDrain()
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	code := 0

@@ -15,13 +15,26 @@ import (
 	"repro/internal/service"
 )
 
+// Fleet timing defaults, shared by the coordinator, the worker's fallbacks
+// and wfserve's flags.
+const (
+	// DefaultLeaseTTL is CoordinatorConfig.LeaseTTL's default.
+	DefaultLeaseTTL = 15 * time.Second
+	// DefaultPoll is CoordinatorConfig.Poll's default.
+	DefaultPoll = 500 * time.Millisecond
+)
+
 // CoordinatorConfig sizes the shard dispatcher.
 type CoordinatorConfig struct {
 	// LeaseTTL is how long a worker may stay silent before its registration
-	// lapses and its leased shards are re-queued (default 15s). Workers
+	// lapses and its leased shards are re-queued (DefaultLeaseTTL). Workers
 	// heartbeat at a third of this.
 	LeaseTTL time.Duration
-	// Poll is the idle polling interval hinted to workers (default 500ms).
+	// Poll bounds how long an idle worker's lease request is held open
+	// waiting for a shard before it is answered 204 (DefaultPoll). A held
+	// request is answered the moment a shard is queued, so Poll sets the
+	// idle request rate (about one per Poll per worker), not the latency of
+	// new work.
 	Poll time.Duration
 	// ShardUnits fixes the target units per shard. 0 (default) sizes shards
 	// so each live worker gets about two — small enough for load balancing
@@ -86,6 +99,10 @@ type Coordinator struct {
 	// phase (for resume pre-fill and compaction snapshots). Maintained even
 	// without a journal so the code has one shape.
 	registry map[string]*campaignState
+	// wake is closed, and cleared, whenever a shard becomes pending; lease
+	// requests that found nothing to lease wait on it (handleLease). nil
+	// while no request waits.
+	wake     chan struct{}
 	nextID   uint64
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -160,10 +177,10 @@ type campaignRun struct {
 // reports the campaigns a previous incarnation left unfinished.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 15 * time.Second
+		cfg.LeaseTTL = DefaultLeaseTTL
 	}
 	if cfg.Poll <= 0 {
-		cfg.Poll = 500 * time.Millisecond
+		cfg.Poll = DefaultPoll
 	}
 	if cfg.MaxAttempts < 1 {
 		cfg.MaxAttempts = 3
@@ -207,9 +224,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close stops the lease janitor and releases the journal handle. In-flight
-// Run calls are not interrupted (their contexts are); Close exists so tests
-// and shutdown leak nothing.
+// Close stops the lease janitor, answers every held lease request and
+// releases the journal handle. In-flight Run calls are not interrupted
+// (their contexts are); Close exists so tests and shutdown leak nothing.
 func (c *Coordinator) Close() {
 	c.stopOnce.Do(func() {
 		close(c.stop)
@@ -267,14 +284,27 @@ func (c *Coordinator) compactIfNeededLocked() {
 	}
 }
 
-// BeginDrain stops accepting new worker registrations. Existing workers
-// keep leasing and reporting so in-flight campaigns finish inside the drain
-// budget; new fleet members should register with a coordinator that will
-// outlive them.
+// BeginDrain stops accepting new worker registrations and stops holding
+// idle lease requests: the held ones are answered at once, so an
+// http.Server.Shutdown after the drain never waits out a Poll. Existing
+// workers keep leasing and reporting so in-flight campaigns finish inside
+// the drain budget; new fleet members should register with a coordinator
+// that will outlive them. The service calls it from its own BeginDrain and
+// Close (service.Distributor).
 func (c *Coordinator) BeginDrain() {
 	c.mu.Lock()
 	c.draining = true
+	c.wakeLocked()
 	c.mu.Unlock()
+}
+
+// wakeLocked answers the lease requests waiting for work: a shard became
+// pending, or the coordinator is draining. Called with c.mu held.
+func (c *Coordinator) wakeLocked() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
 }
 
 // Workers lists the fleet's rows, sorted by worker ID: Fleet().Workers.
@@ -536,6 +566,7 @@ func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key
 		shards++
 		lo = hi
 	}
+	c.wakeLocked()
 	c.mu.Unlock()
 	if prefilled > 0 {
 		ph.Record("journal-recovery", recStart, time.Since(recStart),
@@ -739,10 +770,12 @@ func (c *Coordinator) heartbeat(workerID string, snap *MetricsSnapshot) bool {
 	now := time.Now()
 	c.touchLocked(w, now)
 	if snap != nil {
-		// The snapshot crossed the network: validate the histogram layout
-		// before it can reach the exposition writer (a short Counts slice
-		// would panic it, a cooked one would fail metricscheck for everyone).
-		if len(snap.Exec.Bounds) > 0 && !snap.Exec.Valid() {
+		// The snapshot crossed the network: keep its histogram only when
+		// the layout is sound, before it can reach the exposition writer (a
+		// short Counts slice would panic it, a cooked one would serve
+		// negative buckets to every scraper). Anything else becomes the
+		// zero snapshot, which the writer skips.
+		if !snap.Exec.Valid() {
 			snap.Exec = obs.HistogramSnapshot{}
 		}
 		w.snap = snap
@@ -750,18 +783,21 @@ func (c *Coordinator) heartbeat(workerID string, snap *MetricsSnapshot) bool {
 	return true
 }
 
-// lease hands the oldest pending shard to a worker, or nil when none is
-// leasable (shards of a phase gone local stay with the in-process executor).
-// Leasing (like any contact) refreshes the worker's liveness. A
-// flagged straggler is deprioritized: while a healthy worker is live it gets
-// no work (the healthy fleet drains the queue instead), until its probation
-// lapses and it earns one probe shard to re-measure itself.
-func (c *Coordinator) lease(workerID string) (*ShardTask, error) {
+// lease hands the oldest pending shard to a worker. When none is leasable
+// (shards of a phase gone local stay with the in-process executor) it
+// returns a channel that closes once a shard becomes pending, taken under
+// the same lock as the empty-queue check so no shard queued after the check
+// goes unannounced; the channel is nil while draining, when idle requests
+// are answered at once. Leasing (like any contact) refreshes the worker's
+// liveness. A flagged straggler is deprioritized: while a healthy worker is
+// live it gets no work (the healthy fleet drains the queue instead), until
+// its probation lapses and it earns one probe shard to re-measure itself.
+func (c *Coordinator) lease(workerID string) (*ShardTask, <-chan struct{}, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w, ok := c.workers[workerID]
 	if !ok {
-		return nil, errUnknownWorker
+		return nil, nil, errUnknownWorker
 	}
 	now := time.Now()
 	c.touchLocked(w, now)
@@ -772,16 +808,23 @@ func (c *Coordinator) lease(workerID string) (*ShardTask, error) {
 			break
 		}
 	}
-	if next < 0 {
-		return nil, nil
-	}
-	if w.straggler && c.healthyLiveLocked(w, now) {
+	if next >= 0 && w.straggler && c.healthyLiveLocked(w, now) {
 		if now.Sub(w.flaggedAt) < c.cfg.StragglerProbation {
-			return nil, nil // idle answer; the healthy fleet takes the shard
+			next = -1 // idle answer; the healthy fleet takes the shard
+		} else {
+			// Probation probe: grant one lease and restart the clock. The
+			// merge re-measures the worker; a recovered node un-flags itself.
+			w.flaggedAt = now
 		}
-		// Probation probe: grant one lease and restart the clock. The merge
-		// re-measures the worker; a recovered node un-flags itself.
-		w.flaggedAt = now
+	}
+	if next < 0 {
+		if c.draining {
+			return nil, nil, nil
+		}
+		if c.wake == nil {
+			c.wake = make(chan struct{})
+		}
+		return nil, c.wake, nil
 	}
 	sh := c.pending[next]
 	c.pending = append(c.pending[:next], c.pending[next+1:]...)
@@ -790,7 +833,7 @@ func (c *Coordinator) lease(workerID string) (*ShardTask, error) {
 	sh.leaseAt = now
 	c.leased[sh.task.ID] = sh
 	task := sh.task
-	return &task, nil
+	return &task, nil, nil
 }
 
 // result merges a completed shard (or records its failure). Stale results —
@@ -841,6 +884,7 @@ func (c *Coordinator) result(workerID string, res ShardResult) {
 		}
 		sh.worker = ""
 		c.pending = append(c.pending, sh)
+		c.wakeLocked()
 		c.mu.Unlock()
 		return
 	}
@@ -936,6 +980,7 @@ func (c *Coordinator) expire(now time.Time) {
 			delete(c.leased, id)
 			sh.worker = ""
 			c.pending = append(c.pending, sh)
+			c.wakeLocked()
 		}
 	}
 	for id, w := range c.workers {

@@ -13,11 +13,14 @@
 // wall-clock time. See DESIGN.md "Distributed execution".
 //
 // Topology: workers pull. A worker registers with the coordinator, then
-// polls for shard leases and posts back per-unit counts; a heartbeat keeps
-// its registration and leases fresh. Leases expire — a worker that dies or
-// goes silent past the lease TTL has its shards re-queued and re-leased to
-// the surviving fleet. The coordinator never dials workers, so nodes behind
-// NAT or ephemeral containers join with zero configuration.
+// asks for shard leases and posts back per-unit counts; a heartbeat keeps
+// its registration and leases fresh. A lease request that finds nothing
+// queued is held open for up to the coordinator's Poll and answered the
+// moment a shard is queued, so an idle worker starts new work at once and
+// still asks only about once per Poll. Leases expire — a worker that dies
+// or goes silent past the lease TTL has its shards re-queued and re-leased
+// to the surviving fleet. The coordinator never dials workers, so nodes
+// behind NAT or ephemeral containers join with zero configuration.
 package dist
 
 import (
@@ -43,7 +46,10 @@ type registerRequest struct {
 
 // registerResponse assigns the worker its ID and the coordinator's timing
 // contract: heartbeat well inside LeaseMillis or lose registration and
-// leases; poll for work roughly every PollMillis when idle.
+// leases; while idle, send a lease request about every PollMillis. The
+// coordinator holds an idle request for up to PollMillis, so after a 204 a
+// worker sleeps only the part of PollMillis its request did not already
+// wait.
 type registerResponse struct {
 	ID          string `json:"id"`
 	LeaseMillis int64  `json:"leaseMillis"`

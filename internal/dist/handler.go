@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/service"
 )
@@ -29,7 +30,8 @@ var (
 //	POST /workers                  register: {"name": ...} ->
 //	                               {"id", "leaseMillis", "pollMillis"}
 //	POST /workers/{id}/heartbeat   refresh registration + lease deadlines
-//	POST /workers/{id}/lease       200 ShardTask, or 204 when idle
+//	POST /workers/{id}/lease       200 ShardTask, or 204 when nothing is
+//	                               queued within Poll (the request is held)
 //	POST /workers/{id}/result      deliver a ShardResult
 //
 // Every per-worker call answers 404 for a lapsed registration, which is the
@@ -86,18 +88,40 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleLease answers a lease request with a shard, holding it for up to
+// Poll while nothing is leasable: the request is answered the moment a shard
+// is queued, so an idle worker starts new work without waiting out a poll
+// interval. It answers 204 once Poll passes, the worker hangs up, the
+// coordinator drains or closes.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	task, err := c.lease(r.PathValue("id"))
-	if err != nil {
-		service.WriteError(w, http.StatusNotFound, err)
-		return
-	}
-	if task == nil {
+	id := r.PathValue("id")
+	hold := time.NewTimer(c.cfg.Poll)
+	defer hold.Stop()
+	for {
+		task, wake, err := c.lease(id)
+		if err != nil {
+			service.WriteError(w, http.StatusNotFound, err)
+			return
+		}
+		if task != nil {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(task)
+			return
+		}
+		if wake == nil {
+			w.WriteHeader(http.StatusNoContent) // draining: nothing is held
+			return
+		}
+		select {
+		case <-wake:
+			continue // a shard was queued, or the drain began: ask again
+		case <-hold.C:
+		case <-r.Context().Done():
+		case <-c.stop:
+		}
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(task)
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {

@@ -37,11 +37,13 @@ func twoWorkers(t *testing.T, c *Coordinator, fastPer, slowPer float64) (fastID,
 	return fast.ID, slow.ID
 }
 
-// queueShard puts one dispatchable shard on the coordinator's pending queue.
+// queueShard puts one dispatchable shard on the coordinator's pending queue
+// and, like every path that queues one, answers the held lease requests.
 func queueShard(c *Coordinator, id string) {
 	run := &campaignRun{counts: make([]int, 1), total: 1, remaining: 1, done: make(chan struct{})}
 	c.mu.Lock()
 	c.pending = append(c.pending, &shard{task: ShardTask{ID: id, Lo: 0, Hi: 1}, run: run})
+	c.wakeLocked()
 	c.mu.Unlock()
 }
 
@@ -77,10 +79,10 @@ func TestStragglerFlaggingAndLeaseDenial(t *testing.T) {
 	}
 
 	queueShard(c, "t1")
-	if task, err := c.lease(slowID); err != nil || task != nil {
+	if task, _, err := c.lease(slowID); err != nil || task != nil {
 		t.Fatalf("flagged straggler got a lease: task=%v err=%v", task, err)
 	}
-	if task, err := c.lease(fastID); err != nil || task == nil {
+	if task, _, err := c.lease(fastID); err != nil || task == nil {
 		t.Fatalf("healthy worker denied the lease: task=%v err=%v", task, err)
 	}
 }
@@ -101,10 +103,10 @@ func TestStragglerProbationProbe(t *testing.T) {
 	c.mu.Unlock()
 	queueShard(c, "t1")
 	queueShard(c, "t2")
-	if task, err := c.lease(slowID); err != nil || task == nil {
+	if task, _, err := c.lease(slowID); err != nil || task == nil {
 		t.Fatalf("post-probation probe lease denied: task=%v err=%v", task, err)
 	}
-	if task, err := c.lease(slowID); err != nil || task != nil {
+	if task, _, err := c.lease(slowID); err != nil || task != nil {
 		t.Fatalf("straggler got a second lease inside the restarted probation: task=%v err=%v", task, err)
 	}
 }
@@ -123,7 +125,7 @@ func TestStragglerLeasesWhenAlone(t *testing.T) {
 	c.workers[fastID].lastSeen = time.Now().Add(-2 * c.cfg.LeaseTTL) // fast worker dies
 	c.mu.Unlock()
 	queueShard(c, "t1")
-	if task, err := c.lease(slowID); err != nil || task == nil {
+	if task, _, err := c.lease(slowID); err != nil || task == nil {
 		t.Fatalf("lone straggler denied work with nobody else alive: task=%v err=%v", task, err)
 	}
 }

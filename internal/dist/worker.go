@@ -59,7 +59,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if err != nil {
 		return fmt.Errorf("dist: worker server %q: %w", cfg.Server, err)
 	}
-	w := &fleetWorker{cfg: cfg, base: u, hc: &http.Client{}}
+	w := &fleetWorker{cfg: cfg, base: u, hc: loopClient(), hbc: loopClient()}
+	defer w.hc.CloseIdleConnections()
+	defer w.hbc.CloseIdleConnections()
 	for {
 		if err := w.session(ctx); err != nil {
 			return err
@@ -76,11 +78,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 type fleetWorker struct {
 	cfg  WorkerConfig
 	base *url.URL
-	hc   *http.Client
+	hc   *http.Client // register, lease and result requests
+	hbc  *http.Client // heartbeats
 
 	id    string
 	lease time.Duration // coordinator's lease TTL
-	poll  time.Duration // idle poll interval
+	poll  time.Duration // least time between two idle lease requests
 	fails int           // consecutive connection/5xx failures, for backoff
 
 	// Campaign plans (and the systems under them) cached by campaign content
@@ -111,6 +114,18 @@ func (w *fleetWorker) backoff() time.Duration {
 	return d
 }
 
+// loopClient returns the HTTP client of one of the worker's request loops:
+// leases and results, or heartbeats. A loop sends one request at a time, so
+// its client keeps one connection. The cap also stops the transport from
+// dialing a spare connection when a request races the previous one's return
+// to the idle pool: the spare would sit open without a request, and
+// http.Server.Shutdown waits up to 5s for such a connection.
+func loopClient() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxConnsPerHost = 1
+	return &http.Client{Transport: t}
+}
+
 func sleepCtx(ctx context.Context, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -128,9 +143,9 @@ func (w *fleetWorker) endpoint(path string) string {
 	return u.String()
 }
 
-// postJSON posts body (or nothing) and decodes a JSON reply into out when
-// non-nil. It returns the HTTP status; transport errors return 0.
-func (w *fleetWorker) postJSON(ctx context.Context, path string, body, out any) (int, error) {
+// postJSON posts body (or nothing) through hc and decodes a JSON reply into
+// out when non-nil. It returns the HTTP status; transport errors return 0.
+func (w *fleetWorker) postJSON(ctx context.Context, hc *http.Client, path string, body, out any) (int, error) {
 	var rd io.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
@@ -147,7 +162,7 @@ func (w *fleetWorker) postJSON(ctx context.Context, path string, body, out any) 
 	if w.cfg.APIKey != "" {
 		req.Header.Set("Authorization", "Bearer "+w.cfg.APIKey)
 	}
-	resp, err := w.hc.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -164,7 +179,7 @@ func (w *fleetWorker) postJSON(ctx context.Context, path string, body, out any) 
 func (w *fleetWorker) session(ctx context.Context) error {
 	var resp registerResponse
 	for {
-		code, err := w.postJSON(ctx, "/workers", registerRequest{Name: w.cfg.Name}, &resp)
+		code, err := w.postJSON(ctx, w.hc, "/workers", registerRequest{Name: w.cfg.Name}, &resp)
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -182,11 +197,11 @@ func (w *fleetWorker) session(ctx context.Context) error {
 	w.id = resp.ID
 	w.lease = time.Duration(resp.LeaseMillis) * time.Millisecond
 	if w.lease <= 0 {
-		w.lease = 15 * time.Second
+		w.lease = DefaultLeaseTTL
 	}
 	w.poll = time.Duration(resp.PollMillis) * time.Millisecond
 	if w.poll <= 0 {
-		w.poll = 500 * time.Millisecond
+		w.poll = DefaultPoll
 	}
 	w.cfg.Logger.Info("dist: worker registered",
 		"name", w.cfg.Name, "worker", w.id, "lease", w.lease, "poll", w.poll)
@@ -202,7 +217,8 @@ func (w *fleetWorker) leaseLoop(ctx context.Context) error {
 			return ctx.Err()
 		}
 		var task ShardTask
-		code, err := w.postJSON(ctx, "/workers/"+w.id+"/lease", nil, &task)
+		asked := time.Now()
+		code, err := w.postJSON(ctx, w.hc, "/workers/"+w.id+"/lease", nil, &task)
 		switch {
 		case ctx.Err() != nil:
 			return ctx.Err()
@@ -215,8 +231,11 @@ func (w *fleetWorker) leaseLoop(ctx context.Context) error {
 			w.cfg.Logger.Info("dist: worker registration lapsed; re-registering", "worker", w.id)
 			return nil
 		case code == http.StatusNoContent:
+			// The coordinator held the request while nothing was queued;
+			// sleep only the rest of the poll interval, so an idle worker
+			// asks about once per poll whether or not its requests are held.
 			w.fails = 0
-			if !sleepCtx(ctx, w.poll) {
+			if !sleepCtx(ctx, w.poll-time.Since(asked)) {
 				return ctx.Err()
 			}
 		case code == http.StatusOK:
@@ -268,7 +287,7 @@ func (w *fleetWorker) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 			if snap := w.cfg.Metrics.Snapshot(); snap != nil {
 				body = heartbeatRequest{Metrics: snap}
 			}
-			w.postJSON(ctx, "/workers/"+w.id+"/heartbeat", body, nil)
+			w.postJSON(ctx, w.hbc, "/workers/"+w.id+"/heartbeat", body, nil)
 		}
 	}
 }
@@ -277,7 +296,7 @@ func (w *fleetWorker) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 // to a transient network blip would force a pointless re-execution.
 func (w *fleetWorker) report(ctx context.Context, res ShardResult) {
 	for attempt := 0; attempt < 4; attempt++ {
-		code, err := w.postJSON(ctx, "/workers/"+w.id+"/result", res, nil)
+		code, err := w.postJSON(ctx, w.hc, "/workers/"+w.id+"/result", res, nil)
 		if err == nil && code < 500 && code != 0 {
 			return
 		}

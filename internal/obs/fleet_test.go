@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -86,11 +87,12 @@ func TestHistogramSnapshotValidRejects(t *testing.T) {
 	}
 	bad := []HistogramSnapshot{
 		{},
-		{Bounds: []float64{1, 2}, Counts: []int64{1, 2}, Count: 3},     // missing overflow bucket
-		{Bounds: []float64{2, 1}, Counts: []int64{1, 2, 3}, Count: 6},  // descending bounds
-		{Bounds: []float64{1, 2}, Counts: []int64{1, -2, 3}, Count: 2}, // negative bucket
-		{Bounds: []float64{1, 2}, Counts: []int64{1, 2, 3}, Count: 7},  // count disagrees
-		{Bounds: []float64{1, 1}, Counts: []int64{1, 2, 3}, Count: 6},  // duplicate bound
+		{Bounds: []float64{1, 2}, Counts: []int64{1, 2}, Count: 3},                      // missing overflow bucket
+		{Bounds: []float64{2, 1}, Counts: []int64{1, 2, 3}, Count: 6},                   // descending bounds
+		{Bounds: []float64{1, 2}, Counts: []int64{1, -2, 3}, Count: 2},                  // negative bucket
+		{Bounds: []float64{1, 2}, Counts: []int64{1, 2, 3}, Count: 7},                   // count disagrees
+		{Bounds: []float64{1, 1}, Counts: []int64{1, 2, 3}, Count: 6},                   // duplicate bound
+		{Bounds: []float64{1}, Counts: []int64{math.MaxInt64, 1}, Count: math.MinInt64}, // sum wraps
 	}
 	for i, s := range bad {
 		if s.Valid() {

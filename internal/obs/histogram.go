@@ -109,7 +109,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // Valid reports whether the snapshot is structurally sound: ascending
-// bounds, one overflow bucket, non-negative counts that sum to Count.
+// bounds, one overflow bucket, non-negative counts that sum to Count without
+// overflowing int64 (a wrapped sum would render non-cumulative buckets).
 // Snapshots arrive from workers over the network, so the coordinator
 // validates before storing one.
 func (s HistogramSnapshot) Valid() bool {
@@ -123,7 +124,7 @@ func (s HistogramSnapshot) Valid() bool {
 	}
 	total := int64(0)
 	for _, c := range s.Counts {
-		if c < 0 {
+		if c < 0 || c > math.MaxInt64-total {
 			return false
 		}
 		total += c

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	winofault "repro"
@@ -15,12 +16,14 @@ import (
 
 // stubDistributor is a Distributor with canned behavior, so the service's
 // side of the seam is testable without a live coordinator: Run returns data,
-// Fleet returns fleet, and CampaignDone calls onDone when set.
+// Fleet returns fleet, CampaignDone calls onDone when set, and BeginDrain
+// counts its calls.
 type stubDistributor struct {
 	data   []byte
 	fleet  FleetStatus
 	onDone func(key string)
 	runs   int
+	drains atomic.Int32
 }
 
 func (d *stubDistributor) Run(ctx context.Context, key string, req winofault.CampaignRequest, progress func(int, int, int)) ([]byte, error) {
@@ -35,6 +38,34 @@ func (d *stubDistributor) CampaignDone(key string) {
 }
 
 func (d *stubDistributor) Fleet() FleetStatus { return d.fleet }
+
+func (d *stubDistributor) BeginDrain() { d.drains.Add(1) }
+
+// TestServiceDrainsDistributor: BeginDrain and Close each drain the
+// Distributor, so a fleet's held lease requests are answered before the
+// HTTP server in front of both shuts down.
+func TestServiceDrainsDistributor(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drain func(*Service)
+	}{
+		{"BeginDrain", (*Service).BeginDrain},
+		{"Close", func(s *Service) { s.Close(context.Background()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := &stubDistributor{}
+			s, err := New(quiet(Config{Jobs: 1, QueueDepth: 8, Distributor: d}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close(context.Background()) })
+			tc.drain(s)
+			if d.drains.Load() == 0 {
+				t.Errorf("%s did not drain the distributor", tc.name)
+			}
+		})
+	}
+}
 
 // TestDistributedResultSkipsLocal: with a Distributor configured, its result
 // is the job's result; the service never runs the campaign itself.

@@ -78,6 +78,11 @@ type Distributor interface {
 	// Fleet reports every registered worker for GET /fleet and the wffleet_*
 	// series on /metrics.
 	Fleet() FleetStatus
+	// BeginDrain tells the fleet the service is shutting down (BeginDrain
+	// and Close call it): the distributor admits no new workers and answers
+	// the requests it holds open at once, so the HTTP server in front of it
+	// can shut down. Campaigns already running keep their fleet.
+	BeginDrain()
 }
 
 // Sentinel errors surfaced by Submit and Distributor.Run.
@@ -542,9 +547,14 @@ func clampWorkers(ask, budget int) int {
 // BeginDrain flips the service into its terminating state without stopping
 // work: subsequent submissions fail with ErrClosed, /healthz reports
 // "draining" with a 503 (so load balancers and fleet workers stop routing
-// here), and in-flight jobs keep running until Close. Calling it more than
-// once is harmless.
-func (s *Service) BeginDrain() { s.draining.Store(true) }
+// here), the Distributor drains too, and in-flight jobs keep running until
+// Close. Calling it more than once is harmless.
+func (s *Service) BeginDrain() {
+	s.draining.Store(true)
+	if d := s.cfg.Distributor; d != nil {
+		d.BeginDrain()
+	}
+}
 
 // Draining reports whether shutdown has begun (BeginDrain or Close).
 func (s *Service) Draining() bool { return s.draining.Load() }
@@ -586,7 +596,7 @@ func (s *Service) Stats() Stats {
 // context.Canceled, nothing reaches the cache) and Close returns ctx.Err()
 // once the workers have exited.
 func (s *Service) Close(ctx context.Context) error {
-	s.draining.Store(true)
+	s.BeginDrain()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
