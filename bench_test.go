@@ -191,7 +191,7 @@ func BenchmarkForwardCtxDelta(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ForwardDelta(ctx, plane, inj)
+		net.ForwardDelta(ctx, plane, nil, inj)
 	}
 }
 
@@ -229,14 +229,14 @@ func BenchmarkForwardCtxDeltaSparse(b *testing.B) {
 	}})
 	ctx := net.NewExecContext()
 	plane := net.CapturePlane(ctx, in)
-	net.ForwardDelta(ctx, plane, inj) // warm the arena
+	net.ForwardDelta(ctx, plane, nil, inj) // warm the arena
 	if ctx.DirtyCount() < len(net.Nodes)/2 {
 		b.Fatalf("the event's cone re-converged after %d node-images", ctx.DirtyCount())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ForwardDelta(ctx, plane, inj)
+		net.ForwardDelta(ctx, plane, nil, inj)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Command metricscheck validates a Prometheus text-exposition page read from
 // stdin: HELP/TYPE ordering, label syntax and escaping round-trips, and
-// histogram invariants (ascending le, cumulative buckets, +Inf == _count).
+// histogram invariants (ascending le, cumulative buckets, +Inf == _count),
+// and no negative count (counter samples, histogram _bucket and _count).
 // CI pipes /metrics responses through it so a malformed page fails the build
 // instead of silently breaking scrapes.
 //

@@ -8,7 +8,11 @@
 // runner computes it. Campaigns run on a deterministic worker pool (see
 // pool.go and DESIGN.md): Monte-Carlo rounds, BER sweep points and
 // per-layer masks are independent work units whose randomness derives from
-// split rng streams, so every count is bit-identical for any Exec.
+// split rng streams, so every count is bit-identical for any Exec. A delta
+// runner runs each round as a delta against the golden run (nn.ForwardDelta)
+// or, for campaigns that draw their batch's first campaign's events at all
+// but a few nodes — a layer-sensitivity batch — against that campaign's
+// round, captured once per call (reference.go).
 package faultsim
 
 import (
@@ -247,12 +251,11 @@ type Campaign struct {
 	Opts Options
 }
 
-// roundAgree runs one Monte-Carlo round of campaign c and returns how many
-// evaluation samples agree with the golden predictions. All randomness is
-// derived from (c.Opts.Seed, round) alone, so the result is independent of
-// which worker executes it and in what order.
-func (r *Runner) roundAgree(w *worker, c *Campaign, convSet map[int]struct{}, round int) int {
-	inj := &injector{
+// injector returns campaign c's injector for one Monte-Carlo round. All
+// randomness is derived from (c.Opts.Seed, round) alone, so a unit's result
+// is independent of which worker executes it and in what order.
+func (r *Runner) injector(c *Campaign, convSet map[int]struct{}, round int) *injector {
+	return &injector{
 		opts:    &c.Opts,
 		model:   fault.Model{BER: c.BER, Semantics: c.Opts.Semantics},
 		round:   rng.New(c.Opts.Seed).Split(uint64(round)),
@@ -260,15 +263,24 @@ func (r *Runner) roundAgree(w *worker, c *Campaign, convSet map[int]struct{}, ro
 		fmt:     r.Inputs.Fmt,
 		convSet: convSet,
 	}
-	var logits *tensor.QTensor
+}
+
+// roundAgree runs one Monte-Carlo round of campaign c against the golden
+// run and returns how many evaluation samples agree with the golden
+// predictions.
+func (r *Runner) roundAgree(w *worker, c *Campaign, convSet map[int]struct{}, round int) int {
+	inj := r.injector(c, convSet, round)
 	if r.exec.Full || c.Opts.Semantics == fault.NeuronFlip {
-		logits = r.Net.ForwardCtx(w.ec, r.Inputs, inj)
-	} else {
-		logits = r.Net.ForwardDelta(w.ec, r.goldenPlane(w), inj)
+		return r.agreement(r.Net.ForwardCtx(w.ec, r.Inputs, inj))
 	}
-	preds := nn.Argmax(logits)
+	return r.agreement(r.Net.ForwardDelta(w.ec, r.goldenPlane(w), nil, inj))
+}
+
+// agreement counts the evaluation samples whose prediction under logits
+// equals the golden one.
+func (r *Runner) agreement(logits *tensor.QTensor) int {
 	agree := 0
-	for i, p := range preds {
+	for i, p := range nn.Argmax(logits) {
 		if p == r.golden[i] {
 			agree++
 		}
@@ -332,7 +344,10 @@ func Units(cs []Campaign, rounds int) int {
 // (campaign seed, round) identity, so counts for a range are bit-identical
 // no matter which process computes them, with how many workers, or alongside
 // which other ranges — the property the distributed shard executor rests on.
-// The units run on the runner's worker pool.
+// The units run on the runner's worker pool. Campaigns that draw the batch's
+// first campaign's events at all but a few nodes (a layer-sensitivity batch)
+// run as deltas against that campaign's rounds, each captured once per call
+// (see reference.go); their counts are the same either way.
 //
 // progress, when non-nil, is called with (0, hi-lo) before the first unit
 // and with the number of finished units after every unit. It is
@@ -365,11 +380,17 @@ func (r *Runner) UnitCounts(ctx context.Context, cs []Campaign, rounds, lo, hi i
 		progress(0, hi-lo)
 	}
 
+	refs := r.references(cs, units[lo:hi])
 	agree := make([]int, hi-lo)
 	var completed atomic.Int64
-	r.runUnits(ctx, r.exec.Workers, hi-lo, func(w *worker, u int) {
+	r.runUnits(ctx, r.exec.Workers, hi-lo, func(w *worker, k int) {
+		u := refs.unit(k)
 		un := units[lo+u]
-		agree[u] = r.roundAgree(w, &cs[un.c], convSet, un.round)
+		if refs.used(un) {
+			agree[u] = r.referenceAgree(w, cs, refs, convSet, un)
+		} else {
+			agree[u] = r.roundAgree(w, &cs[un.c], convSet, un.round)
+		}
 		if progress != nil {
 			progress(int(completed.Add(1)), hi-lo)
 		}

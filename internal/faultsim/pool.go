@@ -61,5 +61,8 @@ func (r *Runner) worker() *worker {
 // on the calling goroutine once all workers have drained (its worker is
 // dropped — mid-pass scratch state is not re-pooled).
 func (r *Runner) runUnits(ctx context.Context, workers, n int, fn func(w *worker, u int)) {
-	par.Each(workers, n, ctx.Done(), r.worker, fn, func(w *worker) { r.pool.Put(w) })
+	par.Each(workers, n, ctx.Done(), r.worker, fn, func(w *worker) {
+		w.ec.Detach() // its last pass may have read a reference round
+		r.pool.Put(w)
+	})
 }

@@ -16,14 +16,18 @@ import (
 // no event on image n whose inputs are golden at image n is exactly the
 // golden activation — so the round only needs to recompute each image's
 // fault cone, the downstream closure of the events landing on that image,
-// and can serve the golden plane everywhere else.
+// and can serve the golden plane everywhere else. The same holds against
+// any captured round: a round that draws a reference round's own events at
+// every node but a few recomputes only where those few nodes' events, its
+// own or the reference's, land — so a layer-sensitivity campaign runs as a
+// delta against its batch's all-faulty baseline round.
 //
 // Soundness rests on three existing contracts:
 //
 //   - Event purity: injectors derive each node's events from per-node rng
 //     splits of the (seed, round) stream, and splitting never advances the
 //     parent, so the events a node draws do not depend on which nodes were
-//     recomputed before it.
+//     recomputed, or had their events drawn, before it.
 //   - Replay ordering: a recomputed node receives the exact event slice the
 //     injector produced, so the engine applies the events in the same
 //     per-op order as a full pass — recomputed activations are bit-identical,
@@ -34,14 +38,19 @@ import (
 //     (eventImage below); a winograd layer places its events itself
 //     (winograd.Layer.EventImage).
 
-// Plane is the golden (fault-free) activation of every node of one network
-// for one input batch. It is captured once and read-only afterwards, so any
-// number of ExecContexts may share one across goroutines; ForwardDelta
+// Plane is the activation of every node of one network for one input batch
+// under one round of events: the golden (fault-free) run, or a faulty round
+// captured after ForwardDelta (CaptureRound). It is read-only once built, so
+// any number of ExecContexts may share one across goroutines; ForwardDelta
 // serves it as the output of every clean (node, image).
 type Plane struct {
 	net  *Network
 	in   *tensor.QTensor
 	acts []*tensor.QTensor // private copies; never aliased by op scratch
+	// evimg holds, at [i·words, (i+1)·words) with words = ⌈N/64⌉, the
+	// images the round's events at node i land on: none for the golden
+	// plane.
+	evimg []uint64
 }
 
 // CapturePlane runs one fault-free pass of in on ctx and copies every
@@ -59,7 +68,12 @@ func (n *Network) CapturePlane(ctx *ExecContext, in *tensor.QTensor) *Plane {
 // one contiguous run, so the plane equals a one-pass capture byte for byte.
 func (n *Network) CaptureSplit(in *tensor.QTensor, ctxs []*ExecContext) *Plane {
 	bounds := n.forwardSplit(in, ctxs)
-	p := &Plane{net: n, in: in, acts: make([]*tensor.QTensor, len(n.Nodes))}
+	p := &Plane{
+		net:   n,
+		in:    in,
+		acts:  make([]*tensor.QTensor, len(n.Nodes)),
+		evimg: make([]uint64, len(n.Nodes)*((in.Shape.N+63)/64)),
+	}
 	for i := range n.Nodes {
 		first := ctxs[0].acts[i]
 		sh := first.Shape
@@ -114,82 +128,97 @@ func (p *Plane) Act(i int) *tensor.QTensor { return p.acts[i] }
 
 // deltaState is the reusable per-round working set of ForwardDelta.
 type deltaState struct {
-	events     [][]fault.Event // per-node events of the current round
-	words      int             // words of one node's image set: ⌈N/64⌉
-	dirty      []uint64        // node i's dirty images at [i·words, (i+1)·words)
-	recomputed int             // node-images the last round computed
+	words      int           // words of one node's image set: ⌈N/64⌉
+	dirty      []uint64      // node i's dirty images at [i·words, (i+1)·words)
+	evimg      []uint64      // node i's event images, laid out like dirty
+	kept       []fault.Event // a conv's events that land on its dirty images
+	recomputed int           // node-images the last round computed
 }
 
-// ForwardDelta runs the network on plane's input like ForwardCtx but
-// recomputes only the round's per-image fault cones. Image n of node i is
-// dirty iff one of node i's events lands on n or image n of one of its
-// inputs is dirty. A node with no dirty image publishes the plane's tensor;
-// a convolution computes only its dirty images and fills the others from
-// the plane; every other op runs over the whole batch, whose inputs are
-// complete because every published tensor is. A dirty image whose
-// recomputed slice equals the plane's re-converges: it turns clean for the
-// node's consumers. So a round with few (or no) events costs a small
-// fraction of a full pass while remaining bit-identical to ForwardCtx.
+// ForwardDelta runs the network on ref's input like ForwardCtx but
+// recomputes only where the round can differ from ref's round: the golden
+// plane, or a faulty round captured by CaptureRound. differ marks the nodes
+// (by index) at which inj's events may differ from ref's round; at every
+// other node inj must draw exactly ref's events. nil marks every node,
+// which is how a round runs against the golden plane.
+//
+// Image n of node i is dirty iff image n of one of its inputs is dirty, or
+// node i differs and an event of either round lands on n. A node that does
+// not differ and has no dirty input draws no events and computes nothing,
+// so everything before the first differing node is skipped. A node with no
+// dirty image publishes ref's tensor; a convolution computes only its dirty
+// images, with only the events that land on them (at a node that does not
+// differ, the events on its clean images are ref's and already in ref's
+// tensor), and fills the others from ref; every other op runs over the
+// whole batch, whose inputs are complete because every published tensor
+// is. A dirty image whose recomputed slice equals ref's re-converges: it
+// turns clean for the node's consumers. So a round that shares most of its
+// events with ref costs a small fraction of a full pass while remaining
+// bit-identical to ForwardCtx.
 //
 // Contract: inj must inject exclusively through OpEvents (its Neuron method
 // must be a no-op) — neuron-level semantics corrupt activations behind the
 // graph's back, where no event stream locates the damage, so those campaigns
 // must use ForwardCtx.
 //
-// A nil inj returns the golden output. The returned tensor may be the
-// plane's, which callers must not modify; otherwise it remains valid until
-// the next Forward* call on the same context.
-func (n *Network) ForwardDelta(ctx *ExecContext, plane *Plane, inj Injector) *tensor.QTensor {
+// A nil inj draws no events. The returned tensor may be ref's, which
+// callers must not modify; otherwise it remains valid until the next
+// Forward* call on the same context.
+func (n *Network) ForwardDelta(ctx *ExecContext, ref *Plane, differ []bool, inj Injector) *tensor.QTensor {
 	if ctx.net != n {
 		panic("nn: ExecContext bound to a different network")
 	}
-	if plane.net != n {
-		panic("nn: golden plane captured on a different network")
+	if ref.net != n {
+		panic("nn: reference plane captured on a different network")
 	}
-	in := plane.in
+	in := ref.in
 	ctx.prepare(in.Shape)
-	ctx.delta.recomputed = 0
+	d := &ctx.delta
+	d.recomputed = 0
 
-	// Draw the round's events node by node, in node order — the same
-	// calls, against the same per-node streams, a full pass makes. A round
-	// without events is the golden run.
-	events, faulty := ctx.delta.events, false
-	for i := range n.Nodes {
-		var evs []fault.Event
-		if inj != nil && ctx.hasOps[i] {
-			evs = inj.OpEvents(i, ctx.census[i])
-		}
-		events[i] = evs
-		faulty = faulty || len(evs) > 0
-	}
-	if !faulty {
-		clear(ctx.delta.dirty)
-		return plane.Output()
-	}
-
-	images, words := in.Shape.N, ctx.delta.words
+	images, words := in.Shape.N, d.words
 	for i := range n.Nodes {
 		// Inputs precede consumers in the topological node order, so their
 		// dirty sets are final by now.
 		nd := &n.Nodes[i]
-		dirty := ctx.delta.dirty[i*words : (i+1)*words]
+		dirty := d.dirty[i*words : (i+1)*words]
+		evimg := d.evimg[i*words : (i+1)*words]
 		clear(dirty)
-		evs := events[i]
-		ctx.markEvents(i, dirty, evs)
 		for _, idx := range nd.Inputs {
 			if idx != InputNode {
-				for w, v := range ctx.delta.dirty[idx*words : (idx+1)*words] {
-					dirty[w] |= v
-				}
+				orInto(dirty, d.dirty[idx*words:(idx+1)*words])
 			}
+		}
+		refimg := ref.evimg[i*words : (i+1)*words]
+		differs := differ == nil || differ[i]
+		if !differs {
+			// The node draws ref's events, so its event images are ref's.
+			copy(evimg, refimg)
+			if !anySet(dirty) {
+				ctx.acts[i] = ref.acts[i]
+				continue
+			}
+		}
+
+		// Draw the node's events — the same call, against the same
+		// per-node stream, a full pass makes.
+		var evs []fault.Event
+		if inj != nil && ctx.hasOps[i] {
+			evs = inj.OpEvents(i, ctx.census[i])
+		}
+		if differs {
+			clear(evimg)
+			ctx.markEvents(i, evimg, evs)
+			orInto(dirty, evimg)
+			orInto(dirty, refimg)
 		}
 		count := 0
 		for _, v := range dirty {
 			count += bits.OnesCount64(v)
 		}
-		golden := plane.acts[i]
+		refAct := ref.acts[i]
 		if count == 0 {
-			ctx.acts[i] = golden
+			ctx.acts[i] = refAct
 			continue
 		}
 
@@ -201,46 +230,84 @@ func (n *Network) ForwardDelta(ctx *ExecContext, plane *Plane, inj Injector) *te
 				ins[j] = ctx.acts[idx]
 			}
 		}
-		per := golden.Shape.Elems() / images
+		per := refAct.Shape.Elems() / images
 		var out *tensor.QTensor
 		if cv, ok := nd.Op.(*ConvOp); ok && count < images {
 			set := tensor.ImageSet(dirty)
+			if !differs {
+				evs = ctx.keepEvents(i, set, evs)
+			}
 			out = cv.forwardImages(ctx.scratch[i], ins, evs, set)
 			for img := 0; img < images; img++ {
 				if !set.Has(img) {
-					copy(out.Data[img*per:(img+1)*per], golden.Data[img*per:(img+1)*per])
+					copy(out.Data[img*per:(img+1)*per], refAct.Data[img*per:(img+1)*per])
 				}
 			}
 		} else {
 			out = nd.Op.Forward(ctx.scratch[i], ins, evs)
 		}
-		ctx.delta.recomputed += count
+		d.recomputed += count
 
 		// Re-convergence detection: faults are often masked within a layer
 		// or two (ReLU clamps negatives, maxpool discards non-maxima,
 		// saturating quantization rounds small perturbations away). When a
-		// recomputed image equals its golden slice bit for bit, it rejoins
-		// the clean region and its consumers skip it — the compare is a
-		// linear scan, negligible against any conv. A node whose images all
-		// re-converge publishes the plane's tensor, not its scratch output,
-		// so clean consumers always read the plane.
+		// recomputed image equals ref's slice bit for bit, it rejoins the
+		// clean region and its consumers skip it — the compare is a linear
+		// scan, negligible against any conv. A node whose images all
+		// re-converge publishes ref's tensor, not its scratch output, so
+		// clean consumers always read ref.
 		for w, v := range dirty {
 			for ; v != 0; v &= v - 1 {
 				img := w<<6 | bits.TrailingZeros64(v)
 				lo, hi := img*per, (img+1)*per
-				if slices.Equal(out.Data[lo:hi], golden.Data[lo:hi]) {
+				if slices.Equal(out.Data[lo:hi], refAct.Data[lo:hi]) {
 					dirty[w] &^= 1 << (img & 63)
 					count--
 				}
 			}
 		}
 		if count == 0 {
-			ctx.acts[i] = golden
+			ctx.acts[i] = refAct
 		} else {
 			ctx.acts[i] = out
 		}
 	}
 	return ctx.acts[n.Output]
+}
+
+// CaptureRound copies the activations of ctx's last pass, a ForwardDelta
+// round against ref, into a new plane that records the round's event
+// images, so that later rounds sharing most of its events can run against
+// it. A node the round left clean aliases ref's tensor (for a round against
+// the golden plane, the golden tensor): only the round's dirty nodes are
+// copied.
+func (n *Network) CaptureRound(ctx *ExecContext, ref *Plane) *Plane {
+	if ctx.net != n || ref.net != n {
+		panic("nn: capture across networks")
+	}
+	p := &Plane{net: n, in: ref.in, acts: make([]*tensor.QTensor, len(n.Nodes)), evimg: slices.Clone(ctx.delta.evimg)}
+	for i, act := range ctx.acts {
+		if act != ref.acts[i] {
+			act = act.Clone()
+		}
+		p.acts[i] = act
+	}
+	return p
+}
+
+// keepEvents returns the events of node i that land on an image in set, in
+// order, in the context's reusable buffer. An event beyond the census stays,
+// so the op's own pass still rejects it.
+func (c *ExecContext) keepEvents(i int, set tensor.ImageSet, evs []fault.Event) []fault.Event {
+	kept := c.delta.kept[:0]
+	for _, ev := range evs {
+		img := eventImage(c.net.Nodes[i].Op, c.inShapes[i], c.census[i], ev)
+		if img < 0 || img >= c.inShape.N || set.Has(img) {
+			kept = append(kept, ev)
+		}
+	}
+	c.delta.kept = kept
+	return kept
 }
 
 // markEvents adds the image each of node i's events lands on to dirty; an
@@ -261,6 +328,23 @@ func (c *ExecContext) markEvents(i int, dirty []uint64, evs []fault.Event) {
 		}
 		dirty[img>>6] |= 1 << (img & 63)
 	}
+}
+
+// orInto sets in dst every bit set in src.
+func orInto(dst, src []uint64) {
+	for w, v := range src {
+		dst[w] |= v
+	}
+}
+
+// anySet reports whether any bit of s is set.
+func anySet(s []uint64) bool {
+	for _, v := range s {
+		if v != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // eventImage returns the image of the batch that event ev of op, over

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestForwardDeltaMatchesForwardCtx(t *testing.T) {
 				if events != nil {
 					inj = &mapInjector{events: events}
 				}
-				got := net.ForwardDelta(dctx, plane, inj)
+				got := net.ForwardDelta(dctx, plane, nil, inj)
 				want := net.ForwardCtx(net.NewExecContext(), in, inj)
 				if !equalQ(got, want) {
 					t.Errorf("round %d: ForwardDelta logits diverge from ForwardCtx", ri)
@@ -86,7 +87,7 @@ func TestForwardDeltaDirtyClosure(t *testing.T) {
 	plane := net.CapturePlane(net.NewExecContext(), in)
 
 	// Empty round: the golden plane answers directly.
-	out := net.ForwardDelta(ctx, plane, &mapInjector{})
+	out := net.ForwardDelta(ctx, plane, nil, &mapInjector{})
 	if ctx.RecomputeCount() != 0 || ctx.DirtyCount() != 0 {
 		t.Errorf("empty round recomputed %d nodes (dirty %d), want 0",
 			ctx.RecomputeCount(), ctx.DirtyCount())
@@ -99,7 +100,7 @@ func TestForwardDeltaDirtyClosure(t *testing.T) {
 	// downstream, so the closure is the whole graph.
 	conv1 := nodeByName(t, net, "conv1")
 	ev := fault.Event{Class: fault.OpMul, Op: 3, Bit: 27, Operand: fault.ResultReg}
-	net.ForwardDelta(ctx, plane, &mapInjector{events: map[int][]fault.Event{conv1: {ev}}})
+	net.ForwardDelta(ctx, plane, nil, &mapInjector{events: map[int][]fault.Event{conv1: {ev}}})
 	if got := ctx.RecomputeCount(); got != len(net.Nodes) {
 		t.Errorf("input-node event recomputed %d of %d nodes, want all", got, len(net.Nodes))
 	}
@@ -110,7 +111,7 @@ func TestForwardDeltaDirtyClosure(t *testing.T) {
 	for i := range net.Nodes {
 		all[i] = []fault.Event{ev}
 	}
-	net.ForwardDelta(ctx, plane, &mapInjector{events: all})
+	net.ForwardDelta(ctx, plane, nil, &mapInjector{events: all})
 	if got := ctx.RecomputeCount(); got != len(net.Nodes) {
 		t.Errorf("all-nodes events recomputed %d of %d nodes, want all", got, len(net.Nodes))
 	}
@@ -128,7 +129,7 @@ func TestForwardDeltaReconvergence(t *testing.T) {
 	plane := net.CapturePlane(ctx, in)
 	add := nodeByName(t, net, "res.add")
 	ev := fault.Event{Class: fault.OpAdd, Op: 5, Bit: 9}
-	out := net.ForwardDelta(ctx, plane, &mapInjector{events: map[int][]fault.Event{add: {ev, ev}}})
+	out := net.ForwardDelta(ctx, plane, nil, &mapInjector{events: map[int][]fault.Event{add: {ev, ev}}})
 	if got := ctx.RecomputeCount(); got != 1 {
 		t.Errorf("self-canceling event recomputed %d nodes, want 1", got)
 	}
@@ -159,7 +160,7 @@ func TestForwardDeltaInputChange(t *testing.T) {
 		if in == inB {
 			plane = planeB
 		}
-		got := net.ForwardDelta(ctx, plane, inj)
+		got := net.ForwardDelta(ctx, plane, nil, inj)
 		want := net.ForwardCtx(net.NewExecContext(), in, inj)
 		if !equalQ(got, want) {
 			t.Errorf("input swap %d: delta logits diverge", i)
@@ -173,7 +174,8 @@ func TestForwardDeltaInputChange(t *testing.T) {
 // nothing; a dirty round allocates no more than the same round under full
 // ForwardCtx (the event-replay engines allocate proportionally to the
 // events they apply, which is unchanged by delta execution), whether its
-// events dirty every image or land on one image of four.
+// events dirty every image or land on one image of four. Steady-state
+// rounds against a captured faulty round allocate nothing.
 func TestForwardDeltaAllocFree(t *testing.T) {
 	for _, kind := range []EngineKind{Direct, Winograd} {
 		for _, backend := range []string{"scalar", "blocked"} {
@@ -200,10 +202,10 @@ func TestForwardDeltaAllocFree(t *testing.T) {
 			ctx.UseBackend(bk)
 			plane := net.CapturePlane(ctx, in)
 			for _, dirty := range rounds {
-				net.ForwardDelta(ctx, plane, dirty) // warm every node's scratch
+				net.ForwardDelta(ctx, plane, nil, dirty) // warm every node's scratch
 			}
 			clean := Injector(&mapInjector{})
-			if allocs := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, plane, clean) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, plane, nil, clean) }); allocs != 0 {
 				t.Errorf("%v/%s: steady-state clean ForwardDelta allocates %v times per round, want 0",
 					kind, backend, allocs)
 			}
@@ -212,11 +214,162 @@ func TestForwardDeltaAllocFree(t *testing.T) {
 				fctx.UseBackend(bk)
 				net.ForwardCtx(fctx, in, dirty) // warm the full-execution baseline
 				full := testing.AllocsPerRun(10, func() { net.ForwardCtx(fctx, in, dirty) })
-				delta := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, plane, dirty) })
+				delta := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, plane, nil, dirty) })
 				if delta > full {
 					t.Errorf("%v/%s/%s: dirty ForwardDelta allocates %v times per round, full ForwardCtx %v — delta must add none",
 						kind, backend, name, delta, full)
 				}
+			}
+
+			// Rounds against a captured faulty round: the reference has
+			// events at conv1 on every image and at res.b and fc; the
+			// rounds drop conv1's (every image dirty), drop fc's, or
+			// change res.b's, which keeps some convs' events off their
+			// dirty images.
+			resB, fc := nodeByName(t, net, "res.b"), nodeByName(t, net, "fc")
+			resBMuls, fcMuls := net.LayerCensus(in.Shape)[resB].Mul, net.LayerCensus(in.Shape)[fc].Mul
+			base := maps.Clone(rounds["every image"].(*mapInjector).events)
+			base[resB] = []fault.Event{ev(resBMuls/4 + 7)}
+			base[fc] = []fault.Event{ev(fcMuls - 5)}
+			net.ForwardDelta(ctx, plane, nil, &mapInjector{events: base})
+			ref := net.CaptureRound(ctx, plane)
+			except := func(li int, evs ...fault.Event) (Injector, []bool) {
+				m := maps.Clone(base)
+				m[li] = evs
+				differ := make([]bool, len(net.Nodes))
+				differ[li] = true
+				return &mapInjector{events: m}, differ
+			}
+			for name, li := range map[string]int{"conv1 fault-free": conv1, "fc fault-free": fc, "res.b moved": resB} {
+				var evs []fault.Event
+				if li == resB {
+					evs = []fault.Event{ev(3 * resBMuls / 4)}
+				}
+				inj, differ := except(li, evs...)
+				net.ForwardDelta(ctx, ref, differ, inj) // warm
+				if allocs := testing.AllocsPerRun(10, func() { net.ForwardDelta(ctx, ref, differ, inj) }); allocs != 0 {
+					t.Errorf("%v/%s/%s: steady-state ForwardDelta against a reference allocates %v times per round, want 0",
+						kind, backend, name, allocs)
+				}
+			}
+		}
+	}
+}
+
+// TestForwardDeltaAgainstReference: a faulty round captured after
+// ForwardDelta equals full execution node for node, and a round whose
+// events differ from it only at the named nodes, run as a delta against
+// it, equals full execution of its own events — and so does a third round
+// run against that round's capture — while no reference changes. The
+// events cover every image of four, on convs, an add, the DWM layer and
+// the FC head, on the direct engine and both winograd tiles.
+func TestForwardDeltaAgainstReference(t *testing.T) {
+	for _, e := range []struct {
+		kind EngineKind
+		tile *winograd.Tile
+	}{{Direct, winograd.F2}, {Winograd, winograd.F2}, {Winograd, winograd.F4}} {
+		net := buildDelta(e.kind, e.tile)
+		in := qIn(62, 4, 3, 16, 16, fixed.Int16)
+		census := net.LayerCensus(in.Shape)
+		node := func(name string) int { return nodeByName(t, net, name) }
+		// ev places a mul (or, with add, an add) event at a fraction of the
+		// node's class census: image-major, so fraction k/4 starts image k.
+		ev := func(name string, frac float64, bit uint8, add bool) fault.Event {
+			cl := fault.OpMul
+			if add || census[node(name)].Mul == 0 {
+				cl = fault.OpAdd
+			}
+			op := int64(frac * float64(census[node(name)].Class(cl)))
+			if cl == fault.OpMul {
+				return fault.Event{Class: cl, Op: op, Bit: bit, Operand: fault.ResultReg}
+			}
+			return fault.Event{Class: cl, Op: op, Bit: bit}
+		}
+		base := map[int][]fault.Event{
+			node("conv1"):   {ev("conv1", 0.30, 27, false), ev("conv1", 0.80, 25, false)},
+			node("res.b"):   {ev("res.b", 0.55, 26, false)},
+			node("res.add"): {ev("res.add", 0.05, 13, true)},
+			node("br3"):     {ev("br3", 0.93, 24, false)},
+			node("dwm"):     {ev("dwm", 0.40, 26, false)},
+			node("fc"):      {ev("fc", 0.70, 20, false)},
+		}
+		// with returns base with node name's events replaced (nil drops them).
+		with := func(m map[int][]fault.Event, name string, evs ...fault.Event) map[int][]fault.Event {
+			out := maps.Clone(m)
+			out[node(name)] = evs
+			return out
+		}
+		differ := func(names ...string) []bool {
+			d := make([]bool, len(net.Nodes))
+			for _, name := range names {
+				d[node(name)] = true
+			}
+			return d
+		}
+		golden := net.CapturePlane(net.NewExecContext(), in)
+		ctx := net.NewExecContext()
+		net.ForwardDelta(ctx, golden, nil, &mapInjector{events: base})
+		ref := net.CaptureRound(ctx, golden)
+		full := net.NewExecContext()
+		net.ForwardCtx(full, in, &mapInjector{events: base})
+		snapshot := func(p *Plane) [][]int32 {
+			var out [][]int32
+			for i := range net.Nodes {
+				a := p.Act(i)
+				if a.Shape != full.acts[i].Shape {
+					t.Fatalf("node %s: captured shape %v, want %v", net.Nodes[i].Name, a.Shape, full.acts[i].Shape)
+				}
+				out = append(out, slices.Clone(a.Data))
+			}
+			return out
+		}
+		for i, data := range snapshot(ref) {
+			if !slices.Equal(data, full.acts[i].Data) {
+				t.Fatalf("%v/%s: node %s of the captured round differs from ForwardCtx", e.kind, e.tile.Name, net.Nodes[i].Name)
+			}
+		}
+		before := snapshot(ref)
+		for _, c := range []struct {
+			name   string
+			events map[int][]fault.Event
+			differ []bool
+		}{
+			{"same events", base, differ()},
+			{"conv1 fault-free", with(base, "conv1"), differ("conv1")},
+			{"fc fault-free", with(base, "fc"), differ("fc")},
+			{"dwm fault-free", with(base, "dwm"), differ("dwm")},
+			{"res.add fault-free", with(base, "res.add"), differ("res.add")},
+			{"other event on res.b", with(base, "res.b", ev("res.b", 0.10, 25, false)), differ("res.b")},
+			{"new events on br1 and gap", with(with(base, "br1", ev("br1", 0.60, 26, false)), "gap", ev("gap", 0.20, 11, true)), differ("br1", "gap")},
+			{"every node differs", map[int][]fault.Event{node("br3"): {ev("br3", 0.15, 26, false)}}, nil},
+		} {
+			inj := &mapInjector{events: c.events}
+			got := net.ForwardDelta(ctx, ref, c.differ, inj)
+			want := net.ForwardCtx(net.NewExecContext(), in, inj)
+			if !equalQ(got, want) {
+				t.Errorf("%v/%s, %s: delta against the captured round diverges from ForwardCtx", e.kind, e.tile.Name, c.name)
+			}
+			// Nothing before the first differing node is computed.
+			if c.differ != nil {
+				most := 0
+				if first := slices.Index(c.differ, true); first >= 0 {
+					most = in.Shape.N * (len(net.Nodes) - first)
+				}
+				if ctx.RecomputeCount() > most {
+					t.Errorf("%v/%s, %s: recomputed %d node-images, want at most %d", e.kind, e.tile.Name, c.name, ctx.RecomputeCount(), most)
+				}
+			}
+			// A third round, differing from this one at dwm, against this
+			// one's capture.
+			second := net.CaptureRound(ctx, ref)
+			third := &mapInjector{events: with(c.events, "dwm", ev("dwm", 0.90, 27, false))}
+			if got, want := net.ForwardDelta(ctx, second, differ("dwm"), third), net.ForwardCtx(net.NewExecContext(), in, third); !equalQ(got, want) {
+				t.Errorf("%v/%s, %s: a round against the round's capture diverges from ForwardCtx", e.kind, e.tile.Name, c.name)
+			}
+		}
+		for i, data := range snapshot(ref) {
+			if !slices.Equal(data, before[i]) {
+				t.Fatalf("%v/%s: node %s of the reference changed", e.kind, e.tile.Name, net.Nodes[i].Name)
 			}
 		}
 	}
@@ -243,7 +396,7 @@ func TestForwardCtxAfterSparseDelta(t *testing.T) {
 		ctx := net.NewExecContext()
 		plane := net.CapturePlane(net.NewExecContext(), in)
 		net.ForwardCtx(ctx, in, every)
-		net.ForwardDelta(ctx, plane, sparse)
+		net.ForwardDelta(ctx, plane, nil, sparse)
 		if got := ctx.RecomputeCount(); got == 0 || got > len(net.Nodes) {
 			t.Fatalf("%v: the sparse round computed %d node-images, want one image's cone", kind, got)
 		}
@@ -252,7 +405,7 @@ func TestForwardCtxAfterSparseDelta(t *testing.T) {
 			if !equalQ(net.ForwardCtx(ctx, other, inj), net.ForwardCtx(net.NewExecContext(), other, inj)) {
 				t.Errorf("%v: ForwardCtx after a sparse ForwardDelta diverges from a fresh context", kind)
 			}
-			net.ForwardDelta(ctx, plane, sparse)
+			net.ForwardDelta(ctx, plane, nil, sparse)
 		}
 	}
 }
@@ -265,8 +418,8 @@ func TestForwardDeltaWrongContext(t *testing.T) {
 	in := qIn(1, 1, 3, 16, 16, fixed.Int16)
 	planeA, planeB := a.CapturePlane(a.NewExecContext(), in), b.CapturePlane(b.NewExecContext(), in)
 	for name, call := range map[string]func(){
-		"context": func() { a.ForwardDelta(b.NewExecContext(), planeA, nil) },
-		"plane":   func() { a.ForwardDelta(a.NewExecContext(), planeB, nil) },
+		"context": func() { a.ForwardDelta(b.NewExecContext(), planeA, nil, nil) },
+		"plane":   func() { a.ForwardDelta(a.NewExecContext(), planeB, nil, nil) },
 	} {
 		func() {
 			defer func() {

@@ -26,9 +26,11 @@ import (
 // performs no heap allocation at all (enforced by TestForwardCtxAllocFree).
 //
 // For delta execution (ForwardDelta, see delta.go) the context additionally
-// carries one dirty-image set per node, sized with its geometry; the golden
-// activations it serves live in a read-only Plane that all contexts share.
-// Steady-state delta rounds are allocation-free too.
+// carries one dirty-image set and one event-image set per node, sized with
+// its geometry; the reference activations it serves live in a read-only
+// Plane that all contexts share. Steady-state delta rounds are
+// allocation-free too. A context kept idle between passes (a worker pool)
+// should be detached, so that it keeps no plane alive.
 
 // ExecContext is the reusable per-goroutine state of forward passes over one
 // Network. The zero value is not usable; obtain one from
@@ -80,9 +82,9 @@ func (c *ExecContext) prepare(inShape tensor.Shape) {
 	c.inShape = inShape
 	words := (inShape.N + 63) / 64
 	c.delta = deltaState{
-		events: make([][]fault.Event, len(n.Nodes)),
-		words:  words,
-		dirty:  make([]uint64, len(n.Nodes)*words),
+		words: words,
+		dirty: make([]uint64, len(n.Nodes)*words),
+		evimg: make([]uint64, len(n.Nodes)*words),
 	}
 	c.shapes = make([]tensor.Shape, len(n.Nodes))
 	c.inShapes = make([][]tensor.Shape, len(n.Nodes))
@@ -99,6 +101,16 @@ func (c *ExecContext) prepare(inShape tensor.Shape) {
 		c.shapes[i] = n.Nodes[i].Op.OutShape(ins)
 		c.ins[i] = make([]*tensor.QTensor, len(n.Nodes[i].Inputs))
 		c.scratch[i] = &Scratch{kb: c.backend}
+	}
+}
+
+// Detach drops the context's pointers to the activations and inputs of its
+// last pass, which may be a plane's, so that an idle context keeps no plane
+// alive. Its scratch arenas stay warm; every pass sets the pointers again.
+func (c *ExecContext) Detach() {
+	clear(c.acts)
+	for _, ins := range c.ins {
+		clear(ins)
 	}
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -103,22 +104,40 @@ func buildDelta(kind EngineKind, tile *winograd.Tile) *Network {
 // cancels itself, so its image re-converges — bits 4–5 the round), the op
 // as a 16-bit fraction of its class's census (image-major, so fraction k/N
 // starts image k), and the bit.
+//
+// It then captures round 0 as a reference (CaptureRound), which must equal
+// ForwardCtx node for node, and derives a second event set from it: bit j
+// of differ marks op-carrying node j, whose events the set takes from the
+// last round instead (bit 15: every node, so the set is the last round).
+// ForwardDelta of that set against the reference, naming the marked
+// nodes, must equal its ForwardCtx, and leave the reference's bytes
+// unchanged.
 func FuzzForwardDelta(f *testing.F) {
 	// Op-carrying nodes: conv1 0, res.a 1, res.b 2, res.add 3, br1 4, br3 5,
 	// dwm 6, avg 7, gap 8, fc 9.
-	f.Add(false, false, uint8(1), uint8(0), []byte{0, 0x00, 0x00, 0x00, 27})                 // image 0 of conv1
-	f.Add(true, false, uint8(2), uint8(0), []byte{9, 0x01, 0xff, 0xff, 14})                  // image N-1 of fc
-	f.Add(true, false, uint8(3), uint8(0), []byte{6, 0x0a, 0x80, 0x00, 12})                  // self-cancelling pair on image 2
+	f.Add(false, false, uint8(1), uint8(0), []byte{0, 0x00, 0x00, 0x00, 27}, uint16(0))      // image 0 of conv1
+	f.Add(true, false, uint8(2), uint8(0), []byte{9, 0x01, 0xff, 0xff, 14}, uint16(0))       // image N-1 of fc
+	f.Add(true, false, uint8(3), uint8(0), []byte{6, 0x0a, 0x80, 0x00, 12}, uint16(0))       // self-cancelling pair on image 2
 	f.Add(true, true, uint8(3), uint8(0), []byte{0, 0, 0x00, 0x10, 27, 0, 0, 0x40, 0x10, 27, // events on every image
-		0, 0, 0x80, 0x10, 27, 0, 0, 0xc0, 0x10, 27})
-	f.Add(false, false, uint8(1), uint8(2), []byte{1, 0x00, 0x30, 0x00, 26, 3, 0x21, 0x70, 0x00, 12}) // clean round between dirty ones
-	f.Add(true, false, uint8(1), uint8(2), []byte{7, 0x07, 0x20, 0x00, 9, 6, 0x21, 0xf0, 0x00, 13})
-	f.Add(false, false, uint8(6), uint8(1), []byte{0, 0x00, 0x60, 0x00, 27, 9, 0x01, 0xc0, 0x00, 14})                  // 3 images in 2 parts
-	f.Add(true, false, uint8(11), uint8(1), []byte{6, 0x00, 0x40, 0x00, 12, 3, 0x01, 0xc0, 0x00, 9})                   // 4 images in 3 parts
-	f.Add(true, true, uint8(15), uint8(2), []byte{0, 0, 0x00, 0x10, 27, 5, 0x10, 0x80, 0x10, 20, 8, 1, 0xc0, 0x10, 9}) // 4 images in 4 parts
-	f.Add(false, false, uint8(14), uint8(0), []byte{2, 0x00, 0xb0, 0x00, 21})                                          // 3 images, 4 parts: one each
+		0, 0, 0x80, 0x10, 27, 0, 0, 0xc0, 0x10, 27}, uint16(0))
+	f.Add(false, false, uint8(1), uint8(2), []byte{1, 0x00, 0x30, 0x00, 26, 3, 0x21, 0x70, 0x00, 12}, uint16(0)) // clean round between dirty ones
+	f.Add(true, false, uint8(1), uint8(2), []byte{7, 0x07, 0x20, 0x00, 9, 6, 0x21, 0xf0, 0x00, 13}, uint16(0))
+	f.Add(false, false, uint8(6), uint8(1), []byte{0, 0x00, 0x60, 0x00, 27, 9, 0x01, 0xc0, 0x00, 14}, uint16(0))                  // 3 images in 2 parts
+	f.Add(true, false, uint8(11), uint8(1), []byte{6, 0x00, 0x40, 0x00, 12, 3, 0x01, 0xc0, 0x00, 9}, uint16(0))                   // 4 images in 3 parts
+	f.Add(true, true, uint8(15), uint8(2), []byte{0, 0, 0x00, 0x10, 27, 5, 0x10, 0x80, 0x10, 20, 8, 1, 0xc0, 0x10, 9}, uint16(0)) // 4 images in 4 parts
+	f.Add(false, false, uint8(14), uint8(0), []byte{2, 0x00, 0xb0, 0x00, 21}, uint16(0))                                          // 3 images, 4 parts: one each
+	// Reference rounds. Round 0 has events at conv1 (image 1), res.b
+	// (image 2), dwm (image 0) and fc (image 3) of 4; round 1 has none
+	// there unless stated.
+	ref := []byte{0, 0x00, 0x50, 0x00, 27, 2, 0x00, 0xa0, 0x00, 25, 6, 0x00, 0x10, 0x00, 26, 9, 0x00, 0xe0, 0x00, 20}
+	f.Add(false, false, uint8(3), uint8(1), ref, uint16(1<<0))                                                          // conv1 fault-free
+	f.Add(true, false, uint8(3), uint8(1), ref, uint16(1<<9))                                                           // fc fault-free
+	f.Add(true, true, uint8(3), uint8(1), ref, uint16(1<<6))                                                            // dwm fault-free
+	f.Add(true, false, uint8(3), uint8(1), append(slices.Clone(ref), 2, 0x10, 0x30, 0x00, 24, 4, 0x10, 0x90, 0x00, 26), // res.b moved, br1 new
+		uint16(1<<2|1<<4))
+	f.Add(false, false, uint8(3), uint8(1), append(slices.Clone(ref), 5, 0x10, 0x20, 0x00, 25), uint16(1<<15)) // every node differs
 	nets := map[[2]bool]*Network{}
-	f.Fuzz(func(t *testing.T, wino, f4 bool, n, rounds uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, wino, f4 bool, n, rounds uint8, data []byte, differ uint16) {
 		key := [2]bool{wino, f4}
 		net := nets[key]
 		if net == nil {
@@ -168,21 +187,56 @@ func FuzzForwardDelta(f *testing.F) {
 		}
 
 		plane := net.CaptureSplit(in, contexts(net, 1+int(n/4%4)))
-		var golden [][]int32
-		for i := range net.Nodes {
-			golden = append(golden, slices.Clone(plane.Act(i).Data))
+		snapshot := func(p *Plane) [][]int32 {
+			var out [][]int32
+			for i := range net.Nodes {
+				out = append(out, slices.Clone(p.Act(i).Data))
+			}
+			return out
 		}
+		unchanged := func(p *Plane, want [][]int32, what string) {
+			for i := range net.Nodes {
+				if !slices.Equal(p.Act(i).Data, want[i]) {
+					t.Fatalf("node %s: the %s changed", net.Nodes[i].Name, what)
+				}
+			}
+		}
+		golden := snapshot(plane)
 		ctx := net.NewExecContext()
 		for ri, evs := range events {
 			inj := &mapInjector{events: evs}
-			if got, want := net.ForwardDelta(ctx, plane, inj), net.ForwardCtx(net.NewExecContext(), in, inj); !equalQ(got, want) {
+			if got, want := net.ForwardDelta(ctx, plane, nil, inj), net.ForwardCtx(net.NewExecContext(), in, inj); !equalQ(got, want) {
 				t.Fatalf("round %d (%d images, events %v): ForwardDelta diverges from ForwardCtx", ri, in.Shape.N, evs)
 			}
 		}
+		unchanged(plane, golden, "golden plane")
+
+		refInj := &mapInjector{events: events[0]}
+		net.ForwardDelta(ctx, plane, nil, refInj)
+		ref := net.CaptureRound(ctx, plane)
+		full := net.NewExecContext()
+		net.ForwardCtx(full, in, refInj)
 		for i := range net.Nodes {
-			if !slices.Equal(plane.Act(i).Data, golden[i]) {
-				t.Fatalf("node %s: the golden plane changed", net.Nodes[i].Name)
+			if !slices.Equal(ref.Act(i).Data, full.acts[i].Data) {
+				t.Fatalf("node %s of the captured round 0 (events %v) differs from ForwardCtx", net.Nodes[i].Name, events[0])
 			}
 		}
+		before := snapshot(ref)
+		second, marked := maps.Clone(events[0]), make([]bool, len(net.Nodes))
+		if differ&(1<<15) != 0 {
+			second, marked = events[r-1], nil
+		} else {
+			for j, li := range opNodes {
+				if differ&(1<<j) != 0 {
+					second[li], marked[li] = events[r-1][li], true
+				}
+			}
+		}
+		inj := &mapInjector{events: second}
+		if got, want := net.ForwardDelta(ctx, ref, marked, inj), net.ForwardCtx(net.NewExecContext(), in, inj); !equalQ(got, want) {
+			t.Fatalf("against round 0 (%v), events %v differing at %v: ForwardDelta diverges from ForwardCtx", events[0], second, marked)
+		}
+		unchanged(ref, before, "reference")
+		unchanged(plane, golden, "golden plane")
 	})
 }

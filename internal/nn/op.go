@@ -3,7 +3,9 @@
 // activation, pooling, residual-add, concat and flatten ops composed into a
 // DAG. Every compute op exposes an exact operation census and accepts
 // operation-level fault events, so a whole network forward pass can be
-// corrupted bit-exactly at sampled multiply/add sites.
+// corrupted bit-exactly at sampled multiply/add sites. ForwardDelta runs a
+// fault round by recomputing only where it can differ from a reference
+// plane: the golden run, or a captured faulty round (see delta.go).
 package nn
 
 import (

@@ -106,7 +106,9 @@ func (e *Exposition) Find(name string) []Sample {
 //     _bucket/_sum/_count suffixes of a histogram family);
 //   - label values survive a round-trip through the escaper;
 //   - histogram bucket counts are cumulative per label set, the +Inf bucket is
-//     present, and it equals the family's _count.
+//     present, and it equals the family's _count;
+//   - no count is negative: counter samples and histogram _bucket and _count
+//     samples (a histogram's _sum and a gauge may be).
 //
 // It returns the parsed exposition so tests can make further assertions.
 func ValidateExposition(r io.Reader) (*Exposition, error) {
@@ -159,6 +161,9 @@ func ValidateExposition(r io.Reader) (*Exposition, error) {
 		if !help[fam] {
 			return nil, fmt.Errorf("line %d: sample %s has no preceding # HELP", ln, s.Name)
 		}
+		if s.Value < 0 && countsUp(s.Name, fam, exp.Types[fam]) {
+			return nil, fmt.Errorf("line %d: %s sample %s is negative (%v)", ln, exp.Types[fam], s.Name, s.Value)
+		}
 		seenSample[fam] = true
 		exp.Samples = append(exp.Samples, s)
 	}
@@ -169,6 +174,19 @@ func ValidateExposition(r io.Reader) (*Exposition, error) {
 		return nil, err
 	}
 	return exp, nil
+}
+
+// countsUp reports whether sample name of family fam (of type typ) is a
+// count, which can never be negative: a counter's samples and a
+// histogram's _bucket and _count samples.
+func countsUp(name, fam, typ string) bool {
+	switch typ {
+	case "counter":
+		return true
+	case "histogram":
+		return name == fam+"_bucket" || name == fam+"_count"
+	}
+	return false
 }
 
 // parseComment handles `# HELP name ...` / `# TYPE name kind` lines.

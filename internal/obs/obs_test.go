@@ -210,11 +210,25 @@ func TestValidateExpositionRejects(t *testing.T) {
 			"x_bucket{le=\"1\"} 1\nx_bucket{le=\"+Inf\"} 2\nx_sum 1\nx_count 3\n",
 		"missing +Inf": "# HELP x h\n# TYPE x histogram\n" +
 			"x_bucket{le=\"1\"} 1\nx_sum 1\nx_count 1\n",
+		"negative buckets and count": "# HELP h h\n# TYPE h histogram\n" +
+			"h_bucket{le=\"+Inf\"} -3\nh_sum 1\nh_count -3\n",
+		"negative bucket": "# HELP h h\n# TYPE h histogram\n" +
+			"h_bucket{le=\"1\"} -1\nh_bucket{le=\"+Inf\"} 0\nh_sum 0\nh_count 0\n",
+		"negative counter": "# HELP g g\n# TYPE g counter\ng -5\n",
+		"negative histogram and counter": "# HELP h h\n# TYPE h histogram\n" +
+			"h_bucket{le=\"+Inf\"} -3\nh_sum 1\nh_count -3\n# HELP g g\n# TYPE g counter\ng -5\n",
+		"negative counter with labels": "# HELP g_total g\n# TYPE g_total counter\ng_total{a=\"b\"} 1\ng_total{a=\"c\"} -0.5\n",
 	}
 	for name, payload := range cases {
 		if _, err := ValidateExposition(strings.NewReader(payload)); err == nil {
 			t.Errorf("%s: accepted invalid payload:\n%s", name, payload)
 		}
+	}
+	// A histogram's _sum and a gauge may be negative.
+	ok := "# HELP h h\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum -4.5\nh_count 2\n" +
+		"# HELP g g\n# TYPE g gauge\ng -5\n"
+	if _, err := ValidateExposition(strings.NewReader(ok)); err != nil {
+		t.Errorf("rejected a negative _sum or gauge: %v", err)
 	}
 }
 

@@ -129,6 +129,71 @@ func TestShardedLayersBitIdentical(t *testing.T) {
 	}
 }
 
+// TestLayersPhaseMatchesCampaignsAlone: the layers phase runs each
+// per-layer campaign as a delta against the baseline's rounds, so every
+// count of the phase — computed whole, or in shards with and without the
+// baseline's units, at Workers 1, 2 and 3 — must equal that campaign run
+// alone in its own batch, under the statistical model with a protection
+// plan and under a stuck-PE scenario.
+func TestLayersPhaseMatchesCampaignsAlone(t *testing.T) {
+	stuck := scenarioConfig(Winograd, &Scenario{Kind: "stuckpe", Row: 0, Col: 0, Bit: 18})
+	stuck.Rounds = 2
+	statistical := testConfig(Direct)
+	statistical.Rounds = 2
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		ber  float64
+		prot map[string][2]float64
+	}{
+		{"protected", statistical, 3e-9, map[string][2]float64{"conv1_2": {0.5, 0}, "conv3_1": {1, 1}, "fc1": {0, 0.7}}},
+		{"stuck PE", stuck, 1e-9, nil},
+	} {
+		var alone [][]int
+		for _, workers := range []int{1, 2, 3} {
+			cfg := c.cfg
+			cfg.Workers = workers
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.SetProtection(c.prot); err != nil {
+				t.Fatal(err)
+			}
+			plan, err := sys.Plan([]float64{c.ber}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs := sys.runner.LayerCampaigns(c.ber, sys.opts)
+			if alone == nil {
+				for i := range cs {
+					alone = append(alone, sys.runner.UnitCounts(context.Background(), cs[i:i+1], cfg.Rounds, 0, cfg.Rounds, nil))
+				}
+				distinct := map[int]bool{}
+				for _, counts := range alone {
+					distinct[counts[0]+counts[1]] = true
+				}
+				if len(distinct) < 2 {
+					t.Fatalf("%s: every layer campaign agrees with the baseline, so this test shows nothing", c.name)
+				}
+			}
+			units := plan.Phases()[1].Units
+			for _, r := range [][2]int{{0, units}, {cfg.Rounds, units}, {1, units / 2}, {units/2 + 1, units}} {
+				counts, err := plan.Counts(context.Background(), 1, r[0], r[1], nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, count := range counts {
+					u := r[0] + k
+					if want := alone[u/cfg.Rounds][u%cfg.Rounds]; count != want {
+						t.Errorf("%s, workers=%d, units [%d, %d): unit %d counts %d, alone %d", c.name, workers, r[0], r[1], u, count, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestShardRangeAndCountErrors: wire-facing phase, range, length and count
 // value mistakes are errors, never panics.
 func TestShardRangeAndCountErrors(t *testing.T) {
