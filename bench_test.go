@@ -348,6 +348,49 @@ func BenchmarkSweepDense(b *testing.B) {
 	}
 }
 
+// benchLayerPhase times the layers phase of a dist-layers campaign —
+// default vgg19 on the winograd engine, 24 images, 2 rounds, BERs
+// 1e-10/1e-9/1e-8, so the layer batch runs at 1e-9 — at Workers 1, cut
+// into parts ranges the way the coordinator cuts it and run through one
+// plan. Each iteration starts, outside the timer, from a released plan
+// warmed by one sweep unit: golden plane and context warm and no reference
+// round kept, as at a dist worker's first layers shard.
+func benchLayerPhase(b *testing.B, parts int) {
+	plan, err := NewPlan(CampaignRequest{
+		Model: "vgg19", Engine: "winograd", BERs: []float64{1e-10, 1e-9, 1e-8}, Layers: true, Workers: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	units := plan.Phases()[1].Units
+	size := (units + parts - 1) / parts
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		plan.Release()
+		if _, err := plan.Counts(ctx, 0, 0, 1, nil); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for lo := 0; lo < units; lo += size {
+			if _, err := plan.Counts(ctx, 1, lo, min(lo+size, units), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkLayerPhaseSplit times the layers phase whole, and split into the
+// coordinator's four ranges for two live workers ((units+3)/4 each). The
+// first range that needs a round captures it and the plan keeps it for the
+// others, so split costs about what whole does; captured once per range
+// instead, split took about 1.8 times whole on a 2-vCPU Xeon host.
+func BenchmarkLayerPhaseSplit(b *testing.B) {
+	b.Run("whole", func(b *testing.B) { benchLayerPhase(b, 1) })
+	b.Run("split", func(b *testing.B) { benchLayerPhase(b, 4) })
+}
+
 // benchNew times New for the default-scale vgg19 winograd system: the
 // layers' weight draws and filter transforms, the dataset and the golden
 // pass that a campaign pays before its first round. With Workers 1 all of

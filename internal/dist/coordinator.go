@@ -568,6 +568,12 @@ func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key
 	}
 	c.wakeLocked()
 	c.mu.Unlock()
+	if live > 0 {
+		// The fleet runs the phase, so the plan's working state (the golden
+		// plane its build captured, its warm context) would sit idle. A
+		// shard that goes local after all captures what it needs again.
+		plan.Release()
+	}
 	if prefilled > 0 {
 		ph.Record("journal-recovery", recStart, time.Since(recStart),
 			recoveryAttrs(prefilled, c.epoch, prevEpoch)...)

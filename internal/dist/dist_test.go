@@ -444,7 +444,7 @@ func TestFleetDiesMidCampaign(t *testing.T) {
 	c, url := fleet(t, cfg, 0)
 	dead := newRawWorker(t, url, "last-of-its-kind")
 	exec := &fleetWorker{cfg: WorkerConfig{Workers: 1, Logger: quiet()}}
-	if _, err := exec.plan(key, req); err != nil { // build outside the lease window
+	if _, err := exec.plan(key, req, 0); err != nil { // build outside the lease window
 		t.Fatal(err)
 	}
 	d := &progressLog{Coordinator: c}

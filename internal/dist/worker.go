@@ -46,7 +46,8 @@ type WorkerConfig struct {
 // ctx is canceled: register, heartbeat, lease-execute-report. Connection
 // errors, coordinator restarts and drains are survived by backing off and
 // re-registering — the worker is stateless between shards except for a
-// small LRU of built systems keyed by campaign content address.
+// small LRU of built systems keyed by campaign content address, and the
+// working state of those whose campaigns may still send it shards.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -92,12 +93,26 @@ type fleetWorker struct {
 	// dwarf small unit ranges. A few slots (not one) so the interleaved shard
 	// streams of a multi-job coordinator don't thrash it. Touched only by the
 	// single lease/execute goroutine.
+	//
+	// A plan keeps its working state (warm contexts, the golden plane, the
+	// reference rounds its layers phase captured) while more of its shards
+	// may come here, and no longer. The coordinator queues a phase's shards
+	// at once and leases them in queue order, so once the worker takes a
+	// shard of another campaign, no shard of the phase it left is still
+	// queued, short of a re-leased one. Leaving a plan in its last phase
+	// therefore releases it; a plan left in an earlier phase keeps its state
+	// for its next phase, which a multi-job coordinator queues behind other
+	// campaigns' shards (if other workers take all of that phase, until the
+	// plan leaves the cache). An idle lease answer releases every plan.
 	plans []cachedPlan
 }
 
 type cachedPlan struct {
 	key  string
 	plan *winofault.Plan
+	// phase is the phase of the worker's last shard of the plan, or -1 once
+	// the plan's working state is released.
+	phase int
 }
 
 // planCacheSize bounds cached plans per worker; coordinators run few
@@ -235,6 +250,9 @@ func (w *fleetWorker) leaseLoop(ctx context.Context) error {
 			// sleep only the rest of the poll interval, so an idle worker
 			// asks about once per poll whether or not its requests are held.
 			w.fails = 0
+			for i := range w.plans {
+				w.plans[i].release() // nothing is queued: keep no state while idle
+			}
 			if !sleepCtx(ctx, w.poll-time.Since(asked)) {
 				return ctx.Err()
 			}
@@ -324,7 +342,7 @@ func (w *fleetWorker) execute(ctx context.Context, task ShardTask) ShardResult {
 		res.Error = fmt.Sprintf("campaign key mismatch: coordinator says %.12s, spec canonicalizes to %.12s", task.Key, key)
 		return res
 	}
-	plan, err := w.plan(key, task.Req)
+	plan, err := w.plan(key, task.Req, task.Phase)
 	if err == nil {
 		res.Counts, err = plan.Counts(ctx, task.Phase, task.Lo, task.Hi, nil)
 	}
@@ -335,10 +353,16 @@ func (w *fleetWorker) execute(ctx context.Context, task ShardTask) ShardResult {
 }
 
 // plan returns the cached plan for key, or builds one (evicting the least
-// recently used entry beyond planCacheSize).
-func (w *fleetWorker) plan(key string, req winofault.CampaignRequest) (*winofault.Plan, error) {
+// recently used entry beyond planCacheSize), for a shard of phase. If the
+// worker's previous shard was of another plan, it leaves that plan first,
+// so a release lands before the build's golden pass.
+func (w *fleetWorker) plan(key string, req winofault.CampaignRequest, phase int) (*winofault.Plan, error) {
+	if n := len(w.plans); n > 0 && w.plans[n-1].key != key {
+		w.plans[n-1].leave()
+	}
 	for i, e := range w.plans {
 		if e.key == key {
+			e.phase = phase
 			w.plans = append(append(w.plans[:i:i], w.plans[i+1:]...), e)
 			return e.plan, nil
 		}
@@ -348,9 +372,23 @@ func (w *fleetWorker) plan(key string, req winofault.CampaignRequest) (*winofaul
 	if err != nil {
 		return nil, err
 	}
-	w.plans = append(w.plans, cachedPlan{key, p})
+	w.plans = append(w.plans, cachedPlan{key: key, plan: p, phase: phase})
 	if len(w.plans) > planCacheSize {
 		w.plans = w.plans[1:]
 	}
 	return p, nil
+}
+
+// leave releases e's working state if the worker's last shard of it was in
+// its last phase: no more of its shards will come (see fleetWorker.plans).
+func (e *cachedPlan) leave() {
+	if e.phase == len(e.plan.Phases())-1 {
+		e.release()
+	}
+}
+
+// release frees e's working state.
+func (e *cachedPlan) release() {
+	e.plan.Release()
+	e.phase = -1
 }

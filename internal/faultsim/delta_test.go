@@ -2,7 +2,6 @@ package faultsim
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -12,34 +11,20 @@ import (
 	"repro/internal/tensor"
 )
 
-// idle runs the GC until it has emptied r's pool and checks that r then
-// holds no plane. The first GC moves the pooled workers to the pool's
-// victim cache, the second drops them, and with them the last strong
-// reference.
-func idle(t *testing.T, r *Runner, when string) {
-	t.Helper()
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-	}
-	if r.plane.Value() != nil {
-		t.Errorf("%s: an idle runner still holds its plane after the GC emptied its pool", when)
-	}
-}
-
 // TestDeltaEnabledResolution pins which path a delta runner's units take:
 // neuron-flip campaigns run in full (their in-place corruption is not
-// located by the event stream), so after the GC empties the pool a neuron
-// campaign captures no plane, while an operand campaign captures one.
+// located by the event stream), so after a Release a neuron campaign
+// captures no plane, while an operand campaign captures one.
 func TestDeltaEnabledResolution(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 4)
 	neurons := models.NeuronIntensityFor(models.VGG19(models.Tiny), models.VGG19(models.Options{}))
-	idle(t, st, "after New")
+	st.Release()
 	st.Accuracy(context.Background(), 1e-8, Options{Semantics: fault.NeuronFlip, Seed: 5, NeuronIntensity: neurons}, 2)
-	if st.plane.Value() != nil {
+	if st.plane != nil {
 		t.Error("a neuron-flip campaign ran delta rounds")
 	}
 	st.Accuracy(context.Background(), 1e-8, Options{Semantics: fault.OperandFlip, Seed: 5, Intensity: stInt}, 2)
-	if st.plane.Value() == nil {
+	if st.plane == nil {
 		t.Error("an operand-flip campaign on a delta runner ran full rounds")
 	}
 }
@@ -160,40 +145,39 @@ func TestGoldenPlaneSharedReadOnly(t *testing.T) {
 }
 
 // TestPlaneLifetime: a full runner holds no plane, neither after New nor
-// after a campaign. A delta runner captures one in New and shares it with
-// its campaign's workers; left idle until the GC empties its pool it holds
-// none — so cached idle runners pin none — and its next campaign captures
-// one again.
+// after a campaign. A delta runner captures one in New, shares it with its
+// campaigns' workers and keeps it until Release; its next campaign then
+// captures one again.
 func TestPlaneLifetime(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 4)
 	opts := Options{Seed: 5, Intensity: stInt}
 
 	full := st.with(Exec{Workers: 2, Full: true})
-	if full.plane.Value() != nil {
+	if full.plane != nil {
 		t.Error("a full runner captured a plane in New")
 	}
 	full.Accuracy(context.Background(), 1e-9, opts, 2)
-	if full.plane.Value() != nil {
+	if full.plane != nil {
 		t.Error("a full runner's campaign captured a plane")
 	}
 
 	delta := withWorkers(st, 2)
-	func() { // scoped, so the GC below sees no strong reference of ours
-		plane := delta.plane.Value()
-		if plane == nil {
-			t.Fatal("a delta runner captured no plane in New")
-		}
-		delta.Accuracy(context.Background(), 1e-9, opts, 2)
-		if delta.plane.Value() != plane {
-			t.Error("a delta runner's campaign captured a second plane")
-		}
-	}()
-	idle(t, delta, "after a delta campaign")
-	delta.Accuracy(context.Background(), 1e-9, opts, 2)
-	if delta.plane.Value() == nil {
-		t.Fatal("an idle delta runner's campaign captured no plane")
+	plane := delta.plane
+	if plane == nil {
+		t.Fatal("a delta runner captured no plane in New")
 	}
-	idle(t, delta, "after a second delta campaign")
+	delta.Accuracy(context.Background(), 1e-9, opts, 2)
+	if delta.plane != plane {
+		t.Error("a delta runner's campaign captured a second plane")
+	}
+	delta.Release()
+	if holds(delta) {
+		t.Error("a released runner still holds working state")
+	}
+	delta.Accuracy(context.Background(), 1e-9, opts, 2)
+	if delta.plane == nil || delta.plane == plane {
+		t.Fatal("a released delta runner's campaign captured no new plane")
+	}
 }
 
 // TestSplitGoldenPassAgrees: New splits its golden pass into min(Workers,

@@ -12,7 +12,8 @@
 // runner runs each round as a delta against the golden run (nn.ForwardDelta)
 // or, for campaigns that draw their batch's first campaign's events at all
 // but a few nodes — a layer-sensitivity batch — against that campaign's
-// round, captured once per call (reference.go).
+// round, captured once and kept for later calls within a byte budget
+// (reference.go).
 package faultsim
 
 import (
@@ -20,7 +21,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"weak"
 
 	"repro/internal/fault"
 	"repro/internal/fixed"
@@ -99,48 +99,46 @@ type Exec struct {
 	Full bool
 }
 
-// Runner evaluates one network against one evaluation input set.
+// Runner evaluates one network against one evaluation input set. It owns
+// the working state of its calls: at most Workers warm contexts, a delta
+// runner's golden plane and the reference rounds later calls may reuse
+// (reference.go). It keeps them from the call that builds them until
+// Release, or until the runner is dropped.
 type Runner struct {
 	Net    *nn.Network
 	Inputs *tensor.QTensor // the full evaluation batch; must not change
 	exec   Exec
 	golden []int
-	// plane points at the golden activation of every node for Inputs,
-	// captured by a delta runner's golden pass and read-only afterwards, so
-	// every worker's delta rounds serve the same one. The runner holds it
-	// weakly and each pooled worker that served it strongly, so it lives as
-	// long as the pool does: a runner left idle until the GC empties its
-	// pool (a dist worker caches idle plans, the dist coordinator only
-	// reduces counts) holds no plane, and its next delta unit captures one
-	// again. A full runner never captures one.
+	// plane is the golden activation of every node for Inputs, captured by
+	// a delta runner's golden pass and read-only afterwards, so every
+	// worker's delta rounds serve the same one. Release drops it and the
+	// next delta unit captures it again, under planeMu. A full runner never
+	// captures one.
 	planeMu sync.Mutex
-	plane   weak.Pointer[nn.Plane]
-	// pool recycles per-worker state across campaign batches, so scratch
-	// arenas warmed by one batch carry over to the next instead of being
-	// rebuilt per call. Workers hold no result-affecting state (determinism
-	// is per-unit rng), so recycling cannot change any outcome.
-	pool sync.Pool
+	plane   *nn.Plane
+	// mu guards the rest of the working state. gen counts Releases, so a
+	// call that straddles one keeps nothing it built before it.
+	mu    sync.Mutex
+	gen   uint64
+	idle  []*nn.ExecContext // detached, at most Workers
+	store roundStore
 }
 
 // New runs the runner's golden pass and returns a ready runner. The pass is
 // split into min(Workers, N) sub-batch passes over contiguous image ranges,
 // run concurrently (see passContexts). A delta runner's pass captures its
-// plane, which its pool then holds; a full runner's pass keeps only each
-// range's golden predictions. A pass that panics panics New on the calling
-// goroutine.
+// plane; a full runner's pass keeps only each range's golden predictions. A
+// one-range pass runs on a context the runner then keeps for its first
+// call. A pass that panics panics New on the calling goroutine.
 func New(net *nn.Network, inputs *tensor.QTensor, exec Exec) *Runner {
 	r := &Runner{Net: net, Inputs: inputs, exec: exec}
 	w := r.worker()
 	if exec.Full {
 		r.golden = net.PredictSplit(inputs, r.passContexts(w.ec))
-		return r
+	} else {
+		r.golden = nn.Argmax(r.goldenPlane(w).Output())
 	}
-	r.golden = nn.Argmax(r.goldenPlane(w).Output())
-	// Pool the plane without the capture's context: sync.Pool keeps a Put
-	// in the putting P's private slot, where no worker running on another
-	// P finds it, and a context stranded there would hold its scratch for
-	// nothing while the plane is shared anyway.
-	r.pool.Put(&worker{plane: w.plane})
+	r.keep(w)
 	return r
 }
 
@@ -151,17 +149,32 @@ func (r *Runner) Golden() []int { return r.golden }
 // with 0 meaning GOMAXPROCS.
 func (r *Runner) Workers() int { return par.Workers(r.exec.Workers) }
 
-// goldenPlane returns the runner's golden plane, capturing it if no plane
-// is alive: in New, and in the first delta unit of a runner whose pool the
-// GC emptied.
+// Release frees the runner's working state: its idle contexts, its golden
+// plane and its kept reference rounds. The runner stays usable, and its
+// next call captures what it needs again, at the cost of a golden pass and
+// cold contexts. A call in flight keeps what it holds until it returns and
+// then keeps nothing.
+func (r *Runner) Release() {
+	r.planeMu.Lock()
+	r.plane = nil
+	r.planeMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gen++
+	r.idle = nil
+	r.store = roundStore{}
+}
+
+// goldenPlane returns the runner's golden plane, capturing it if the runner
+// holds none: in New, and in the first delta unit after a Release.
 func (r *Runner) goldenPlane(w *worker) *nn.Plane {
 	if w.plane == nil {
 		r.planeMu.Lock()
 		defer r.planeMu.Unlock()
-		if w.plane = r.plane.Value(); w.plane == nil {
-			w.plane = r.Net.CaptureSplit(r.Inputs, r.passContexts(w.ec))
-			r.plane = weak.Make(w.plane)
+		if r.plane == nil {
+			r.plane = r.Net.CaptureSplit(r.Inputs, r.passContexts(w.ec))
 		}
+		w.plane = r.plane
 	}
 	return w.plane
 }
@@ -169,10 +182,10 @@ func (r *Runner) goldenPlane(w *worker) *nn.Plane {
 // passContexts returns the contexts of a golden pass split into
 // min(Workers, N) image ranges, one per range. A one-range pass runs on ec,
 // the calling worker's context, whose scratch the full batch shapes anyway.
-// A split pass runs each range on a fresh context that never enters the
-// pool: a context's scratch is shaped by its batch, so a sub-batch context
-// would only be rebuilt by the next full-batch round. With Workers 1 the
-// pass is one pass on the calling goroutine.
+// A split pass runs each range on a fresh context the runner never keeps: a
+// context's scratch is shaped by its batch, so a sub-batch context would
+// only be rebuilt by the next full-batch round. With Workers 1 the pass is
+// one pass on the calling goroutine.
 func (r *Runner) passContexts(ec *nn.ExecContext) []*nn.ExecContext {
 	parts := min(r.Workers(), r.Inputs.Shape.N)
 	if parts == 1 {
@@ -346,8 +359,9 @@ func Units(cs []Campaign, rounds int) int {
 // which other ranges — the property the distributed shard executor rests on.
 // The units run on the runner's worker pool. Campaigns that draw the batch's
 // first campaign's events at all but a few nodes (a layer-sensitivity batch)
-// run as deltas against that campaign's rounds, each captured once per call
-// (see reference.go); their counts are the same either way.
+// run as deltas against that campaign's rounds, each captured once and kept
+// for the runner's later calls over other ranges of the batch (see
+// reference.go); their counts are the same either way.
 //
 // progress, when non-nil, is called with (0, hi-lo) before the first unit
 // and with the number of finished units after every unit. It is
@@ -380,7 +394,7 @@ func (r *Runner) UnitCounts(ctx context.Context, cs []Campaign, rounds, lo, hi i
 		progress(0, hi-lo)
 	}
 
-	refs := r.references(cs, units[lo:hi])
+	refs := r.references(cs, units, lo, hi)
 	agree := make([]int, hi-lo)
 	var completed atomic.Int64
 	r.runUnits(ctx, r.exec.Workers, hi-lo, func(w *worker, k int) {

@@ -22,13 +22,20 @@ import (
 // in-flight unit per worker instead of draining the whole sweep. Units that
 // were executed before the cancellation are still deterministic; the caller
 // must treat the aggregate as invalid whenever ctx.Err() != nil.
+//
+// A call's workers run on the runner's idle contexts, warm from earlier
+// calls, and return them when they drain: the runner keeps at most Workers
+// of them until Release. Workers hold no result-affecting state, so reusing
+// a context cannot change any outcome.
 
-// worker is one pooled per-worker state: an ExecContext and, once the
-// worker has run a delta unit, the runner's golden plane. The runner holds
-// the plane weakly, so pooled workers are what keep it alive.
+// worker is one goroutine's state for a call: a context and, once the worker
+// has run a delta unit, the runner's golden plane. gen is the runner's
+// Release count when the worker opened; a context opened before a Release is
+// dropped, not kept.
 type worker struct {
 	ec    *nn.ExecContext
 	plane *nn.Plane
+	gen   uint64
 }
 
 // newContext returns a fresh context on the runner's backend.
@@ -38,31 +45,43 @@ func (r *Runner) newContext() *nn.ExecContext {
 	return ec
 }
 
-// worker draws a worker from the runner's recycling pool (warm scratch
-// arenas survive across batches), giving it a fresh context when the pool
-// is empty or holds only the plane New pooled.
+// worker opens a worker on an idle context, or on a fresh one when the
+// runner keeps none.
 func (r *Runner) worker() *worker {
-	w, _ := r.pool.Get().(*worker)
-	if w == nil {
-		w = &worker{}
+	r.mu.Lock()
+	w := &worker{gen: r.gen}
+	if n := len(r.idle); n > 0 {
+		w.ec = r.idle[n-1]
+		r.idle[n-1] = nil
+		r.idle = r.idle[:n-1]
 	}
+	r.mu.Unlock()
 	if w.ec == nil {
 		w.ec = r.newContext()
 	}
 	return w
 }
 
+// keep returns a drained worker's context to the runner, detached so that
+// it pins no round it last read, unless the runner already keeps Workers
+// contexts or was released since the worker opened.
+func (r *Runner) keep(w *worker) {
+	w.ec.Detach()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if w.gen == r.gen && len(r.idle) < r.Workers() {
+		r.idle = append(r.idle, w.ec)
+	}
+}
+
 // runUnits executes fn(w, u) for every unit u in [0, n) across the given
 // number of workers (par.Each), stopping early (without running the
 // remaining units) once ctx is canceled. Each worker owns a private
 // nn.ExecContext over the runner's network, so forward passes reuse
-// per-worker state without sharing any of it; workers return to the
-// runner's pool when they drain normally. A panic in any unit is re-raised
-// on the calling goroutine once all workers have drained (its worker is
-// dropped — mid-pass scratch state is not re-pooled).
+// per-worker state without sharing any of it; workers that drain normally
+// return their contexts to the runner. A panic in any unit is re-raised on
+// the calling goroutine once all workers have drained (its worker is dropped
+// — mid-pass scratch state is not kept).
 func (r *Runner) runUnits(ctx context.Context, workers, n int, fn func(w *worker, u int)) {
-	par.Each(workers, n, ctx.Done(), r.worker, fn, func(w *worker) {
-		w.ec.Detach() // its last pass may have read a reference round
-		r.pool.Put(w)
-	})
+	par.Each(workers, n, ctx.Done(), r.worker, fn, r.keep)
 }

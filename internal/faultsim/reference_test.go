@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"weak"
 
@@ -133,29 +134,34 @@ func TestReferenceRoundsPlanned(t *testing.T) {
 	layers := st.LayerCampaigns(1e-9, opts)
 	const rounds = 3
 	units := flattenUnits(layers, rounds)
-	if st.references(SweepCampaigns([]float64{1e-9, 1e-8}, opts), units[:2*rounds]) != nil {
+	sweep := SweepCampaigns([]float64{1e-9, 1e-8}, opts)
+	if st.references(sweep, flattenUnits(sweep, rounds), 0, 2*rounds) != nil {
 		t.Error("a sweep batch planned reference rounds")
 	}
-	if st.with(Exec{Full: true}).references(layers, units) != nil {
+	if st.with(Exec{Full: true}).references(layers, units, 0, len(units)) != nil {
 		t.Error("a full runner planned reference rounds")
 	}
 	neuron := opts
 	neuron.Semantics = fault.NeuronFlip
-	if st.references(st.LayerCampaigns(1e-9, neuron), units) != nil {
+	if st.references(st.LayerCampaigns(1e-9, neuron), units, 0, len(units)) != nil {
 		t.Error("a neuron-flip batch planned reference rounds")
 	}
-	if st.references(layers, units[:rounds]) != nil {
+	if st.references(layers, units, 0, rounds) != nil {
 		t.Error("the baseline's units alone planned reference rounds")
 	}
 
-	// The baseline's rounds 0-2, then the first layer's round 0.
-	refs := st.references(layers, units[:rounds+1])
+	// The baseline's rounds 0-2, then the first layer's round 0: a later
+	// call may need round 0, and only round 0 has users.
+	refs := st.references(layers, units, 0, rounds+1)
 	for k, want := range []bool{true, false, false, true} {
 		if got := refs.used(units[k]); got != want {
 			t.Errorf("unit %d (campaign %d round %d): used %v, want %v", k, units[k].c, units[k].round, got, want)
 		}
 	}
-	refs = st.references(layers, units)
+	if !refs.rounds[0].keep || refs.rounds[1].keep || refs.rounds[2].keep {
+		t.Errorf("rounds offered to the store %v %v %v, want only round 0", refs.rounds[0].keep, refs.rounds[1].keep, refs.rounds[2].keep)
+	}
+	refs = st.references(layers, units, 0, len(units))
 	var order []int
 	for k := range units {
 		order = append(order, units[refs.unit(k)].round)
@@ -167,20 +173,23 @@ func TestReferenceRoundsPlanned(t *testing.T) {
 		if got := refs.rounds[r].users; got != len(layers) {
 			t.Errorf("round %d has %d users, want %d", r, got, len(layers))
 		}
+		if refs.rounds[r].keep {
+			t.Errorf("round %d: a call that runs all its users offered it to the store", r)
+		}
 	}
 }
 
 // TestReferenceRoundsReleased: a call captures each round's reference once,
-// whatever its workers, and no runner or pooled worker holds any of it
-// after the call — not even the copied activations a pooled context last
-// read.
+// whatever its workers, and when it runs all of a round's users the runner
+// keeps none of it after the call — not even the copied activations an
+// idle context last read.
 func TestReferenceRoundsReleased(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 4)
 	cs := st.LayerCampaigns(1e-8, Options{Seed: 8, Intensity: stInt})
 	const rounds = 3
 	for _, workers := range []int{1, 2, 3} {
 		r := withWorkers(st, workers)
-		golden := r.goldenPlane(&worker{ec: r.newContext()})
+		golden := r.plane
 		var (
 			mu       sync.Mutex
 			captured int
@@ -204,7 +213,7 @@ func TestReferenceRoundsReleased(t *testing.T) {
 		if len(copies) == 0 {
 			t.Fatalf("workers=%d: the reference rounds copied nothing, so this test shows nothing", workers)
 		}
-		runtime.GC() // one cycle: pooled workers stay in the pool
+		runtime.GC()
 		for _, p := range copies {
 			if p.Value() != nil {
 				t.Errorf("workers=%d: an activation of a reference round outlived its call", workers)
@@ -213,6 +222,210 @@ func TestReferenceRoundsReleased(t *testing.T) {
 		}
 		runtime.KeepAlive(r)
 		runtime.KeepAlive(golden)
+	}
+}
+
+// coordRanges returns the unit ranges the dist coordinator cuts a phase of
+// total units into for live workers: about two per worker.
+func coordRanges(total, live int) [][2]int {
+	size := (total + 2*live - 1) / (2 * live)
+	var out [][2]int
+	for lo := 0; lo < total; lo += size {
+		out = append(out, [2]int{lo, min(lo+size, total)})
+	}
+	return out
+}
+
+// TestLayerRangesMatchWhole is the oracle of kept reference rounds: a layer
+// batch run as the coordinator's ranges for 2 and 3 live workers through one
+// runner gives exactly the counts of the whole range, at Workers 1, 2 and 3,
+// whether the ranges run forward, in reverse or interleaved (the ranges
+// without the baseline's units first), and with a sweep batch or a range of
+// another seed's layer batch run on the runner between any two ranges.
+func TestLayerRangesMatchWhole(t *testing.T) {
+	st, _, stInt, _ := testRig(t, 4)
+	const ber, rounds = 3e-9, 2
+	opts := Options{Seed: 31, Intensity: stInt}
+	cs := st.LayerCampaigns(ber, opts)
+	other := opts
+	other.Seed = 32
+	others := st.LayerCampaigns(ber, other)
+	sweep := SweepCampaigns([]float64{1e-9, ber}, opts)
+	total, half := Units(cs, rounds), Units(others, rounds)/2
+	serial := withWorkers(st, 1)
+	whole := serial.UnitCounts(context.Background(), cs, rounds, 0, total, nil)
+	othersWhole := serial.UnitCounts(context.Background(), others, rounds, 0, half, nil)
+	sweepWhole := serial.UnitCounts(context.Background(), sweep, rounds, 0, Units(sweep, rounds), nil)
+	if !slices.ContainsFunc(whole, func(n int) bool { return n != len(st.Golden()) }) {
+		t.Fatal("every unit agrees everywhere, so no reference round can show")
+	}
+	for _, live := range []int{2, 3} {
+		ranges := coordRanges(total, live)
+		var forward, reverse, interleaved []int
+		for i := range ranges {
+			forward = append(forward, i)
+			reverse = append(reverse, len(ranges)-1-i)
+		}
+		for _, first := range []int{1, 0} {
+			for i := first; i < len(ranges); i += 2 {
+				interleaved = append(interleaved, i)
+			}
+		}
+		for _, workers := range []int{1, 2, 3} {
+			for _, order := range []struct {
+				name string
+				idx  []int
+			}{{"forward", forward}, {"reverse", reverse}, {"interleaved", interleaved}} {
+				what := fmt.Sprintf("live=%d workers=%d %s", live, workers, order.name)
+				r := withWorkers(st, workers)
+				got := make([]int, total)
+				for k, i := range order.idx {
+					rg := ranges[i]
+					copy(got[rg[0]:], r.UnitCounts(context.Background(), cs, rounds, rg[0], rg[1], nil))
+					if k%2 == 0 {
+						if c := r.UnitCounts(context.Background(), sweep, rounds, 0, Units(sweep, rounds), nil); !slices.Equal(c, sweepWhole) {
+							t.Errorf("%s: the sweep between ranges counts %v, alone %v", what, c, sweepWhole)
+						}
+					} else if c := r.UnitCounts(context.Background(), others, rounds, 0, half, nil); !slices.Equal(c, othersWhole) {
+						t.Errorf("%s: seed 32's range between ranges counts %v, on a fresh runner %v", what, c, othersWhole)
+					}
+				}
+				if !slices.Equal(got, whole) {
+					t.Errorf("%s: ranges count %v, whole %v", what, got, whole)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitCapturesEachRoundOnce: two runners running the coordinator's
+// 2-worker ranges of a layer batch as the fleet's two workers do — ranges 0
+// and 2 on one, 1 and 3 on the other — capture each round once per runner,
+// 4 captures for 2 rounds, where capturing once per call took 8. Release
+// makes the next range capture its rounds again.
+func TestSplitCapturesEachRoundOnce(t *testing.T) {
+	st, _, stInt, _ := testRig(t, 4)
+	const rounds = 2
+	cs := st.LayerCampaigns(3e-9, Options{Seed: 8, Intensity: stInt})
+	ranges := coordRanges(Units(cs, rounds), 2)
+	if len(ranges) != 4 {
+		t.Fatalf("the 2-worker split has %d ranges, want 4", len(ranges))
+	}
+	var captures atomic.Int64
+	testHookCapture = func(*nn.Plane) { captures.Add(1) }
+	defer func() { testHookCapture = nil }()
+	runners := []*Runner{withWorkers(st, 1), withWorkers(st, 1)}
+	for i, rg := range ranges {
+		runners[i%2].UnitCounts(context.Background(), cs, rounds, rg[0], rg[1], nil)
+	}
+	if n := captures.Load(); n != 2*rounds {
+		t.Errorf("the 2-worker split captured %d rounds, want %d", n, 2*rounds)
+	}
+	captures.Store(0)
+	runners[0].Release()
+	runners[0].UnitCounts(context.Background(), cs, rounds, ranges[2][0], ranges[2][1], nil)
+	if n := captures.Load(); n != rounds {
+		t.Errorf("a range after Release captured %d rounds, want %d", n, rounds)
+	}
+}
+
+// TestConcurrentRangesAndRelease: the coordinator's 3-worker ranges of a
+// layer batch run concurrently on one runner, some twice, while another
+// goroutine releases the runner, give the counts of the whole range — kept
+// rounds are found, offered and dropped from several goroutines at once
+// (run it under -race).
+func TestConcurrentRangesAndRelease(t *testing.T) {
+	st, _, stInt, _ := testRig(t, 4)
+	const rounds = 2
+	cs := st.LayerCampaigns(3e-9, Options{Seed: 31, Intensity: stInt})
+	total := Units(cs, rounds)
+	whole := withWorkers(st, 1).UnitCounts(context.Background(), cs, rounds, 0, total, nil)
+	r := withWorkers(st, 2)
+	ranges := coordRanges(total, 3)
+	var wg sync.WaitGroup
+	for i := range 2 * len(ranges) {
+		rg := ranges[i%len(ranges)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := r.UnitCounts(context.Background(), cs, rounds, rg[0], rg[1], nil); !slices.Equal(got, whole[rg[0]:rg[1]]) {
+				t.Errorf("units [%d, %d): counts %v, whole %v", rg[0], rg[1], got, whole[rg[0]:rg[1]])
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 3 {
+			r.Release()
+			runtime.Gosched()
+		}
+	}()
+	wg.Wait()
+}
+
+// holds reports whether r holds any working state that Release frees.
+func holds(r *Runner) bool {
+	r.planeMu.Lock()
+	plane := r.plane != nil
+	r.planeMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return plane || len(r.idle) > 0 || len(r.store.rounds) > 0
+}
+
+// TestRunnerReleaseFreesState: between calls a runner keeps its idle
+// contexts, its golden plane and the reference rounds a partial range of a
+// layer batch captured; after Release and one GC none of them — nor any
+// activation a kept round copied — is reachable, and the next call captures
+// them again and gives the same counts.
+func TestRunnerReleaseFreesState(t *testing.T) {
+	st, _, stInt, _ := testRig(t, 4)
+	const rounds = 2
+	cs := st.LayerCampaigns(1e-8, Options{Seed: 8, Intensity: stInt})
+	half := Units(cs, rounds) / 2
+	r := withWorkers(st, 2)
+	want := r.UnitCounts(context.Background(), cs, rounds, 0, half, nil)
+	var alive []func() bool
+	track := func(p weak.Pointer[tensor.QTensor]) { alive = append(alive, func() bool { return p.Value() != nil }) }
+	func() { // scoped, so the GC below sees no strong reference of ours
+		if len(r.idle) == 0 || r.plane == nil || len(r.store.rounds) != rounds {
+			t.Fatalf("the runner keeps %d contexts, plane %v and %d rounds, want contexts, a plane and %d rounds",
+				len(r.idle), r.plane != nil, len(r.store.rounds), rounds)
+		}
+		for _, ec := range r.idle {
+			p := weak.Make(ec)
+			alive = append(alive, func() bool { return p.Value() != nil })
+		}
+		planes := []*nn.Plane{r.plane}
+		for _, k := range r.store.rounds {
+			planes = append(planes, k.plane)
+			for i := range r.Net.Nodes {
+				if act := k.plane.Act(i); act != r.plane.Act(i) {
+					track(weak.Make(act))
+				}
+			}
+		}
+		for _, pl := range planes {
+			p := weak.Make(pl)
+			alive = append(alive, func() bool { return p.Value() != nil })
+		}
+	}()
+	r.Release()
+	if holds(r) {
+		t.Error("a released runner holds working state")
+	}
+	runtime.GC()
+	for i, a := range alive {
+		if a() {
+			t.Errorf("working state %d of %d is reachable after Release and one GC", i, len(alive))
+		}
+	}
+	if got := r.UnitCounts(context.Background(), cs, rounds, 0, half, nil); !slices.Equal(got, want) {
+		t.Errorf("after Release: counts %v, before %v", got, want)
+	}
+	if !holds(r) {
+		t.Error("a call after Release built no working state")
 	}
 }
 
@@ -302,5 +515,31 @@ func TestDifferingNodesCoversOptions(t *testing.T) {
 	neuron.Opts.Semantics = fault.NeuronFlip
 	if differingNodes(&neuron, &neuron, nodes) != nil {
 		t.Error("a neuron-flip campaign qualified")
+	}
+
+	// The runner's kept rounds go by the same rule: a round kept for ref
+	// serves no campaign that differs from it in a field placed above, and
+	// its key is a copy that the caller's later edits do not move.
+	store := roundStore{rounds: []*keptRound{{ref: cloneCampaign(&ref), round: 1}}}
+	if store.find(&Campaign{BER: 1e-9, Opts: base()}, 1, nodes) == nil {
+		t.Error("the store missed a round kept for an identical campaign")
+	}
+	if store.find(&Campaign{BER: 1e-9, Opts: base()}, 0, nodes) != nil {
+		t.Error("the store served a round of another round index")
+	}
+	if store.find(&Campaign{BER: 2e-9, Opts: base()}, 1, nodes) != nil {
+		t.Error("the store served a round kept at another BER")
+	}
+	for name, edit := range edits {
+		o := base()
+		edit(&o)
+		if store.find(&Campaign{BER: 1e-9, Opts: o}, 1, nodes) != nil {
+			t.Errorf("%s: the store served a round kept for another campaign", name)
+		}
+	}
+	ref.Opts.FaultFree[6] = true
+	ref.Opts.Intensity[0].Mul++
+	if store.find(&Campaign{BER: 1e-9, Opts: base()}, 1, nodes) == nil {
+		t.Error("the kept key changed with the caller's maps and slices")
 	}
 }

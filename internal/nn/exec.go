@@ -4,6 +4,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kernel"
 	"repro/internal/tensor"
+	"repro/internal/winograd"
 )
 
 // Concurrency model (see DESIGN.md): a Network is immutable after
@@ -20,17 +21,20 @@ import (
 // instead of once per round.
 //
 // It is also the allocation arena of the hot path: every node owns a Scratch
-// (recycled output tensors, engine accumulators and transform buffers,
-// padded-input copies, cached accumulator-scale biases) threaded through
-// Op.Forward, so after the first round a steady-state fault-free ForwardCtx
-// performs no heap allocation at all (enforced by TestForwardCtxAllocFree).
+// (recycled output tensors, padded-input copies, cached accumulator-scale
+// biases) threaded through Op.Forward, and the winograd nodes share the
+// context's one int64 working set (accumulators and transform buffers,
+// sized by the largest node), since a context runs one node at a time. So
+// after the first round a steady-state fault-free ForwardCtx performs no
+// heap allocation at all (enforced by TestForwardCtxAllocFree).
 //
 // For delta execution (ForwardDelta, see delta.go) the context additionally
 // carries one dirty-image set and one event-image set per node, sized with
 // its geometry; the reference activations it serves live in a read-only
 // Plane that all contexts share. Steady-state delta rounds are
-// allocation-free too. A context kept idle between passes (a worker pool)
-// should be detached, so that it keeps no plane alive.
+// allocation-free too. A context kept idle between passes (a runner keeps
+// its workers' contexts between calls) should be detached, so that it keeps
+// no plane alive.
 
 // ExecContext is the reusable per-goroutine state of forward passes over one
 // Network. The zero value is not usable; obtain one from
@@ -48,6 +52,7 @@ type ExecContext struct {
 	acts     []*tensor.QTensor
 	ins      [][]*tensor.QTensor // per-node resolved input views, refilled per pass
 	scratch  []*Scratch          // per-node reusable buffer arenas (see scratch.go)
+	wgb      winograd.Buffers    // int64 working set of every winograd node: one runs at a time
 	delta    deltaState          // per-round delta-execution working set
 	backend  kernel.Backend      // compute backend for the fault-free hot paths
 }
@@ -100,7 +105,7 @@ func (c *ExecContext) prepare(inShape tensor.Shape) {
 		c.hasOps[i] = c.census[i].Total() > 0
 		c.shapes[i] = n.Nodes[i].Op.OutShape(ins)
 		c.ins[i] = make([]*tensor.QTensor, len(n.Nodes[i].Inputs))
-		c.scratch[i] = &Scratch{kb: c.backend}
+		c.scratch[i] = &Scratch{kb: c.backend, wgb: &c.wgb}
 	}
 }
 

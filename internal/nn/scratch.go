@@ -24,6 +24,7 @@ type Scratch struct {
 	out  *tensor.QTensor   // recycled output of simple (non-conv) ops
 	conv *conv.Scratch     // direct-convolution arena
 	wg   *winograd.Scratch // winograd-layer arena
+	wgb  *winograd.Buffers // the context's int64 working set, shared by its winograd layers
 	kb   kernel.Backend    // compute backend stamped onto the engine arenas
 	cur  fault.Cursor      // events of an adding op, keyed by op index
 }
@@ -79,7 +80,7 @@ func (s *Scratch) wgScratch() *winograd.Scratch {
 		return nil
 	}
 	if s.wg == nil {
-		s.wg = &winograd.Scratch{}
+		s.wg = &winograd.Scratch{Buffers: s.wgb}
 	}
 	s.wg.Backend = s.kb
 	return s.wg

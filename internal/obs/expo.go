@@ -11,21 +11,25 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // EscapeLabel escapes a label value per the Prometheus text exposition
-// format: backslash, double quote and newline are escaped; everything else —
-// including non-ASCII — passes through verbatim. This intentionally differs
-// from Go's %q, which also escapes non-printable and non-ASCII runes and so
-// produces values Prometheus would read back differently.
+// format: backslash, double quote and newline are escaped; every other byte
+// — including non-ASCII — passes through verbatim. This intentionally
+// differs from Go's %q, which also escapes non-printable and non-ASCII runes
+// and so produces values Prometheus would read back differently. It works
+// byte by byte: the three escaped bytes never occur inside a multi-byte
+// UTF-8 sequence, and a value that is not valid UTF-8 keeps its bytes, so
+// that ValidateExposition can reject it rather than read back U+FFFD.
 func EscapeLabel(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
 	var b strings.Builder
 	b.Grow(len(v) + 4)
-	for _, r := range v {
-		switch r {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -33,7 +37,7 @@ func EscapeLabel(v string) string {
 		case '\n':
 			b.WriteString(`\n`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()
@@ -104,7 +108,8 @@ func (e *Exposition) Find(name string) []Sample {
 //   - `# HELP` and `# TYPE` for a family precede its samples, at most once each;
 //   - sample names belong to a declared family (histogram samples may use the
 //     _bucket/_sum/_count suffixes of a histogram family);
-//   - label values survive a round-trip through the escaper;
+//   - label values are valid UTF-8, as the text format requires, and
+//     survive a round-trip through the escaper;
 //   - histogram bucket counts are cumulative per label set, the +Inf bucket is
 //     present, and it equals the family's _count;
 //   - no count is negative: counter samples and histogram _bucket and _count
@@ -293,6 +298,9 @@ func parseLabels(rest string, into map[string]string) (int, error) {
 		val, err := UnescapeLabel(raw)
 		if err != nil {
 			return 0, err
+		}
+		if !utf8.ValidString(val) {
+			return 0, fmt.Errorf("label value %q is not valid UTF-8", raw)
 		}
 		if EscapeLabel(val) != raw {
 			return 0, fmt.Errorf("label value %q does not round-trip the escaper", raw)

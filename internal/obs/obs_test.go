@@ -176,7 +176,8 @@ func TestEscapeLabel(t *testing.T) {
 		{`a\b`, `a\\b`},
 		{`a"b`, `a\"b`},
 		{"a\nb", `a\nb`},
-		{"ünïcode", "ünïcode"}, // unlike %q, non-ASCII passes through
+		{"ünïcode", "ünïcode"},      // unlike %q, non-ASCII passes through
+		{"a\"\xff", `a\"` + "\xff"}, // bytewise: an invalid byte stays itself, not U+FFFD
 	}
 	for _, c := range cases {
 		if got := EscapeLabel(c.in); got != c.want {
@@ -218,6 +219,7 @@ func TestValidateExpositionRejects(t *testing.T) {
 		"negative histogram and counter": "# HELP h h\n# TYPE h histogram\n" +
 			"h_bucket{le=\"+Inf\"} -3\nh_sum 1\nh_count -3\n# HELP g g\n# TYPE g counter\ng -5\n",
 		"negative counter with labels": "# HELP g_total g\n# TYPE g_total counter\ng_total{a=\"b\"} 1\ng_total{a=\"c\"} -0.5\n",
+		"label not UTF-8":              "# HELP g g\n# TYPE g gauge\ng{tenant=\"M\xfcller\"} 1\n",
 	}
 	for name, payload := range cases {
 		if _, err := ValidateExposition(strings.NewReader(payload)); err == nil {

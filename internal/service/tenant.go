@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Multi-tenancy: API keys map to named tenants, and the single bounded FIFO
@@ -92,6 +93,11 @@ func ParseTenantTable(src string) (*TenantTable, error) {
 		key, name := fields[0], fields[1]
 		if name == "" || strings.HasPrefix(name, "weight=") || strings.HasPrefix(name, "quota=") {
 			return nil, fmt.Errorf("service: keys line %d: missing tenant name", i+1)
+		}
+		if !utf8.ValidString(name) {
+			// The name labels the tenant's /metrics series, whose text
+			// format allows only UTF-8.
+			return nil, fmt.Errorf("service: keys line %d: tenant name %q is not valid UTF-8", i+1, name)
 		}
 		weight, quota := 1, 0
 		for _, attr := range fields[2:] {

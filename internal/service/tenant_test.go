@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,10 +55,14 @@ key-a2 alice weight=3 quota=10
 		"k t shards=3",                 // unknown attribute
 		"k1 t weight=2\nk2 t weight=3", // conflicting redeclaration
 		"k1 alice\nk1 bob",             // duplicate key
+		"k1 alice\nk2 M\xfcller",       // Latin-1 name: not valid UTF-8
 	} {
 		if _, err := ParseTenantTable(bad); err == nil {
 			t.Errorf("ParseTenantTable(%q) accepted, want error", bad)
 		}
+	}
+	if _, err := ParseTenantTable("k1 alice\nk2 M\xfcller"); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("a name that is not UTF-8 on line 2: error %v, want one naming line 2", err)
 	}
 }
 

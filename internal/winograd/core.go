@@ -121,20 +121,34 @@ func coreCensus(t *Tile, in tensor.Shape, outC int) fault.Census {
 	return fault.Census{Mul: muls, Add: it + ca + ot}
 }
 
-// coreScratch holds every buffer one Params forward pass needs. The zero
-// value is ready to use; buffers are (re)allocated on first use or geometry
-// change and recycled afterwards, so steady-state passes are allocation-free.
-// A coreScratch may be shared sequentially by several Params of identical
+// Buffers is the int64 working set of winograd forward passes: a core's
+// accumulator and transform buffers and a DWM layer's summation
+// accumulator. No layer's result aliases them once its pass returns, so
+// layers that run one at a time — the layers of one nn.ExecContext — can
+// share one Buffers: each buffer grows by capacity to the largest layer's
+// need and is recycled afterwards, so steady-state passes stay
+// allocation-free. The zero value is ready to use; a Buffers is never used
+// by two passes at once.
+type Buffers struct {
+	acc  []int64 // a core's accumulator-domain output, outShape.Elems()
+	sum  []int64 // a DWM layer's summation accumulator, outShape.Elems()
+	d    []int64 // one TxT input tile
+	v    []int64 // transformed input, [c][T²]
+	vT   []int64 // v transposed to [pos][c]
+	msum []int64 // Hadamard sums, [oc][T²]
+	y    []int64 // one MxM output tile
+	tmp  []int64 // matTransform intermediate
+}
+
+// coreScratch holds every buffer one Params forward pass needs: the int64
+// working set, which must be set, and the extended input copy, whose zero
+// border is written only when it is allocated, so it is recycled only for
+// its own geometry and stays with its layer. A
+// coreScratch may be shared sequentially by several Params of identical
 // geometry (the DWM units of one layer) but never concurrently.
 type coreScratch struct {
-	acc  []int64         // accumulator-domain output, outShape.Elems()
-	ext  *tensor.QTensor // extended input copy (tile overhang); zero border
-	d    []int64         // one TxT input tile
-	v    []int64         // transformed input, [c][T²]
-	vT   []int64         // v transposed to [pos][c]
-	msum []int64         // Hadamard sums, [oc][T²]
-	y    []int64         // one MxM output tile
-	tmp  []int64         // matTransform intermediate
+	*Buffers
+	ext *tensor.QTensor // extended input copy (tile overhang); zero border
 }
 
 // i64 returns a recycled []int64 of length n (contents unspecified).
@@ -153,7 +167,7 @@ func i64(buf *[]int64, n int) []int64 {
 func (p *Params) ForwardAcc(in *tensor.QTensor, events []fault.Event) ([]int64, tensor.Shape) {
 	var cur fault.Cursor
 	p.loadCursor(&cur, in.Shape, events)
-	acc, s := p.forwardAcc(&coreScratch{}, kernel.Default(), in, &cur, 0, nil)
+	acc, s := p.forwardAcc(&coreScratch{Buffers: new(Buffers)}, kernel.Default(), in, &cur, 0, nil)
 	cur.Done()
 	return acc, s
 }

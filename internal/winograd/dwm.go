@@ -225,7 +225,7 @@ func (l *Layer) sumAddsPerOut() int64 {
 
 // Scratch is the reusable buffer arena of one Layer's forward passes: the
 // per-unit gathered input views, the shared core scratch of the DWM units,
-// the summation accumulator, the accumulator-domain bias vector and the
+// the int64 working set, the accumulator-domain bias vector and the
 // recycled output tensor. The zero value is ready to use; a Scratch belongs
 // to one (Layer, goroutine) pair and makes steady-state fault-free passes
 // allocation-free. See DESIGN.md, memory model.
@@ -235,10 +235,12 @@ type Scratch struct {
 	// bit-identical by contract, and the sites a fault touches replay on
 	// the scalar census walk whatever the backend.
 	Backend kernel.Backend
+	// Buffers, when set, is the int64 working set the scratch shares with
+	// the other layers its goroutine runs; nil gives it its own.
+	Buffers *Buffers
 
 	core    coreScratch       // shared by the units (identical geometry)
 	gather  []*tensor.QTensor // per-unit gathered input views
-	acc     []int64           // summation-domain accumulator of a DWM layer
 	bias    []int64           // accumulator-scale bias, cached per input fmt
 	biasFmt fixed.Format      // input format the cached bias was scaled for
 	biasOK  bool              // bias cache valid
@@ -382,6 +384,10 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 		bk = kernel.Default()
 	}
 
+	if sc.Buffers == nil {
+		sc.Buffers = new(Buffers)
+	}
+	sc.core.Buffers = sc.Buffers
 	elems := int64(outShape.Elems())
 	per := outShape.C * outShape.H * outShape.W // elements of one image
 	cur := &sc.cur
@@ -394,7 +400,7 @@ func (l *Layer) ForwardFaultyCtx(sc *Scratch, in *tensor.QTensor, events []fault
 	// place in the unit's own buffer.
 	var acc []int64
 	if len(l.units) > 1 {
-		acc = i64(&sc.acc, outShape.Elems())
+		acc = i64(&sc.Buffers.sum, outShape.Elems())
 	}
 	shift := in.Fmt.Frac + l.WFrac + l.Tile.FracExtra - l.OutFmt.Frac
 	if len(sc.gather) != len(l.units) {

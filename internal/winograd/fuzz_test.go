@@ -129,7 +129,7 @@ func FuzzTileReplay(f *testing.F) {
 		evs := decodeFuzzEvents(data, p, shape)
 
 		want, _ := referenceForwardAcc(p, in, evs)
-		var cs coreScratch
+		cs := coreScratch{Buffers: new(Buffers)}
 		var cur fault.Cursor
 		for _, name := range []string{"scalar", "blocked"} {
 			bk, err := kernel.Get(name)

@@ -131,6 +131,11 @@ func (p *Plan) Counts(ctx context.Context, i, lo, hi int, progress func(done, to
 	return counts, nil
 }
 
+// Release frees the plan's working state: its runner's warm contexts,
+// golden plane and kept reference rounds (faultsim.Runner.Release). The plan
+// stays usable; its next Counts captures what it needs again.
+func (p *Plan) Release() { p.sys.runner.Release() }
+
 // CheckCounts validates counts computed elsewhere for units [lo, hi) of
 // phase i: the range lies inside the phase, there is one count per unit, and
 // every count is a possible golden-agreement count in [0, Samples]. A count
