@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -161,15 +162,31 @@ type campaignRun struct {
 	local bool
 	// progress observes phase progress. Remote merges and in-process units
 	// report concurrently, so pmu serializes the calls and reported keeps
-	// them monotonic; -1 until the starting point is published.
+	// them monotonic; -1 until the starting point is published. A phase
+	// reports nothing until it opens (open), once the phase before it
+	// completed.
 	progress func(done, total int)
 	pmu      sync.Mutex
 	reported int
+	// opened is set by open under both the coordinator's mu and pmu, so
+	// holding either one reads it.
+	opened bool
 	// o and span carry the campaign's observability handles into result(),
 	// which runs on handler goroutines: merged shards become child spans of
 	// the phase span and worker exec times feed the ShardExec histogram.
-	o    obs.Obs
-	span *obs.Span
+	// Until the phase opens, early holds the child spans recorded for it
+	// (guarded by the coordinator's mu).
+	o     obs.Obs
+	span  *obs.Span
+	early []spanRecord
+}
+
+// spanRecord is a finished child span waiting for its phase span to open.
+type spanRecord struct {
+	name  string
+	start time.Time
+	d     time.Duration
+	attrs []obs.Attr
 }
 
 // NewCoordinator builds a coordinator and starts its lease janitor; stop it
@@ -418,12 +435,12 @@ func (c *Coordinator) Fleet() service.FleetStatus {
 	return fs
 }
 
-// Run executes one campaign (service.Distributor): for each phase of the
-// campaign's plan, shard its unit space, let the fleet lease the shards —
-// or, while no remote worker is live, execute them in-process — merge the
-// counts, and reduce. The returned bytes are byte-identical to the service's
-// in-process run of the same request: the marshaled result of the same
-// index-ordered integer reduction.
+// Run executes one campaign (service.Distributor): shard the unit space of
+// every phase of the campaign's plan at once, let the fleet lease the
+// shards — or, while no remote worker is live, execute them in-process —
+// merge the counts, and reduce the phases in order. The returned bytes are
+// byte-identical to the service's in-process run of the same request: the
+// marshaled result of the same index-ordered integer reduction.
 func (c *Coordinator) Run(ctx context.Context, key string, req winofault.CampaignRequest, progress func(batch, done, total int)) ([]byte, error) {
 	o := obs.From(ctx)
 	c.mu.Lock()
@@ -440,16 +457,57 @@ func (c *Coordinator) Run(ctx context.Context, key string, req winofault.Campaig
 	}
 	c.mu.Unlock()
 
-	// The coordinator's own plan gives the unit totals, validates merged
-	// counts, reduces them, and executes shards whenever the fleet can't.
-	plan, err := service.BuildPlan(ctx, req)
+	// The plan describes the campaign from its geometry: it gives the unit
+	// totals, validates merged counts and reduces them. It builds an
+	// executor — weights, dataset, golden pass — only when a shard runs
+	// in-process.
+	plan, err := winofault.NewPlan(req)
 	if err != nil {
 		return nil, err
 	}
+	phases := plan.Phases()
+	runs := make([]*campaignRun, len(phases))
+	for i, phase := range phases {
+		runs[i] = &campaignRun{
+			plan:     plan,
+			counts:   make([]int, phase.Units),
+			total:    phase.Units,
+			done:     make(chan struct{}),
+			progress: func(done, total int) { progress(i, done, total) },
+			reported: -1,
+			o:        o,
+		}
+	}
+	// Every phase is queued now: the layers phase runs at BERs[len/2] and
+	// reads none of the sweep's counts, so a worker that finishes its sweep
+	// shards goes straight on to the layers phase.
+	c.queue(key, req, runs)
+
+	over := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		c.executeInProcess(ctx, runs, over)
+	}()
+	defer func() {
+		// A failed or canceled campaign's shards leave the queues with it.
+		c.mu.Lock()
+		for _, run := range runs {
+			c.finishRunLocked(run, errCampaignOver)
+		}
+		c.mu.Unlock()
+		close(over)
+		<-exited
+	}()
 	var res winofault.CampaignResult
-	for i, phase := range plan.Phases() {
-		ph := o.Trace.Start("phase", obs.A("phase", phase.Name), obs.A("path", "dist"))
-		counts, err := c.runPhase(ctx, o, ph, key, req, plan, i, phase.Units, func(done, total int) { progress(i, done, total) })
+	var ph *obs.Span
+	for i, phase := range phases {
+		// Phase spans tile the campaign: each opens where the one before it
+		// ended, and a shard merged before its phase opened is recorded
+		// under it at its true lease time.
+		ph = o.Trace.StartAfter(ph, "phase", obs.A("phase", phase.Name), obs.A("path", "dist"), obs.A("units", phase.Units))
+		c.open(runs[i], ph)
+		counts, err := c.wait(ctx, runs[i])
 		if err == nil {
 			mStart := time.Now()
 			err = plan.Reduce(&res, i, counts)
@@ -465,141 +523,149 @@ func (c *Coordinator) Run(ctx context.Context, key string, req winofault.Campaig
 	return json.Marshal(res)
 }
 
-// runPhase shards one phase's unit index space [0, total) into contiguous
-// ranges, dispatches them, and blocks until every shard's counts are merged
-// (in index order, by construction of the counts slice) or the phase fails.
-func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key string, req winofault.CampaignRequest, plan *winofault.Plan, phase, total int, progress func(done, total int)) ([]int, error) {
-	ph.SetAttr("units", total)
-	run := &campaignRun{
-		plan:     plan,
-		counts:   make([]int, total),
-		total:    total,
-		done:     make(chan struct{}),
-		progress: progress,
-		reported: -1,
-		o:        o,
-		span:     ph,
-	}
-	if total == 0 {
-		return run.counts, nil // e.g. every BER <= 0: nothing to sample
-	}
+// errCampaignOver resolves the phase runs a campaign left unfinished when
+// Run returned early; nothing reads it.
+var errCampaignOver = errors.New("dist: campaign over")
 
-	recStart := time.Now()
+// queue shards the unit index space [0, total) of every phase run into
+// contiguous ranges and queues them in phase order. Each phase first
+// pre-fills the unit ranges a previous incarnation merged and journaled, so
+// only the gaps are sharded.
+func (c *Coordinator) queue(key string, req winofault.CampaignRequest, runs []*campaignRun) {
 	c.mu.Lock()
-	// Resume: pre-fill unit ranges a previous incarnation already merged and
-	// journaled. Counts are deterministic, so a pre-filled range holds
-	// exactly the integers a re-execution would produce — recovery changes
-	// wall-clock time, never bytes. Only the uncovered gaps are sharded.
-	covered := make([]bool, total)
-	prefilled := 0
-	prevEpoch := ""
-	if cs := c.registry[key]; cs != nil {
-		if cs.recovered && cs.epoch != "" && cs.epoch != c.epoch {
-			prevEpoch = cs.epoch
-		}
-		kept := cs.phases[phase][:0]
-		for _, r := range cs.phases[phase] {
-			if err := plan.CheckCounts(phase, r.lo, r.hi, r.counts); err != nil {
-				c.cfg.Logger.Warn("dist: dropping invalid journaled range",
-					"campaign", service.ShortKey(key), "phase", phase, "lo", r.lo, "hi", r.hi, "units", total, "err", err)
-				continue
-			}
-			kept = append(kept, r)
-			for i := r.lo; i < r.hi; i++ {
-				if !covered[i] {
-					covered[i] = true
-					run.counts[i] = r.counts[i-r.lo]
-					prefilled++
-				}
-			}
-		}
-		cs.phases[phase] = kept
-	}
-	run.doneUnits = prefilled
-	if prefilled == total {
-		// The whole phase was merged before the crash: nothing to execute.
-		c.mu.Unlock()
-		ph.Record("journal-recovery", recStart, time.Since(recStart),
-			recoveryAttrs(prefilled, c.epoch, prevEpoch)...)
-		c.cfg.Logger.Info("dist: all units recovered from journal",
-			"campaign", service.ShortKey(key), "phase", phase, "units", total)
-		return run.counts, nil
-	}
+	defer c.mu.Unlock()
 	live := c.liveWorkersLocked(time.Now())
-	size := c.cfg.ShardUnits
-	if size <= 0 {
-		// About two shards per live worker: re-leases stay cheap and a slow
-		// node can't serialize the tail. With no live worker the coordinator
-		// executes the phase itself, so each remaining gap is one range.
-		size = total
-		if live > 0 {
-			size = (total - prefilled + 2*live - 1) / (2 * live)
+	for phase, run := range runs {
+		recStart := time.Now()
+		total := run.total
+		covered, prevEpoch := c.prefillLocked(key, phase, run)
+		prefilled := run.doneUnits
+		if prefilled > 0 {
+			run.recordLocked("journal-recovery", recStart, time.Since(recStart), recoveryAttrs(prefilled, c.epoch, prevEpoch)...)
 		}
-	}
-	if size < 1 {
-		size = 1
-	}
-	shards := 0
-	for lo := 0; lo < total; {
-		if covered[lo] {
-			lo++
+		if prefilled == total {
+			// Nothing to execute: the phase is empty (e.g. every BER <= 0),
+			// or it was merged whole before the crash.
+			if total > 0 {
+				c.cfg.Logger.Info("dist: all units recovered from journal",
+					"campaign", service.ShortKey(key), "phase", phase, "units", total)
+			}
+			c.finishRunLocked(run, nil)
 			continue
 		}
-		hi := lo
-		for hi < total && !covered[hi] && hi-lo < size {
-			hi++
+		size := c.cfg.ShardUnits
+		if size <= 0 {
+			// About two shards per live worker: re-leases stay cheap and a
+			// slow node can't serialize the tail. With no live worker the
+			// coordinator executes the phase itself, so each remaining gap
+			// is one range.
+			size = total
+			if live > 0 {
+				size = (total - prefilled + 2*live - 1) / (2 * live)
+			}
 		}
-		c.nextID++
-		sh := &shard{
-			task: ShardTask{
-				ID:    fmt.Sprintf("%.12s.%d.%s.%d", key, phase, c.epoch, c.nextID),
-				Key:   key,
-				Req:   req,
-				Phase: phase,
-				Lo:    lo,
-				Hi:    hi,
-			},
-			run: run,
+		size = max(size, 1)
+		shards := 0
+		for lo := 0; lo < total; {
+			if covered[lo] {
+				lo++
+				continue
+			}
+			hi := lo
+			for hi < total && !covered[hi] && hi-lo < size {
+				hi++
+			}
+			c.nextID++
+			c.pending = append(c.pending, &shard{
+				task: ShardTask{
+					ID:    fmt.Sprintf("%.12s.%d.%s.%d", key, phase, c.epoch, c.nextID),
+					Key:   key,
+					Req:   req,
+					Phase: phase,
+					Lo:    lo,
+					Hi:    hi,
+				},
+				run: run,
+			})
+			run.remaining++
+			shards++
+			lo = hi
 		}
-		run.remaining++
-		c.pending = append(c.pending, sh)
-		shards++
-		lo = hi
+		if prefilled > 0 {
+			c.cfg.Logger.Info("dist: resuming: units recovered from journal",
+				"campaign", service.ShortKey(key), "phase", phase, "recovered", prefilled, "total", total,
+				"remaining", total-prefilled, "shards", shards)
+		} else {
+			c.cfg.Logger.Info("dist: phase sharded",
+				"campaign", service.ShortKey(key), "phase", phase, "units", total, "shards", shards, "workers", live)
+		}
 	}
 	c.wakeLocked()
-	c.mu.Unlock()
-	if live > 0 {
-		// The fleet runs the phase, so the plan's working state (the golden
-		// plane its build captured, its warm context) would sit idle. A
-		// shard that goes local after all captures what it needs again.
-		plan.Release()
-	}
-	if prefilled > 0 {
-		ph.Record("journal-recovery", recStart, time.Since(recStart),
-			recoveryAttrs(prefilled, c.epoch, prevEpoch)...)
-		c.cfg.Logger.Info("dist: resuming: units recovered from journal",
-			"campaign", service.ShortKey(key), "phase", phase, "recovered", prefilled, "total", total,
-			"remaining", total-prefilled, "shards", shards)
-	} else {
-		c.cfg.Logger.Info("dist: phase sharded",
-			"campaign", service.ShortKey(key), "phase", phase, "units", total, "shards", shards, "workers", live)
-	}
-	// Publish the starting point (non-zero after a journal resume) so
-	// subscribers see recovered progress before the first merge lands.
-	run.publish(prefilled)
+}
 
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		c.executeInProcess(ctx, run)
-	}()
-	defer func() { <-exited }()
+// prefillLocked resumes a phase run from the campaign's journaled ranges:
+// each range that passes the plan's CheckCounts fills its units of
+// run.counts and run.doneUnits and is kept; any other is dropped, never
+// merged. Counts are deterministic, so a pre-filled range holds exactly the
+// integers a re-execution would produce — recovery changes wall-clock time,
+// never bytes. It returns which units are pre-filled and, for a campaign a
+// previous incarnation registered, that incarnation's epoch. Called with
+// c.mu held.
+func (c *Coordinator) prefillLocked(key string, phase int, run *campaignRun) (covered []bool, prevEpoch string) {
+	covered = make([]bool, run.total)
+	cs := c.registry[key]
+	if cs == nil {
+		return covered, ""
+	}
+	if cs.recovered && cs.epoch != "" && cs.epoch != c.epoch {
+		prevEpoch = cs.epoch
+	}
+	kept := cs.phases[phase][:0]
+	for _, r := range cs.phases[phase] {
+		if err := run.plan.CheckCounts(phase, r.lo, r.hi, r.counts); err != nil {
+			c.cfg.Logger.Warn("dist: dropping invalid journaled range",
+				"campaign", service.ShortKey(key), "phase", phase, "lo", r.lo, "hi", r.hi, "units", run.total, "err", err)
+			continue
+		}
+		kept = append(kept, r)
+		for i := r.lo; i < r.hi; i++ {
+			if !covered[i] {
+				covered[i] = true
+				run.counts[i] = r.counts[i-r.lo]
+				run.doneUnits++
+			}
+		}
+	}
+	cs.phases[phase] = kept
+	return covered, prevEpoch
+}
+
+// open starts phase run's reporting once the phase before it completed: it
+// records the child spans merged before span opened under it, then
+// publishes the phase's merged count, from which its progress continues.
+func (c *Coordinator) open(run *campaignRun, span *obs.Span) {
+	c.mu.Lock()
+	run.span = span
+	for _, r := range run.early {
+		span.Record(r.name, r.start, r.d, r.attrs...)
+	}
+	run.early = nil
+	run.pmu.Lock()
+	run.opened = true
+	run.pmu.Unlock()
+	merged := run.doneUnits
+	c.mu.Unlock()
+	run.publish(merged)
+}
+
+// wait blocks until run finishes or ctx ends, and returns its merged counts.
+func (c *Coordinator) wait(ctx context.Context, run *campaignRun) ([]int, error) {
 	select {
 	case <-run.done:
 		if run.err == nil {
 			// Merges report after releasing c.mu; the phase's final count
 			// must still land before the next phase reports.
-			run.publish(total)
+			run.publish(run.total)
 		}
 		return run.counts, run.err
 	case <-ctx.Done():
@@ -610,37 +676,50 @@ func (c *Coordinator) runPhase(ctx context.Context, o obs.Obs, ph *obs.Span, key
 	}
 }
 
-// publish reports phase progress, never backwards.
+// publish reports phase progress, never backwards, and nothing before the
+// phase opens.
 func (run *campaignRun) publish(done int) {
 	if run.progress == nil {
 		return
 	}
 	run.pmu.Lock()
 	defer run.pmu.Unlock()
-	if done <= run.reported {
+	if !run.opened || done <= run.reported {
 		return
 	}
 	run.reported = done
 	run.progress(done, run.total)
 }
 
+// recordLocked adds a finished child span to the phase span, or keeps it
+// for open while the phase has not opened. Called with c.mu held.
+func (run *campaignRun) recordLocked(name string, start time.Time, d time.Duration, attrs ...obs.Attr) {
+	if !run.opened {
+		run.early = append(run.early, spanRecord{name, start, d, attrs})
+		return
+	}
+	run.span.Record(name, start, d, attrs...)
+}
+
 // inProcessWorker is the worker attr of shards the coordinator executed
 // itself; registered workers' IDs ("w-N") never collide with it.
 const inProcessWorker = "coordinator"
 
-// executeInProcess is the coordinator's in-process executor for one phase
-// run. It takes the run's pending shards while no remote worker is live — at
-// Run start on an empty fleet, after the fleet dies, right after a journal
-// restart — or once the phase went local after a shard exhausted
-// MaxAttempts. Each shard runs on the coordinator's own plan and merges and
-// journals through the same path as a remote result, so the executor only
-// ever fills the ranges still missing. It returns when the run finishes, its
-// context is canceled or the coordinator closes.
-func (c *Coordinator) executeInProcess(ctx context.Context, run *campaignRun) {
+// executeInProcess is the coordinator's in-process executor for one
+// campaign's phase runs. It takes their pending shards, in phase order and
+// one at a time, while no remote worker is live — at Run start on an empty
+// fleet, after the fleet dies, right after a journal restart — and those of
+// a phase that went local after a shard exhausted MaxAttempts. Each shard
+// runs on the campaign's plan, whose first Counts builds its executor, and
+// merges and journals through the same path as a remote result, so the
+// executor only ever fills the ranges still missing. It returns when over
+// closes (Run returned), ctx is canceled or the coordinator closes.
+func (c *Coordinator) executeInProcess(ctx context.Context, runs []*campaignRun, over <-chan struct{}) {
 	tick := time.NewTicker(c.cfg.Poll)
 	defer tick.Stop()
 	for ctx.Err() == nil {
-		if sh, base := c.takeInProcess(run); sh != nil {
+		if sh, base := c.takeInProcess(runs); sh != nil {
+			run := sh.run
 			start := time.Now()
 			counts, err := run.plan.Counts(ctx, sh.task.Phase, sh.task.Lo, sh.task.Hi, func(done, _ int) {
 				run.publish(base + done)
@@ -661,7 +740,7 @@ func (c *Coordinator) executeInProcess(ctx context.Context, run *campaignRun) {
 			continue
 		}
 		select {
-		case <-run.done:
+		case <-over:
 			return
 		case <-ctx.Done():
 			return
@@ -672,22 +751,26 @@ func (c *Coordinator) executeInProcess(ctx context.Context, run *campaignRun) {
 	}
 }
 
-// takeInProcess claims the run's oldest pending shard for the in-process
-// executor, or returns nil while the fleet should take it (or nothing is
-// pending). base is the run's merged unit count at the claim, the offset of
-// the shard's in-process progress.
-func (c *Coordinator) takeInProcess(run *campaignRun) (sh *shard, base int) {
+// takeInProcess claims the oldest pending shard of the earliest of runs'
+// phases the in-process executor may take: all of them while no remote
+// worker is live, else those that went local. It returns nil while the
+// fleet should take them (or nothing is pending). base is the shard's run's
+// merged unit count at the claim, the offset of its in-process progress.
+func (c *Coordinator) takeInProcess(runs []*campaignRun) (sh *shard, base int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
-	if run.finished || (!run.local && c.liveWorkersLocked(now) > 0) {
-		return nil, 0
-	}
-	for i, p := range c.pending {
-		if p.run == run {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			p.leaseAt = now
-			return p, run.doneUnits
+	live := c.liveWorkersLocked(now) > 0
+	for _, run := range runs {
+		if run.finished || (!run.local && live) {
+			continue
+		}
+		for i, p := range c.pending {
+			if p.run == run {
+				c.pending = append(c.pending[:i], c.pending[i+1:]...)
+				p.leaseAt = now
+				return p, run.doneUnits
+			}
 		}
 	}
 	return nil, 0
@@ -950,7 +1033,7 @@ func (c *Coordinator) mergeLocked(sh *shard, counts []int, workerID string, w *w
 	if straggler {
 		attrs = append(attrs, obs.A("straggler", true))
 	}
-	run.span.Record("shard", sh.leaseAt, now.Sub(sh.leaseAt), attrs...)
+	run.recordLocked("shard", sh.leaseAt, now.Sub(sh.leaseAt), attrs...)
 	if run.o.Metrics != nil && exec > 0 {
 		run.o.Metrics.ShardExec.Observe(exec.Seconds())
 	}

@@ -89,7 +89,7 @@ func fleet(t *testing.T, cfg CoordinatorConfig, n int) (*Coordinator, string) {
 	return c, ts.URL
 }
 
-func waitForWorkers(t *testing.T, c *Coordinator, n int) {
+func waitForWorkers(t testing.TB, c *Coordinator, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -385,7 +385,8 @@ func planUnits(t *testing.T, req winofault.CampaignRequest) int {
 
 // TestNoWorkersRegistered: with an empty fleet the coordinator executes the
 // campaign itself and returns the local path's bytes. Under automatic shard
-// sizing each phase is one in-process range, so no shard is ever leased.
+// sizing each phase is one in-process range, so no shard is ever leased. Its
+// first shard builds the plan's executor: one build span, outside any phase.
 func TestNoWorkersRegistered(t *testing.T) {
 	c, _ := fleet(t, CoordinatorConfig{LeaseTTL: time.Second}, 0)
 	req := tinyReq()
@@ -409,6 +410,10 @@ func TestNoWorkersRegistered(t *testing.T) {
 	if len(c.leased) != 0 || len(c.pending) != 0 {
 		t.Errorf("%d leased, %d pending shards left behind", len(c.leased), len(c.pending))
 	}
+	if builds, nested := buildSpans(tr.Snapshot().Spans, false); builds != 1 || nested != 0 {
+		t.Errorf("%d build spans (%d inside a phase), want one outside the phases", builds, nested)
+	}
+	checkPhaseSpans(t, tr.Snapshot().Spans)
 }
 
 // progressLog is a Distributor that records the progress and the trace of
@@ -444,7 +449,11 @@ func TestFleetDiesMidCampaign(t *testing.T) {
 	c, url := fleet(t, cfg, 0)
 	dead := newRawWorker(t, url, "last-of-its-kind")
 	exec := &fleetWorker{cfg: WorkerConfig{Workers: 1, Logger: quiet()}}
-	if _, err := exec.plan(key, req, 0); err != nil { // build outside the lease window
+	plan, err := exec.plan(key, req, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Counts(context.Background(), 0, 0, 0, nil); err != nil { // build outside the lease window
 		t.Fatal(err)
 	}
 	d := &progressLog{Coordinator: c}

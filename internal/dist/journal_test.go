@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -452,4 +453,91 @@ func TestFleetAuth(t *testing.T) {
 	waitForWorkers(t, c, 1)
 	cancel()
 	<-done
+}
+
+// FuzzJournalReplay: arbitrary journal bytes never stop a coordinator from
+// starting. openJournal replays exactly the longest prefix of complete,
+// parseable records, truncates the file there (so a second open replays
+// the same registry and truncates nothing), and at pre-fill a replayed
+// range that fails the plan's CheckCounts is dropped, never merged.
+func FuzzJournalReplay(f *testing.F) {
+	plan, err := winofault.NewPlan(tinyReq())
+	if err != nil {
+		f.Fatal(err)
+	}
+	// One file for every input: a fuzz process runs its inputs one at a
+	// time, and a directory per input would dominate the run.
+	path := filepath.Join(f.TempDir(), "journal.jsonl")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, registry, err := openJournal(path, 0, quiet())
+		if err != nil {
+			t.Fatalf("openJournal refused content: %v", err)
+		}
+		j.close()
+
+		good, records := 0, 0
+		for {
+			nl := bytes.IndexByte(data[good:], '\n')
+			if nl < 0 {
+				break
+			}
+			var rec journalRecord
+			if json.Unmarshal(data[good:good+nl], &rec) != nil || rec.T == "" || rec.Key == "" {
+				break
+			}
+			good += nl + 1
+			records++
+		}
+		if j.records != records {
+			t.Errorf("replayed %d records, want the prefix's %d", j.records, records)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(good) {
+			t.Fatalf("journal truncated to %v bytes (%v), want %d", fi.Size(), err, good)
+		}
+		j2, again, err := openJournal(path, 0, quiet())
+		if err != nil {
+			t.Fatalf("reopening the truncated journal: %v", err)
+		}
+		j2.close()
+		if j2.records != records || !reflect.DeepEqual(again, registry) {
+			t.Errorf("reopened journal replays %d records, registry %v; first open %d, %v", j2.records, again, records, registry)
+		}
+
+		// Pre-fill every replayed campaign as the fuzz plan's: counts come
+		// only from ranges the plan accepts, the first range covering a unit
+		// wins, and only the accepted ranges stay in the registry.
+		c := &Coordinator{cfg: CoordinatorConfig{Logger: quiet()}, registry: registry}
+		for key, cs := range registry {
+			for phase, ph := range plan.Phases() {
+				replayed := append([]shardRange(nil), cs.phases[phase]...)
+				run := &campaignRun{plan: plan, counts: make([]int, ph.Units), total: ph.Units}
+				covered, _ := c.prefillLocked(key, phase, run)
+				want := make([]int, ph.Units)
+				wantCovered := make([]bool, ph.Units)
+				filled := 0
+				var kept []shardRange
+				for _, r := range replayed {
+					if plan.CheckCounts(phase, r.lo, r.hi, r.counts) != nil {
+						continue
+					}
+					kept = append(kept, r)
+					for i := r.lo; i < r.hi; i++ {
+						if !wantCovered[i] {
+							wantCovered[i], want[i] = true, r.counts[i-r.lo]
+							filled++
+						}
+					}
+				}
+				if !reflect.DeepEqual(run.counts, want) || !reflect.DeepEqual(covered, wantCovered) || run.doneUnits != filled {
+					t.Errorf("phase %d pre-filled %v (%d units, covered %v), want %v (%d, %v)", phase, run.counts, run.doneUnits, covered, want, filled, wantCovered)
+				}
+				if len(cs.phases[phase]) != len(kept) || (len(kept) > 0 && !reflect.DeepEqual(cs.phases[phase], kept)) {
+					t.Errorf("phase %d kept ranges %v, want %v", phase, cs.phases[phase], kept)
+				}
+			}
+		}
+	})
 }

@@ -96,14 +96,14 @@ type fleetWorker struct {
 	//
 	// A plan keeps its working state (warm contexts, the golden plane, the
 	// reference rounds its layers phase captured) while more of its shards
-	// may come here, and no longer. The coordinator queues a phase's shards
-	// at once and leases them in queue order, so once the worker takes a
-	// shard of another campaign, no shard of the phase it left is still
-	// queued, short of a re-leased one. Leaving a plan in its last phase
-	// therefore releases it; a plan left in an earlier phase keeps its state
-	// for its next phase, which a multi-job coordinator queues behind other
-	// campaigns' shards (if other workers take all of that phase, until the
-	// plan leaves the cache). An idle lease answer releases every plan.
+	// may come here, and no longer. The coordinator queues a campaign's
+	// shards, every phase's, at once and leases them in queue order, so
+	// once the worker takes a shard of another campaign, no shard of the
+	// campaign it left is still queued, short of a re-leased one. Leaving a
+	// plan in its last phase therefore releases it; a plan left in an
+	// earlier phase (other workers took the rest of the campaign) keeps its
+	// state until it leaves the cache. An idle lease answer releases every
+	// plan.
 	plans []cachedPlan
 }
 
@@ -352,10 +352,11 @@ func (w *fleetWorker) execute(ctx context.Context, task ShardTask) ShardResult {
 	return res
 }
 
-// plan returns the cached plan for key, or builds one (evicting the least
-// recently used entry beyond planCacheSize), for a shard of phase. If the
-// worker's previous shard was of another plan, it leaves that plan first,
-// so a release lands before the build's golden pass.
+// plan returns the cached plan for key, or a new one (evicting the least
+// recently used entry beyond planCacheSize), for a shard of phase; a new
+// plan's first Counts builds its executor. If the worker's previous shard
+// was of another plan, it leaves that plan first, so a release lands before
+// the build's golden pass.
 func (w *fleetWorker) plan(key string, req winofault.CampaignRequest, phase int) (*winofault.Plan, error) {
 	if n := len(w.plans); n > 0 && w.plans[n-1].key != key {
 		w.plans[n-1].leave()

@@ -28,10 +28,10 @@ func (t inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // TestWorkerReleasesLeftPlans: a worker keeps a plan's working state while
-// more of its shards may come. Interleaving two campaigns the way a two-job
-// coordinator queues them (A's sweep, B's sweep, A's layers, B's layers), it
-// keeps A's state across B's sweep shard, releases A once it leaves A's
-// last phase for B's, and releases every plan on a 204.
+// more of its shards may come. Leased two campaigns' shards interleaved
+// (A's sweep, B's sweep, A's layers, B's layers), it keeps A's state across
+// B's sweep shard, releases A once it leaves A's last phase for B's, and
+// releases every plan on a 204.
 func TestWorkerReleasesLeftPlans(t *testing.T) {
 	reqA, reqB := tinyReq(), tinyReq()
 	reqB.Seed = 2

@@ -413,11 +413,13 @@ func (r *Runner) UnitCounts(ctx context.Context, cs []Campaign, rounds, lo, hi i
 }
 
 // Reduce folds a full batch's per-unit agreement counts (len(counts) ==
-// Units(cs, rounds), in unit-index order) into accuracies in campaign order.
-// The reduction is an index-ordered integer sum per campaign followed by one
-// float division, so merged shard counts reduce to exactly the bytes a
-// single-process run produces.
-func (r *Runner) Reduce(cs []Campaign, rounds int, counts []int) []float64 {
+// Units(cs, rounds), in unit-index order) over an evaluation batch of samples
+// images into accuracies in campaign order. The reduction is an
+// index-ordered integer sum per campaign followed by one float division, so
+// merged shard counts reduce to exactly the bytes a single-process run
+// produces. It needs no runner: a coordinator that never executes a unit
+// reduces with it too.
+func Reduce(cs []Campaign, rounds, samples int, counts []int) []float64 {
 	rounds = clampRounds(rounds)
 	units := flattenUnits(cs, rounds)
 	if len(counts) != len(units) {
@@ -431,7 +433,7 @@ func (r *Runner) Reduce(cs []Campaign, rounds int, counts []int) []float64 {
 	for u, un := range units {
 		sums[un.c] += counts[u]
 	}
-	total := rounds * len(r.golden)
+	total := rounds * samples
 	for i := range cs {
 		if cs[i].BER > 0 {
 			out[i] = float64(sums[i]) / float64(total)
@@ -453,7 +455,7 @@ func (r *Runner) Reduce(cs []Campaign, rounds int, counts []int) []float64 {
 // be canceled must check ctx.Err() before using the result — every caller
 // that caches or publishes results does.
 func (r *Runner) AccuracyBatch(ctx context.Context, cs []Campaign, rounds int) []float64 {
-	return r.Reduce(cs, rounds, r.UnitCounts(ctx, cs, rounds, 0, Units(cs, rounds), nil))
+	return Reduce(cs, rounds, len(r.golden), r.UnitCounts(ctx, cs, rounds, 0, Units(cs, rounds), nil))
 }
 
 // Accuracy measures golden-agreement accuracy at one bit error rate over the
@@ -501,17 +503,18 @@ type Point struct {
 // scheduled as one batch, so the whole analysis saturates the worker pool;
 // perLayer is keyed by node index and independent of evaluation order.
 func (r *Runner) LayerSensitivity(ctx context.Context, ber float64, opts Options, rounds int) (base float64, perLayer map[int]float64) {
-	cs := r.LayerCampaigns(ber, opts)
-	return r.layerReduce(r.AccuracyBatch(ctx, cs, rounds))
+	conv := r.Net.ConvNodes()
+	return layerReduce(conv, r.AccuracyBatch(ctx, LayerCampaigns(conv, ber, opts), rounds))
 }
 
-// LayerCampaigns builds the campaign batch of a layer-sensitivity analysis:
-// the all-faulty baseline first, then one campaign per conv node with that
-// node alone added to the fault-free set, in network order. Like
-// SweepCampaigns it is the shared batch constructor that coordinator and
-// shard workers both use, so they agree on the unit index space.
-func (r *Runner) LayerCampaigns(ber float64, opts Options) []Campaign {
-	conv := r.Net.ConvNodes()
+// LayerCampaigns builds the campaign batch of a layer-sensitivity analysis
+// over the network's conv/FC nodes conv (nn.Network.ConvNodes, or
+// models.ConvNodes from the geometry alone): the all-faulty baseline first,
+// then one campaign per conv node with that node alone added to the
+// fault-free set, in network order. Like SweepCampaigns it is the shared
+// batch constructor that coordinator and shard workers both use, so they
+// agree on the unit index space.
+func LayerCampaigns(conv []int, ber float64, opts Options) []Campaign {
 	cs := make([]Campaign, 1+len(conv))
 	cs[0] = Campaign{BER: ber, Opts: opts}
 	for i, li := range conv {
@@ -525,10 +528,9 @@ func (r *Runner) LayerCampaigns(ber float64, opts Options) []Campaign {
 	return cs
 }
 
-// layerReduce maps a LayerCampaigns accuracy vector back to (baseline,
-// per-conv-node accuracy).
-func (r *Runner) layerReduce(accs []float64) (base float64, perLayer map[int]float64) {
-	conv := r.Net.ConvNodes()
+// layerReduce maps a LayerCampaigns(conv, ...) accuracy vector back to
+// (baseline, per-conv-node accuracy).
+func layerReduce(conv []int, accs []float64) (base float64, perLayer map[int]float64) {
 	perLayer = make(map[int]float64, len(conv))
 	for i, li := range conv {
 		perLayer[li] = accs[1+i]
@@ -537,10 +539,9 @@ func (r *Runner) layerReduce(accs []float64) (base float64, perLayer map[int]flo
 }
 
 // LayerSensitivityFromCounts reduces a full set of per-unit agreement counts
-// for the LayerCampaigns(ber, opts) batch — typically merged from shards —
-// into the same (baseline, per-layer) result LayerSensitivity computes,
-// bit-identically.
-func (r *Runner) LayerSensitivityFromCounts(ber float64, opts Options, rounds int, counts []int) (base float64, perLayer map[int]float64) {
-	cs := r.LayerCampaigns(ber, opts)
-	return r.layerReduce(r.Reduce(cs, rounds, counts))
+// for the LayerCampaigns(conv, ber, opts) batch over samples images —
+// typically merged from shards — into the same (baseline, per-layer) result
+// LayerSensitivity computes, bit-identically.
+func LayerSensitivityFromCounts(conv []int, ber float64, opts Options, rounds, samples int, counts []int) (base float64, perLayer map[int]float64) {
+	return layerReduce(conv, Reduce(LayerCampaigns(conv, ber, opts), rounds, samples, counts))
 }

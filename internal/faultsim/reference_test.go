@@ -72,7 +72,7 @@ func TestLayerCampaignsMatchAlone(t *testing.T) {
 		if c.protected {
 			opts.Protection = plan(c.r)
 		}
-		cs := c.r.LayerCampaigns(ber, opts)
+		cs := LayerCampaigns(c.r.Net.ConvNodes(), ber, opts)
 		alone := aloneCounts(withWorkers(c.r, 1), cs, rounds)
 		if base := alone[0][0] + alone[0][1]; base == 2*len(c.r.Golden()) {
 			t.Fatalf("%s/%v: the baseline agrees everywhere, so no layer can differ", c.name, c.sem)
@@ -131,7 +131,7 @@ func TestMixedBatchMatchesAlone(t *testing.T) {
 func TestReferenceRoundsPlanned(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 2)
 	opts := Options{Seed: 1, Intensity: stInt}
-	layers := st.LayerCampaigns(1e-9, opts)
+	layers := LayerCampaigns(st.Net.ConvNodes(), 1e-9, opts)
 	const rounds = 3
 	units := flattenUnits(layers, rounds)
 	sweep := SweepCampaigns([]float64{1e-9, 1e-8}, opts)
@@ -143,7 +143,7 @@ func TestReferenceRoundsPlanned(t *testing.T) {
 	}
 	neuron := opts
 	neuron.Semantics = fault.NeuronFlip
-	if st.references(st.LayerCampaigns(1e-9, neuron), units, 0, len(units)) != nil {
+	if st.references(LayerCampaigns(st.Net.ConvNodes(), 1e-9, neuron), units, 0, len(units)) != nil {
 		t.Error("a neuron-flip batch planned reference rounds")
 	}
 	if st.references(layers, units, 0, rounds) != nil {
@@ -185,7 +185,7 @@ func TestReferenceRoundsPlanned(t *testing.T) {
 // idle context last read.
 func TestReferenceRoundsReleased(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 4)
-	cs := st.LayerCampaigns(1e-8, Options{Seed: 8, Intensity: stInt})
+	cs := LayerCampaigns(st.Net.ConvNodes(), 1e-8, Options{Seed: 8, Intensity: stInt})
 	const rounds = 3
 	for _, workers := range []int{1, 2, 3} {
 		r := withWorkers(st, workers)
@@ -246,10 +246,10 @@ func TestLayerRangesMatchWhole(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 4)
 	const ber, rounds = 3e-9, 2
 	opts := Options{Seed: 31, Intensity: stInt}
-	cs := st.LayerCampaigns(ber, opts)
+	cs := LayerCampaigns(st.Net.ConvNodes(), ber, opts)
 	other := opts
 	other.Seed = 32
-	others := st.LayerCampaigns(ber, other)
+	others := LayerCampaigns(st.Net.ConvNodes(), ber, other)
 	sweep := SweepCampaigns([]float64{1e-9, ber}, opts)
 	total, half := Units(cs, rounds), Units(others, rounds)/2
 	serial := withWorkers(st, 1)
@@ -306,7 +306,7 @@ func TestLayerRangesMatchWhole(t *testing.T) {
 func TestSplitCapturesEachRoundOnce(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 4)
 	const rounds = 2
-	cs := st.LayerCampaigns(3e-9, Options{Seed: 8, Intensity: stInt})
+	cs := LayerCampaigns(st.Net.ConvNodes(), 3e-9, Options{Seed: 8, Intensity: stInt})
 	ranges := coordRanges(Units(cs, rounds), 2)
 	if len(ranges) != 4 {
 		t.Fatalf("the 2-worker split has %d ranges, want 4", len(ranges))
@@ -337,7 +337,7 @@ func TestSplitCapturesEachRoundOnce(t *testing.T) {
 func TestConcurrentRangesAndRelease(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 4)
 	const rounds = 2
-	cs := st.LayerCampaigns(3e-9, Options{Seed: 31, Intensity: stInt})
+	cs := LayerCampaigns(st.Net.ConvNodes(), 3e-9, Options{Seed: 31, Intensity: stInt})
 	total := Units(cs, rounds)
 	whole := withWorkers(st, 1).UnitCounts(context.Background(), cs, rounds, 0, total, nil)
 	r := withWorkers(st, 2)
@@ -382,7 +382,7 @@ func holds(r *Runner) bool {
 func TestRunnerReleaseFreesState(t *testing.T) {
 	st, _, stInt, _ := testRig(t, 4)
 	const rounds = 2
-	cs := st.LayerCampaigns(1e-8, Options{Seed: 8, Intensity: stInt})
+	cs := LayerCampaigns(st.Net.ConvNodes(), 1e-8, Options{Seed: 8, Intensity: stInt})
 	half := Units(cs, rounds) / 2
 	r := withWorkers(st, 2)
 	want := r.UnitCounts(context.Background(), cs, rounds, 0, half, nil)

@@ -29,7 +29,7 @@ func TestUnitRangeShardingBitIdentical(t *testing.T) {
 			shard := withWorkers(st, 1+s) // shards disagree on worker count on purpose
 			counts = append(counts, shard.UnitCounts(context.Background(), cs, rounds, lo, hi, nil)...)
 		}
-		got := st.Reduce(cs, rounds, counts)
+		got := Reduce(cs, rounds, len(st.Golden()), counts)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Errorf("%d shards: accuracy[%d] = %v, want %v", shards, i, got[i], want[i])
@@ -59,7 +59,7 @@ func TestUnitCountsRangeValidation(t *testing.T) {
 				t.Error("short counts slice did not panic")
 			}
 		}()
-		st.Reduce(cs, 2, []int{1})
+		Reduce(cs, 2, len(st.Golden()), []int{1})
 	}()
 }
 
@@ -71,13 +71,13 @@ func TestLayerSensitivityFromCounts(t *testing.T) {
 	const ber, rounds = 3e-9, 2
 	wantBase, wantPer := st.LayerSensitivity(context.Background(), ber, opts, rounds)
 
-	cs := st.LayerCampaigns(ber, opts)
+	cs := LayerCampaigns(st.Net.ConvNodes(), ber, opts)
 	total := Units(cs, rounds)
 	var counts []int
 	for _, r := range [][2]int{{0, total / 3}, {total / 3, total / 2}, {total / 2, total}} {
 		counts = append(counts, st.UnitCounts(context.Background(), cs, rounds, r[0], r[1], nil)...)
 	}
-	base, per := st.LayerSensitivityFromCounts(ber, opts, rounds, counts)
+	base, per := LayerSensitivityFromCounts(st.Net.ConvNodes(), ber, opts, rounds, len(st.Golden()), counts)
 	if base != wantBase {
 		t.Errorf("baseline %v, want %v", base, wantBase)
 	}

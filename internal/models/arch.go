@@ -254,6 +254,20 @@ func Build(a *Arch, cfg nn.Config, workers int) *nn.Network {
 	return net
 }
 
+// ConvNodes returns the indices of the architecture's conv and fc ops, in
+// network order: the nodes Build makes convolutions (nn.Network.ConvNodes),
+// and the layers the paper's layer-wise analysis and TMR protection operate
+// on, known without drawing a weight.
+func ConvNodes(a *Arch) []int {
+	var out []int
+	for i, d := range a.Ops {
+		if d.Kind == "conv" || d.Kind == "fc" {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // Census computes the per-node op census of the architecture for the given
 // engine kind from geometry alone — no weights are materialized, so it is
 // cheap even at full ImageNet scale.

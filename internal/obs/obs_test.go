@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -50,6 +51,28 @@ func TestTraceSpanTree(t *testing.T) {
 	}
 }
 
+// TestTraceStartAfterTiles: a span started after an ended one begins exactly
+// where it ended, however much later it is opened; after an open one (or
+// none) it begins now.
+func TestTraceStartAfterTiles(t *testing.T) {
+	tr := NewRecorder(1).Begin("k")
+	first := tr.StartAfter(nil, "a")
+	time.Sleep(2 * time.Millisecond)
+	first.End()
+	time.Sleep(2 * time.Millisecond)
+	second := tr.StartAfter(first, "b")
+	third := tr.StartAfter(second, "c")
+	second.End()
+	third.End()
+	s := tr.Snapshot().Spans
+	if math.Abs(s[1].StartMs-(s[0].StartMs+s[0].DurMs)) > 1e-9 {
+		t.Errorf("b starts at %v ms, want a's end %v ms", s[1].StartMs, s[0].StartMs+s[0].DurMs)
+	}
+	if s[2].StartMs < s[1].StartMs+2 {
+		t.Errorf("c, started after an open span, starts at %v ms, want now (after %v ms)", s[2].StartMs, s[1].StartMs+2)
+	}
+}
+
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	sp := tr.Start("x")
@@ -57,6 +80,7 @@ func TestTraceNilSafe(t *testing.T) {
 	sp.Record("y", time.Now(), time.Second)
 	sp.End()
 	tr.Record("z", time.Now(), 0)
+	tr.StartAfter(sp, "w").End()
 	tr.Finish()
 	if got := tr.Snapshot(); got.Campaign != "" || len(got.Spans) != 0 {
 		t.Fatalf("nil trace snapshot: %+v", got)

@@ -78,6 +78,23 @@ func (t *Trace) Start(name string, attrs ...Attr) *Span {
 	return sp
 }
 
+// StartAfter opens a root span at the instant prev ended, so consecutive
+// spans tile the timeline with no gap between them. With prev nil or still
+// open it is Start.
+func (t *Trace) StartAfter(prev *Span, name string, attrs ...Attr) *Span {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	sp := &Span{tr: t, name: name, start: t.now(), open: true, attrs: attrs}
+	if prev != nil && !prev.open {
+		sp.start = prev.start + prev.dur
+	}
+	t.root = append(t.root, sp)
+	return sp
+}
+
 // Record appends an already-finished root span retroactively: start is a
 // wall-clock instant captured earlier (its monotonic reading positions the
 // span), d its duration. Useful when the span's identity — the campaign key —

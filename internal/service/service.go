@@ -14,7 +14,6 @@ import (
 	winofault "repro"
 	"repro/internal/blob"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // Config sizes the campaign service.
@@ -502,7 +501,7 @@ func (s *Service) runCampaign(ctx context.Context, key string, req winofault.Cam
 	if d := s.cfg.Distributor; d != nil {
 		return d.Run(ctx, key, req, progress)
 	}
-	plan, err := BuildPlan(ctx, req)
+	plan, err := winofault.NewPlan(req)
 	if err != nil {
 		return nil, err
 	}
@@ -511,26 +510,6 @@ func (s *Service) runCampaign(ctx context.Context, key string, req winofault.Cam
 		return nil, err
 	}
 	return json.Marshal(res)
-}
-
-// BuildPlan builds req's plan with winofault.NewPlan — the weights, the
-// dataset and the golden pass, on up to req.Workers workers — inside a
-// "build" span (model, engine, workers) on obs.From(ctx)'s trace. Both
-// campaign paths, in-process and the dist coordinator's, build through it,
-// so a trace shows a campaign's fixed cost beside its phases.
-func BuildPlan(ctx context.Context, req winofault.CampaignRequest) (*winofault.Plan, error) {
-	cfg, _ := req.SystemConfig() // defaults applied; NewPlan reports its error
-	engine := "direct"
-	if cfg.Engine == winofault.Winograd {
-		engine = "winograd"
-	}
-	sp := obs.From(ctx).Trace.Start("build", obs.A("model", cfg.Model), obs.A("engine", engine), obs.A("workers", par.Workers(cfg.Workers)))
-	plan, err := winofault.NewPlan(req)
-	if err != nil {
-		sp.SetAttr("err", err.Error())
-	}
-	sp.End()
-	return plan, err
 }
 
 // clampWorkers resolves a request's worker ask against the service budget.

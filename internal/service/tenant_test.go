@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	winofault "repro"
 )
@@ -413,4 +414,31 @@ func waitForState(t *testing.T, j *Job, state string) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("job %.12s never reached %s (now %s)", j.Key, state, j.Status().State)
+}
+
+// FuzzParseTenantTable: no key-table text panics the parser, and every key
+// of an accepted table looks up a tenant with a non-empty, valid UTF-8 name
+// (it labels the tenant's /metrics series), a positive weight and a
+// non-negative quota.
+func FuzzParseTenantTable(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		table, err := ParseTenantTable(src)
+		if err != nil {
+			return
+		}
+		if table.Len() == 0 {
+			t.Fatal("accepted an empty table")
+		}
+		for key, ten := range table.byKey {
+			if got, ok := table.Lookup(key); !ok || got != ten {
+				t.Errorf("key %q looks up %v, %v; want its tenant %q", key, got, ok, ten.Name)
+			}
+			if ten.Name == "" || !utf8.ValidString(ten.Name) {
+				t.Errorf("key %q names tenant %q: empty or not valid UTF-8", key, ten.Name)
+			}
+			if ten.Weight < 1 || ten.Quota < 0 {
+				t.Errorf("tenant %q has weight %d, quota %d", ten.Name, ten.Weight, ten.Quota)
+			}
+		}
+	})
 }

@@ -17,6 +17,15 @@ import (
 // pure function of the request (see internal/faultsim), so any split of it
 // into ranges, computed by any process with any worker count, reduces to
 // the same bytes as one in-process run over [0, n).
+//
+// A plan is a description and an executor. The description — the phases,
+// their unit totals and campaign batches, and all Reduce reads — follows
+// from the request and the architecture's geometry, so Phases, CheckCounts
+// and Reduce never need more. The executor is the system's network, its
+// evaluation set and its golden pass: a plan from System.Plan shares its
+// built system's, and a plan from NewPlan builds one on its first Counts or
+// Run. So a fleet coordinator plans every campaign, but draws weights and
+// runs a golden pass only for a shard it executes itself.
 type Plan struct {
 	sys     *System
 	phases  []Phase
@@ -33,14 +42,15 @@ type Phase struct {
 	Units int
 }
 
-// NewPlan builds the system a campaign request describes, protection plan
-// included, and returns the request's execution plan.
+// NewPlan returns the execution plan of a campaign request, protection plan
+// included. It rejects every request New would, but builds nothing: the
+// plan's first Counts or Run builds its executor.
 func NewPlan(req CampaignRequest) (*Plan, error) {
 	cfg, err := req.SystemConfig()
 	if err != nil {
 		return nil, err
 	}
-	sys, err := New(cfg)
+	sys, err := describe(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +77,7 @@ func (s *System) Plan(bers []float64, layers bool) (*Plan, error) {
 			return nil, fmt.Errorf("winofault: layer sensitivity needs at least one BER")
 		}
 		p.mid = bers[len(bers)/2]
-		p.add("layers", s.runner.LayerCampaigns(p.mid, s.opts))
+		p.add("layers", faultsim.LayerCampaigns(s.conv, p.mid, s.opts))
 	}
 	return p, nil
 }
@@ -82,12 +92,14 @@ func (p *Plan) add(name string, cs []faultsim.Campaign) {
 func (p *Plan) Phases() []Phase { return append([]Phase(nil), p.phases...) }
 
 // Run executes the whole plan in this process, each phase as the one unit
-// range [0, n) traced as a "phase" span (path=local) on obs.From(ctx).
-// progress, when non-nil, observes (phase, done, total) after every finished
-// unit and may be called concurrently. When ctx is canceled the partial
-// result is discarded and ctx.Err() is returned.
+// range [0, n) traced as a "phase" span (path=local) on obs.From(ctx), after
+// the executor's "build" span when Run builds it. progress, when non-nil,
+// observes (phase, done, total) after every finished unit and may be called
+// concurrently. When ctx is canceled the partial result is discarded and
+// ctx.Err() is returned.
 func (p *Plan) Run(ctx context.Context, progress func(phase, done, total int)) (*CampaignResult, error) {
 	tr := obs.From(ctx).Trace
+	p.sys.executor(ctx)
 	var res CampaignResult
 	for i, phase := range p.phases {
 		ph := tr.Start("phase", obs.A("phase", phase.Name), obs.A("path", "local"), obs.A("units", phase.Units))
@@ -114,9 +126,11 @@ func (p *Plan) Run(ctx context.Context, progress func(phase, done, total int)) (
 // bit-identical no matter which process computes them or with how many
 // workers. progress, when non-nil, observes (done, hi-lo) after every
 // finished unit and may be called concurrently; when nil, the system's
-// OnProgress callback does. Ranges arrive over the wire, so bad arguments
-// are errors rather than panics; when ctx is canceled the partial counts
-// are discarded and ctx.Err() is returned.
+// OnProgress callback does. The plan's first Counts builds its executor
+// (see System.executor); concurrent first calls build it once. Ranges
+// arrive over the wire, so bad arguments are errors rather than panics;
+// when ctx is canceled the partial counts are discarded and ctx.Err() is
+// returned.
 func (p *Plan) Counts(ctx context.Context, i, lo, hi int, progress func(done, total int)) ([]int, error) {
 	if err := p.checkRange(i, lo, hi); err != nil {
 		return nil, err
@@ -124,7 +138,7 @@ func (p *Plan) Counts(ctx context.Context, i, lo, hi int, progress func(done, to
 	if progress == nil {
 		progress = p.sys.progress
 	}
-	counts := p.sys.runner.UnitCounts(ctx, p.batches[i], p.sys.cfg.Rounds, lo, hi, progress)
+	counts := p.sys.executor(ctx).UnitCounts(ctx, p.batches[i], p.sys.cfg.Rounds, lo, hi, progress)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -133,8 +147,15 @@ func (p *Plan) Counts(ctx context.Context, i, lo, hi int, progress func(done, to
 
 // Release frees the plan's working state: its runner's warm contexts,
 // golden plane and kept reference rounds (faultsim.Runner.Release). The plan
-// stays usable; its next Counts captures what it needs again.
-func (p *Plan) Release() { p.sys.runner.Release() }
+// stays usable; its next Counts captures what it needs again. A plan whose
+// executor is not built holds no working state.
+func (p *Plan) Release() {
+	p.sys.mu.Lock()
+	defer p.sys.mu.Unlock()
+	if p.sys.runner != nil {
+		p.sys.runner.Release()
+	}
+}
 
 // CheckCounts validates counts computed elsewhere for units [lo, hi) of
 // phase i: the range lies inside the phase, there is one count per unit, and
@@ -169,7 +190,8 @@ func (p *Plan) checkRange(i, lo, hi int) error {
 // Reduce folds phase i's full, unit-ordered counts — typically merged from
 // ranges — into res: the sweep phase sets Points, the layers phase Baseline
 // and Layers. The reduction is the same index-ordered integer sum the
-// in-process path runs, so the marshaled res is byte-identical to it.
+// in-process path runs, so the marshaled res is byte-identical to it. Like
+// CheckCounts it reads only the plan's description.
 func (p *Plan) Reduce(res *CampaignResult, i int, counts []int) error {
 	if err := p.checkRange(i, 0, 0); err != nil {
 		return err
@@ -179,9 +201,9 @@ func (p *Plan) Reduce(res *CampaignResult, i int, counts []int) error {
 	}
 	s := p.sys
 	if p.phases[i].Name == "layers" {
-		base, per := s.runner.LayerSensitivityFromCounts(p.mid, s.opts, s.cfg.Rounds, counts)
+		base, per := faultsim.LayerSensitivityFromCounts(s.conv, p.mid, s.opts, s.cfg.Rounds, s.cfg.Samples, counts)
 		res.Baseline, res.Layers = base, nil
-		for _, li := range s.runner.Net.ConvNodes() {
+		for _, li := range s.conv {
 			res.Layers = append(res.Layers, LayerSensitivity{
 				Layer:             s.arch.Ops[li].Name,
 				FaultFreeAccuracy: per[li],
@@ -191,7 +213,7 @@ func (p *Plan) Reduce(res *CampaignResult, i int, counts []int) error {
 		}
 		return nil
 	}
-	accs := s.runner.Reduce(p.batches[i], s.cfg.Rounds, counts)
+	accs := faultsim.Reduce(p.batches[i], s.cfg.Rounds, s.cfg.Samples, counts)
 	res.Points = make([]Point, len(accs))
 	for k, c := range p.batches[i] {
 		res.Points[k] = Point{BER: c.BER, Accuracy: accs[k]}

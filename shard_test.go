@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/faultsim"
 	"repro/internal/obs"
 )
 
@@ -164,7 +165,7 @@ func TestLayersPhaseMatchesCampaignsAlone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs := sys.runner.LayerCampaigns(c.ber, sys.opts)
+			cs := faultsim.LayerCampaigns(sys.conv, c.ber, sys.opts)
 			if alone == nil {
 				for i := range cs {
 					alone = append(alone, sys.runner.UnitCounts(context.Background(), cs[i:i+1], cfg.Rounds, 0, cfg.Rounds, nil))

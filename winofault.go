@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/experiments"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/systolic"
 	"repro/internal/tmr"
@@ -296,20 +298,41 @@ func (c Config) semantics() fault.Semantics {
 	}
 }
 
-// System is a ready-to-evaluate network + fault-injection campaign.
+// System is a ready-to-evaluate network + fault-injection campaign. Its
+// description — the architecture, the paper-scale fault intensities, the
+// conv/FC layers, protection and scenario — follows from the config and the
+// architecture's geometry alone. Its executor, the runner over the network's
+// weights, the evaluation set and the golden pass, is what a campaign's
+// units execute on: New builds both, while NewPlan describes a system and
+// builds its executor on the plan's first Counts or Run.
 type System struct {
 	cfg      Config
 	arch     *models.Arch
 	full     *models.Arch
-	runner   *faultsim.Runner
+	conv     []int // conv/FC node indices, in network order
 	opts     faultsim.Options
 	census   []fault.Census
 	progress func(done, total int) // see OnProgress
+
+	// mu guards runner, the executor, while a plan builds it (executor).
+	mu     sync.Mutex
+	runner *faultsim.Runner
 }
 
 // New builds a system: the scaled quantized network with deterministic
 // weights, a synthetic evaluation set, and paper-scale fault intensities.
 func New(cfg Config) (*System, error) {
+	s, err := describe(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.runner = s.build()
+	return s, nil
+}
+
+// describe validates cfg and derives everything that follows from it and
+// the architecture's geometry: it draws no weight and runs no pass.
+func describe(cfg Config) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -326,36 +349,11 @@ func New(cfg Config) (*System, error) {
 			cfg.Model, cfg.InputSize, cfg.InputSize, err)
 	}
 	full, _ := models.ByName(cfg.Model, models.Options{})
-	f := cfg.format()
-	// The dataset is drawn beside the build, which spreads its layers over
-	// the same worker budget; with one worker both run in order on this
-	// goroutine.
-	var (
-		net *nn.Network
-		set *dataset.Set
-	)
-	par.Do(cfg.Workers, 2, func(i int) {
-		if i == 0 {
-			net = models.Build(arch, nn.Config{
-				Kind: cfg.kind(), Tile: cfg.tile(), ActFmt: f, WFmt: f, Seed: cfg.Seed ^ 0xabcdef,
-			}, cfg.Workers)
-		} else {
-			set = dataset.ForModel(arch.Dataset, cfg.Samples, arch.In.H, cfg.Seed^0x5eed, f)
-		}
-	})
-	bk, _ := kernel.Get(cfg.Backend) // validate accepted the name
-	runner := faultsim.New(net, set.Batch(0, cfg.Samples), faultsim.Exec{
-		Workers: cfg.Workers,
-		Backend: bk,
-		// Neuron flips run in full on any runner, so a full one skips the
-		// plane it would never read.
-		Full: cfg.DeltaExec != nil && !*cfg.DeltaExec || cfg.Semantics == NeuronFlip,
-	})
 	sys := &System{
 		cfg:    cfg,
 		arch:   arch,
 		full:   full,
-		runner: runner,
+		conv:   models.ConvNodes(arch),
 		census: models.Census(arch, cfg.kind(), cfg.tile()),
 		opts: faultsim.Options{
 			Semantics:       cfg.semantics(),
@@ -365,6 +363,7 @@ func New(cfg Config) (*System, error) {
 		},
 	}
 	if cfg.Scenario != nil {
+		f := cfg.format()
 		hs, err := cfg.Scenario.compile(f)
 		if err != nil {
 			return nil, err
@@ -377,6 +376,56 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	return sys, nil
+}
+
+// build draws the network's weights and the evaluation set and runs the
+// golden pass, returning the system's executor.
+func (s *System) build() *faultsim.Runner {
+	cfg := s.cfg
+	f := cfg.format()
+	// The dataset is drawn beside the build, which spreads its layers over
+	// the same worker budget; with one worker both run in order on this
+	// goroutine.
+	var (
+		net *nn.Network
+		set *dataset.Set
+	)
+	par.Do(cfg.Workers, 2, func(i int) {
+		if i == 0 {
+			net = models.Build(s.arch, nn.Config{
+				Kind: cfg.kind(), Tile: cfg.tile(), ActFmt: f, WFmt: f, Seed: cfg.Seed ^ 0xabcdef,
+			}, cfg.Workers)
+		} else {
+			set = dataset.ForModel(s.arch.Dataset, cfg.Samples, s.arch.In.H, cfg.Seed^0x5eed, f)
+		}
+	})
+	bk, _ := kernel.Get(cfg.Backend) // validate accepted the name
+	return faultsim.New(net, set.Batch(0, cfg.Samples), faultsim.Exec{
+		Workers: cfg.Workers,
+		Backend: bk,
+		// Neuron flips run in full on any runner, so a full one skips the
+		// plane it would never read.
+		Full: cfg.DeltaExec != nil && !*cfg.DeltaExec || cfg.Semantics == NeuronFlip,
+	})
+}
+
+// executor returns the system's runner, building it first if the system
+// has none yet (a plan from NewPlan) inside a "build" span (model, engine,
+// workers) on obs.From(ctx)'s trace. Concurrent first calls build once.
+func (s *System) executor(ctx context.Context) *faultsim.Runner {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.runner == nil {
+		engine := "direct"
+		if s.cfg.Engine == Winograd {
+			engine = "winograd"
+		}
+		sp := obs.From(ctx).Trace.Start("build",
+			obs.A("model", s.cfg.Model), obs.A("engine", engine), obs.A("workers", par.Workers(s.cfg.Workers)))
+		s.runner = s.build()
+		sp.End()
+	}
+	return s.runner
 }
 
 // Point is one (BER, accuracy) measurement.
@@ -404,7 +453,7 @@ func (s *System) SweepCtx(ctx context.Context, bers []float64) ([]Point, error) 
 // LayerUnits is the unit total of the layer-sensitivity batch at one BER,
 // as Plan.Phases reports it; it serves cmd/wfbench's serial replay.
 func (s *System) LayerUnits(ber float64) int {
-	return faultsim.Units(s.runner.LayerCampaigns(ber, s.opts), s.cfg.Rounds)
+	return faultsim.Units(faultsim.LayerCampaigns(s.conv, ber, s.opts), s.cfg.Rounds)
 }
 
 // OnProgress registers fn to observe the progress of this system's plans
@@ -426,8 +475,8 @@ func (s *System) SetProtection(layers map[string][2]float64) error {
 		s.opts.Protection = nil
 		return nil
 	}
-	byName := make(map[string]int, len(s.runner.Net.ConvNodes()))
-	for _, li := range s.runner.Net.ConvNodes() {
+	byName := make(map[string]int, len(s.conv))
+	for _, li := range s.conv {
 		byName[s.arch.Ops[li].Name] = li
 	}
 	prot := make(map[int]fault.Protection, len(layers))
